@@ -246,3 +246,7 @@ def main(argv=None, out=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

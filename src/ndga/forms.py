@@ -135,13 +135,6 @@ class MatrixForm:
     def degrees(self):
         return sorted({len(i) for i in self._components})
 
-    def degree_part(self, degree: int) -> "MatrixForm":
-        return MatrixForm(
-            self.base_dim,
-            self.shape,
-            {i: m for i, m in self._components.items() if len(i) == degree},
-        )
-
     def is_structurally_zero(self) -> bool:
         return not self._components
 
@@ -367,14 +360,19 @@ def is_n_flat(conn: Connection, n: int) -> bool:
     return n_flat_from_curvature(curvature(conn), conn.form, n)
 
 
-def minimal_flatness_order(conn: Connection, max_n: int = 8):
-    """Least n <= max_n with (d + omega)^n = 0, or None.  Flatness of
-    order n implies flatness of every higher order, so the scan is exact."""
-    F = curvature(conn)
+def minimal_order_from_curvature(F: MatrixForm, omega_form: MatrixForm, max_n: int):
+    """Least n <= max_n that n_flat_from_curvature accepts, or None.
+    Flatness of order n implies flatness of every higher order, so the
+    scan is exact."""
     for n in range(2, max_n + 1):
-        if n_flat_from_curvature(F, conn.form, n):
+        if n_flat_from_curvature(F, omega_form, n):
             return n
     return None
+
+
+def minimal_flatness_order(conn: Connection, max_n: int = 8):
+    """Least n <= max_n with (d + omega)^n = 0, or None."""
+    return minimal_order_from_curvature(curvature(conn), conn.form, max_n)
 
 
 def probe_forms(conn: Connection):

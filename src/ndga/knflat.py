@@ -38,14 +38,6 @@ class WeightedEdge:
     weight: int
 
 
-def vertex_size(s: Vertex) -> int:
-    return sum(s)
-
-
-def vertex_length(s: Vertex) -> int:
-    return len(s)
-
-
 def delta_power(s: Vertex, n: int) -> int:
     """N(s) = N - |s| - len(s): the delta power attached to s at level n."""
     return n - sum(s) - len(s)

@@ -37,15 +37,6 @@ def mat_mul(a: FracMatrix, b: FracMatrix) -> FracMatrix:
     )
 
 
-def mat_add(a: FracMatrix, b: FracMatrix) -> FracMatrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a: FracMatrix) -> FracMatrix:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def is_zero_matrix(a: FracMatrix) -> bool:
     return all(entry == 0 for row in a for entry in row)
 
@@ -108,16 +99,6 @@ def det(a: FracMatrix) -> Fraction:
                 factor = rows[i][c] * inv
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[c])]
     return result
-
-
-def inverse(a: FracMatrix):
-    """Exact inverse, or None if singular."""
-    n = len(a)
-    rows = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
-    pivots = _echelon(rows)
-    if pivots != list(range(n)):
-        return None
-    return tuple(tuple(row[n:]) for row in rows)
 
 
 def solve_combination(columns: Sequence[FracVector], target: FracVector):

@@ -2,9 +2,10 @@
 
 Christoffel symbols of g = (g_ij) involve the inverse metric, whose
 entries are quotients; the division-free scalar grammar cannot hold them.
-This module therefore computes internally with exact quotients num/det^k:
-numerators are polynomials over the atoms {coordinates, sin(u), cos(u)}
-with sin-exponents reduced through sin^2 = 1 - cos^2, and the denominator
+This module therefore computes internally with exact quotients num/det^k.
+Numerators are scalar.TrigPoly values, the package's one expanded form:
+polynomials over coordinates, sin(u) and cos(u) with sin^2 = 1 - cos^2
+applied, the same reduction that decides scalar.is_zero.  The denominator
 is always a power of det(g), produced by cofactor inversion.  Final
 curvature entries are converted back to scalar expressions by exact
 polynomial division; flatness certificates clear denominators instead,
@@ -18,11 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from . import forms, linalg, scalar
+from . import forms, scalar
 from .forms import MatrixForm
-from .scalar import Expr
-
-Mono = Tuple  # ((atom, exponent), ...) sorted; atom = (kind, key, payload)
+from .scalar import Expr, Mono, TrigPoly
 
 
 class MetricError(Exception):
@@ -34,211 +33,11 @@ class GrammarError(MetricError):
 
 
 # ------------------------------------------------------------------
-# polynomials over trigonometric atoms
-# ------------------------------------------------------------------
-
-def _atom_var(index: int):
-    return ("x", index, None)
-
-
-def _atom_trig(kind: str, argument: Expr):
-    return (kind, scalar.sort_key(argument), argument)
-
-
-class TrigPoly:
-    """Polynomial over coordinate and sin/cos atoms, kept canonical with
-    every sin-exponent at most one.  Zero testing is exact."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[Mono, Fraction]):
-        self.terms = {m: c for m, c in terms.items() if c != 0}
-
-    # construction ---------------------------------------------------
-
-    @staticmethod
-    def const(value) -> "TrigPoly":
-        value = Fraction(value)
-        return TrigPoly({(): value} if value else {})
-
-    @staticmethod
-    def zero() -> "TrigPoly":
-        return TrigPoly({})
-
-    @staticmethod
-    def one() -> "TrigPoly":
-        return TrigPoly({(): Fraction(1)})
-
-    @staticmethod
-    def atom(atom, exponent: int = 1) -> "TrigPoly":
-        return _canonical_monomial({atom: exponent}, Fraction(1))
-
-    @staticmethod
-    def from_expr(e: Expr) -> "TrigPoly":
-        e = scalar.normalize(e)
-        return _expand(e)
-
-    # ring operations -------------------------------------------------
-
-    def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            value = terms.get(mono, Fraction(0)) + coeff
-            if value:
-                terms[mono] = value
-            else:
-                terms.pop(mono, None)
-        return TrigPoly(terms)
-
-    def __sub__(self, other: "TrigPoly") -> "TrigPoly":
-        return self + other.scale(-1)
-
-    def scale(self, value) -> "TrigPoly":
-        value = Fraction(value)
-        return TrigPoly({m: value * c for m, c in self.terms.items()})
-
-    def __neg__(self) -> "TrigPoly":
-        return self.scale(-1)
-
-    def __mul__(self, other: "TrigPoly") -> "TrigPoly":
-        out = TrigPoly.zero()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                merged = dict(m1)
-                for atom, exp in m2:
-                    merged[atom] = merged.get(atom, 0) + exp
-                out = out + _canonical_monomial(merged, c1 * c2)
-        return out
-
-    def power(self, k: int) -> "TrigPoly":
-        out = TrigPoly.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    # calculus ---------------------------------------------------------
-
-    def diff(self, index: int) -> "TrigPoly":
-        out = TrigPoly.zero()
-        for mono, coeff in self.terms.items():
-            for position, (atom, exp) in enumerate(mono):
-                rest = {a: e for a, e in mono if a != atom}
-                if exp > 1:
-                    rest[atom] = exp - 1
-                base = _canonical_monomial(rest, coeff * exp)
-                kind, _, payload = atom
-                if kind == "x":
-                    if atom[1] == index:
-                        out = out + base
-                    continue
-                inner = TrigPoly.from_expr(scalar.diff(payload, index))
-                if inner.is_zero():
-                    continue
-                if kind == "sin":
-                    outer = TrigPoly.atom(_atom_trig("cos", payload))
-                else:
-                    outer = TrigPoly.atom(_atom_trig("sin", payload)).scale(-1)
-                out = out + base * outer * inner
-        return out
-
-    # conversion --------------------------------------------------------
-
-    def to_expr(self) -> Expr:
-        pieces = []
-        for mono, coeff in sorted(self.terms.items()):
-            factors = [scalar.Rat(coeff)]
-            for atom, exp in mono:
-                kind = atom[0]
-                if kind == "x":
-                    base: Expr = scalar.Var(atom[1])
-                elif kind == "sin":
-                    base = scalar.Sin(atom[2])
-                else:
-                    base = scalar.Cos(atom[2])
-                factors.append(scalar.pow_(base, exp))
-            pieces.append(scalar.mul(*factors))
-        return scalar.add(*pieces) if pieces else scalar.ZERO
-
-    def __repr__(self):
-        return f"TrigPoly({scalar.render(self.to_expr())})"
-
-
-def _canonical_monomial(exponents: Dict, coeff: Fraction) -> TrigPoly:
-    """Build coeff * product(atom^exp) with sin-powers reduced via
-    sin^2 u = 1 - cos^2 u."""
-    if coeff == 0:
-        return TrigPoly.zero()
-    exponents = {a: e for a, e in exponents.items() if e != 0}
-    for atom, exp in exponents.items():
-        if atom[0] == "sin" and exp >= 2:
-            half, remainder = divmod(exp, 2)
-            rest = dict(exponents)
-            rest.pop(atom)
-            if remainder:
-                rest[atom] = 1
-            base = _canonical_monomial(rest, coeff)
-            cos_atom = ("cos", atom[1], atom[2])
-            # (1 - cos^2)^half by binomial expansion
-            expansion = TrigPoly.zero()
-            sign = Fraction(1)
-            from math import comb
-            for j in range(half + 1):
-                term = _canonical_monomial({cos_atom: 2 * j}, Fraction((-1) ** j * comb(half, j)))
-                expansion = expansion + term
-            return base * expansion
-    mono = tuple(sorted(exponents.items()))
-    return TrigPoly({mono: coeff})
-
-
-def _expand(e: Expr) -> TrigPoly:
-    if isinstance(e, scalar.Rat):
-        return TrigPoly.const(e.value)
-    if isinstance(e, scalar.Var):
-        return TrigPoly.atom(_atom_var(e.index))
-    if isinstance(e, scalar.Sin):
-        return TrigPoly.atom(_atom_trig("sin", scalar.normalize(e.argument)))
-    if isinstance(e, scalar.Cos):
-        return TrigPoly.atom(_atom_trig("cos", scalar.normalize(e.argument)))
-    if isinstance(e, scalar.Sum):
-        out = TrigPoly.zero()
-        for t in e.terms:
-            out = out + _expand(t)
-        return out
-    if isinstance(e, scalar.Product):
-        out = TrigPoly.one()
-        for f in e.factors:
-            out = out * _expand(f)
-        return out
-    if isinstance(e, scalar.Power):
-        return _expand(e.base).power(e.exponent)
-    raise TypeError(type(e))
-
-
-# ------------------------------------------------------------------
 # exact division
 # ------------------------------------------------------------------
 
-def _atoms_of(poly: TrigPoly) -> list:
-    atoms = set()
-    for mono in poly.terms:
-        for atom, _ in mono:
-            atoms.add(atom)
-    return sorted(atoms)
-
-
 def _sin_atoms(poly: TrigPoly) -> list:
-    return [a for a in _atoms_of(poly) if a[0] == "sin"]
+    return sorted(a for a in poly.atoms() if a[0] == "sin")
 
 
 def _split_by_atom(poly: TrigPoly, atom) -> Tuple[TrigPoly, TrigPoly]:
@@ -270,7 +69,7 @@ def exact_divide(num: TrigPoly, den: TrigPoly) -> Optional[TrigPoly]:
         den = den * conjugate
         if den.is_zero():
             return None
-    atoms = sorted(set(_atoms_of(num)) | set(_atoms_of(den)))
+    atoms = sorted(num.atoms() | den.atoms())
     index = {a: i for i, a in enumerate(atoms)}
 
     def vector(mono) -> tuple:
@@ -500,9 +299,6 @@ class Christoffel:
     def entry(self, i: int, j: int, k: int) -> DetFraction:
         return self.symbols[i - 1][j - 1][k - 1]
 
-    def entry_pair(self, i: int, j: int, k: int) -> Tuple[Expr, Expr]:
-        return self.entry(i, j, k).as_pair()
-
     def entry_expr(self, i: int, j: int, k: int) -> Optional[Expr]:
         return self.entry(i, j, k).as_expr()
 
@@ -629,10 +425,7 @@ def levi_civita_n_flat(metric: Metric, n: int) -> bool:
 
 def minimal_lc_flatness_order(metric: Metric, max_n: int = 8):
     S, tau = _cleared_forms(metric)
-    for n in range(2, max_n + 1):
-        if forms.n_flat_from_curvature(S, tau, n):
-            return n
-    return None
+    return forms.minimal_order_from_curvature(S, tau, max_n)
 
 
 # ------------------------------------------------------------------

@@ -33,10 +33,6 @@ def set_zero_seed(seed: int) -> None:
     _zero_seed = seed
 
 
-def get_zero_seed() -> int:
-    return _zero_seed
-
-
 class ScalarError(Exception):
     pass
 
@@ -446,111 +442,275 @@ def evaluate(e: Expr, point: Point) -> Number:
 
 
 # ------------------------------------------------------------------
-# zero test
+# expanded polynomials over trigonometric atoms
 # ------------------------------------------------------------------
 #
-# Strategy: expand into a polynomial whose indeterminates ("atoms") are the
-# coordinates and the sin/cos subterms.  A zero polynomial certifies a zero
-# function.  A nonzero trig-free polynomial certifies a nonzero function.
-# Otherwise (trig identities such as sin^2+cos^2-1) fall back to seeded
-# evaluation at ZERO_SAMPLES points in [-1,1]^n with tolerance ZERO_TOLERANCE.
+# The atoms are the coordinates ("x", i, None) and the trig subterms
+# (kind, sort_key(u), u) for kind "sin" or "cos".  A monomial is a sorted
+# tuple of (atom, exponent) pairs.  Every sin-exponent is kept at most one
+# by rewriting sin^2 u = 1 - cos^2 u, so Pythagorean identities in a single
+# argument reduce to the zero polynomial.
 
-Monomial = tuple  # ((atom_key, exponent), ...), sorted
+Mono = tuple
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            merged: dict = dict(m1)
-            for atom, exp in m2:
-                merged[atom] = merged.get(atom, 0) + exp
-            key = tuple(sorted(merged.items()))
-            c = out.get(key, Fraction(0)) + c1 * c2
-            if c == 0:
-                out.pop(key, None)
+def _poly(terms: dict) -> "TrigPoly":
+    """Wrap a dict that already holds no zero coefficients."""
+    p = object.__new__(TrigPoly)
+    p.terms = terms
+    return p
+
+
+def _add_term(terms: dict, mono: Mono, coeff: Fraction) -> None:
+    """terms[mono] += coeff for a nonzero coeff, dropping a sum that is 0."""
+    if mono not in terms:
+        terms[mono] = coeff
+        return
+    value = terms[mono] + coeff
+    if value:
+        terms[mono] = value
+    else:
+        del terms[mono]
+
+
+def _add_reduced(terms: dict, exponents: dict, coeff) -> None:
+    """terms += coeff * prod(atom^exp), rewriting each sin^e u with e >= 2
+    as sin^(e mod 2) u * (1 - cos^2 u)^(e div 2)."""
+    for atom, exp in exponents.items():
+        if exp >= 2 and atom[0] == "sin":
+            half, odd = divmod(exp, 2)
+            cos_atom = ("cos",) + atom[1:]
+            cos_exp = exponents.get(cos_atom, 0)
+            rest = dict(exponents)
+            if odd:
+                rest[atom] = 1
             else:
-                out[key] = c
-    return out
+                del rest[atom]
+            for j in range(half + 1):
+                if j:
+                    rest[cos_atom] = cos_exp + 2 * j
+                _add_reduced(terms, rest, coeff * ((-1) ** j * math.comb(half, j)))
+            return
+    _add_term(terms, tuple(sorted(exponents.items())), coeff)
 
 
-def _poly_add(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for m, c in q.items():
-        s = out.get(m, Fraction(0)) + c
-        if s == 0:
-            out.pop(m, None)
-        else:
-            out[m] = s
-    return out
+class TrigPoly:
+    """Polynomial over coordinate and sin/cos atoms, kept canonical with
+    every sin-exponent at most one.  Operations return new polynomials and
+    leave their operands unchanged."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = {m: c for m, c in terms.items() if c != 0}
+
+    # construction ---------------------------------------------------
+
+    @staticmethod
+    def const(value) -> "TrigPoly":
+        value = Fraction(value)
+        return _poly({(): value} if value else {})
+
+    @staticmethod
+    def zero() -> "TrigPoly":
+        return _poly({})
+
+    @staticmethod
+    def one() -> "TrigPoly":
+        return _poly({(): Fraction(1)})
+
+    @staticmethod
+    def atom(atom) -> "TrigPoly":
+        return _poly({((atom, 1),): Fraction(1)})
+
+    @staticmethod
+    def from_expr(e: Expr) -> "TrigPoly":
+        return _expanded(normalize(e))
+
+    # ring operations -------------------------------------------------
+
+    def __add__(self, other: "TrigPoly") -> "TrigPoly":
+        terms = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            _add_term(terms, mono, coeff)
+        return _poly(terms)
+
+    def __sub__(self, other: "TrigPoly") -> "TrigPoly":
+        return self + other.scale(-1)
+
+    def scale(self, value) -> "TrigPoly":
+        value = Fraction(value)
+        if not value:
+            return TrigPoly.zero()
+        return _poly({m: value * c for m, c in self.terms.items()})
+
+    def __neg__(self) -> "TrigPoly":
+        return self.scale(-1)
+
+    def __mul__(self, other: "TrigPoly") -> "TrigPoly":
+        terms: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                if not m1 or not m2:
+                    _add_term(terms, m1 or m2, c1 * c2)
+                    continue
+                merged = dict(m1)
+                reduce = False
+                for atom, exp in m2:
+                    total = merged.get(atom, 0) + exp
+                    merged[atom] = total
+                    if total >= 2 and atom[0] == "sin":
+                        reduce = True
+                if reduce:
+                    _add_reduced(terms, merged, c1 * c2)
+                else:
+                    _add_term(terms, tuple(sorted(merged.items())), c1 * c2)
+        return _poly(terms)
+
+    def power(self, k: int) -> "TrigPoly":
+        out = TrigPoly.one()
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def atoms(self) -> set:
+        return {atom for mono in self.terms for atom, _ in mono}
+
+    def __eq__(self, other):
+        if not isinstance(other, TrigPoly):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.terms.items())))
+
+    # calculus ---------------------------------------------------------
+
+    def diff(self, index: int) -> "TrigPoly":
+        terms: dict = {}
+        for mono, coeff in self.terms.items():
+            for position, (atom, exp) in enumerate(mono):
+                kind, key, payload = atom
+                if kind == "x" and key != index:
+                    continue
+                lowered = ((atom, exp - 1),) if exp > 1 else ()
+                rest = mono[:position] + lowered + mono[position + 1:]
+                if kind == "x":
+                    _add_term(terms, rest, coeff * exp)
+                    continue
+                inner = TrigPoly.from_expr(diff(payload, index))
+                if inner.is_zero():
+                    continue
+                if kind == "sin":
+                    outer = TrigPoly.atom(("cos", key, payload)).scale(coeff * exp)
+                else:
+                    outer = TrigPoly.atom(("sin", key, payload)).scale(-coeff * exp)
+                for m, c in (_poly({rest: Fraction(1)}) * outer * inner).terms.items():
+                    _add_term(terms, m, c)
+        return _poly(terms)
+
+    # conversion --------------------------------------------------------
+
+    def to_expr(self) -> Expr:
+        pieces = []
+        for mono, coeff in sorted(self.terms.items()):
+            factors = [Rat(coeff)]
+            for (kind, key, payload), exp in mono:
+                if kind == "x":
+                    base: Expr = Var(key)
+                elif kind == "sin":
+                    base = Sin(payload)
+                else:
+                    base = Cos(payload)
+                factors.append(pow_(base, exp))
+            pieces.append(mul(*factors))
+        return add(*pieces) if pieces else ZERO
+
+    def __repr__(self):
+        return f"TrigPoly({render(self.to_expr())})"
 
 
-def _poly_pow(p: dict, k: int) -> dict:
-    result = {(): Fraction(1)}
-    for _ in range(k):
-        result = _poly_mul(result, p)
-    return result
-
-
-def as_polynomial(e: Expr) -> dict:
-    """Expanded polynomial over atoms.  Atom keys are ('x', i) for
-    coordinates and ('sin'|'cos', sort_key(arg)) for trig subterms."""
-    e = normalize(e)
-    return _as_poly(e)
-
-
-def _as_poly(e: Expr) -> dict:
+def _expanded(e: Expr) -> TrigPoly:
+    """Expansion of a normalized expression."""
     if isinstance(e, Rat):
-        return {} if e.value == 0 else {(): e.value}
+        return TrigPoly.const(e.value)
     if isinstance(e, Var):
-        return {((("x", e.index), 1),): Fraction(1)}
+        return TrigPoly.atom(("x", e.index, None))
     if isinstance(e, (Sin, Cos)):
         kind = "sin" if isinstance(e, Sin) else "cos"
-        atom = (kind, sort_key(e.argument))
-        return {((atom, 1),): Fraction(1)}
+        return TrigPoly.atom((kind, sort_key(e.argument), e.argument))
     if isinstance(e, Sum):
-        out: dict = {}
+        terms: dict = {}
         for t in e.terms:
-            out = _poly_add(out, _as_poly(t))
-        return out
+            for mono, coeff in _expanded(t).terms.items():
+                _add_term(terms, mono, coeff)
+        return _poly(terms)
     if isinstance(e, Product):
-        out = {(): Fraction(1)}
-        for f in e.factors:
-            out = _poly_mul(out, _as_poly(f))
+        out = _expanded(e.factors[0])
+        for f in e.factors[1:]:
+            out = out * _expanded(f)
         return out
     if isinstance(e, Power):
-        return _poly_pow(_as_poly(e.base), e.exponent)
+        return _expanded(e.base).power(e.exponent)
     raise TypeError(type(e))
 
 
-def _has_trig_atom(poly: dict) -> bool:
-    return any(atom[0] != "x" for mono in poly for atom, _ in mono)
-
+# ------------------------------------------------------------------
+# zero test
+# ------------------------------------------------------------------
+#
+# Expand into a TrigPoly.  The zero polynomial certifies a zero function,
+# Pythagorean identities in one argument included.  A nonzero polynomial
+# without trig atoms certifies a nonzero function.  Anything else (trig
+# identities across related arguments, such as sin(2u) = 2 sin(u) cos(u))
+# falls back to seeded sampling at ZERO_SAMPLES points in [-1,1]^n.  A point
+# shows a nonzero function when |sum_m c_m m(p)| >= ZERO_TOLERANCE *
+# sum_m |c_m m(p)| over the monomials m of the polynomial; the bound is
+# relative, so small coefficients do not pass for zero.
 
 def is_zero(e: Expr, seed: int | None = None) -> bool:
-    """True iff e is identically zero.  Exact for polynomial expressions;
-    probabilistic (seeded sampling) once sin/cos identities are involved."""
+    """True iff e is identically zero.  Exact for polynomial expressions and
+    for trig expressions that reduce to zero; otherwise probabilistic
+    (seeded sampling) once sin/cos atoms are involved."""
     return _is_zero_cached(normalize(e), _zero_seed if seed is None else seed)
 
 
 @functools.lru_cache(maxsize=65536)
 def _is_zero_cached(e: Expr, seed: int) -> bool:
-    poly = _as_poly(e)
-    if not poly:
+    poly = TrigPoly.from_expr(e)
+    if poly.is_zero():
         return True
-    if not _has_trig_atom(poly):
+    atoms = poly.atoms()
+    if all(kind == "x" for kind, _, _ in atoms):
         return False
+    # the test is scale-invariant; dividing by the largest coefficient keeps
+    # huge rationals inside the float range
+    largest = max(abs(c) for c in poly.terms.values())
+    weighted = [(mono, float(c / largest)) for mono, c in poly.terms.items()]
     rng = random.Random(seed)
     names = sorted(variables(e))
     for _ in range(ZERO_SAMPLES):
         point = {i: rng.uniform(-1.0, 1.0) for i in names}
-        if abs(float(evaluate(e, point))) >= ZERO_TOLERANCE:
+        values = {}
+        for atom in atoms:
+            kind, key, payload = atom
+            if kind == "x":
+                values[atom] = point[key]
+            else:
+                node = Sin(payload) if kind == "sin" else Cos(payload)
+                values[atom] = float(evaluate(node, point))
+        total = size = 0.0
+        for mono, term in weighted:
+            for atom, exp in mono:
+                term *= values[atom] ** exp
+            total += term
+            size += abs(term)
+        if size and abs(total) >= ZERO_TOLERANCE * size:
             return False
     return True
-
-
-def is_polynomial(e: Expr) -> bool:
-    return not _has_trig_atom(as_polynomial(e))
 
 
 # ------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -214,3 +217,29 @@ def test_output_is_reproducible(data_path):
         for _ in range(2)
     ]
     assert seeded[0] == seeded[1]
+
+
+# ------------------------------------------------------------------
+# running the module
+# ------------------------------------------------------------------
+
+def run_module(*args):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ndga.cli", *args],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+
+
+def test_module_without_arguments_is_a_usage_error():
+    proc = run_module()
+    assert proc.returncode == 2
+    assert "usage: ndga" in proc.stderr
+
+
+def test_module_runs_a_subcommand(data_path):
+    proc = run_module("flatness", data_path("rotation.conn"))
+    assert proc.returncode == 0
+    assert proc.stdout == "4-flat\n"

@@ -209,6 +209,15 @@ def test_minimal_orders():
     assert minimal_flatness_order(triangular_connection()) == 4
 
 
+def test_small_trig_coefficient_is_not_flat():
+    # F = -1/10^12 cos(x2) dx1^dx2 is nonzero and a top form on base 2, so
+    # the order is 3 however small the coefficient
+    for text in ("1/10^12*sin(x2)", "sin(x2)"):
+        conn = connection_from_coefficients(2, {1: ((scalar.parse(text),),)})
+        assert minimal_flatness_order(conn, 8) == 3
+        assert brute_force_flatness_order(conn, 8) == 3
+
+
 def test_brute_force_agrees_with_certificates():
     rng = random.Random(2024)
     for _ in range(4):

@@ -147,6 +147,31 @@ def test_is_zero_double_angle():
     assert is_zero(parse("sin(x1)*cos(x1) - 1/2*sin(2*x1)"))
 
 
+def test_is_zero_tolerance_is_relative():
+    # the tolerance is relative, so a small coefficient does not pass for zero
+    assert not is_zero(parse("1/10^12*sin(x1)"))
+    # rounding error relative to the sampled terms still counts as zero
+    assert is_zero(parse("sin(2*x1) - 2*sin(x1)*cos(x1)"))
+    assert is_zero(parse("x3*(sin(2*x1) - 2*sin(x1)*cos(x1))"))
+
+
+def test_is_zero_samples_huge_coefficients():
+    assert not is_zero(parse("10^400*sin(x1)"))
+    assert is_zero(parse("10^400*(sin(2*x1) - 2*sin(x1)*cos(x1))"))
+
+
+def test_is_zero_decides_pythagorean_identities_exactly(monkeypatch):
+    scalar._is_zero_cached.cache_clear()
+
+    def no_sampling(e, point):
+        raise AssertionError("is_zero sampled an expression it can decide exactly")
+
+    monkeypatch.setattr(scalar, "evaluate", no_sampling)
+    assert is_zero(parse("sin(x1)^2 + cos(x1)^2 - 1"))
+    assert is_zero(parse("x2*(sin(x1)^2 + cos(x1)^2) - x2"))
+    assert is_zero(parse("sin(x1)^4 - cos(x1)^4 - sin(x1)^2 + cos(x1)^2"))
+
+
 # ------------------------------------------------------------------
 # normalization
 # ------------------------------------------------------------------
