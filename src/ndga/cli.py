@@ -83,9 +83,9 @@ def _run_cs(args, out) -> int:
 def _run_flatness(args, out) -> int:
     try:
         connection = forms.parse_connection(_read(args.file))
-    except forms.ConnectionFileError as err:
+        order = forms.minimal_flatness_order(connection, args.max_n)
+    except (forms.ConnectionFileError, scalar.ScalarError) as err:
         raise InputError(f"{args.file}: {err}")
-    order = forms.minimal_flatness_order(connection, args.max_n)
     if order is None:
         print(f"not flat up to {args.max_n}", file=out)
     else:
@@ -93,11 +93,9 @@ def _run_flatness(args, out) -> int:
     return 0
 
 
-def _run_riemann(args, out) -> int:
-    try:
-        metric = riemann.parse_metric(_read(args.file))
-    except riemann.MetricFileError as err:
-        raise InputError(f"{args.file}: {err}")
+def _riemann_report(metric, max_n) -> list:
+    """Output lines of `ndga riemann`: Christoffel symbols, curvature, order."""
+    lines = []
     gamma = riemann.christoffel(metric)
     n = metric.dim
     for i in range(1, n + 1):
@@ -112,22 +110,30 @@ def _run_riemann(args, out) -> int:
                 else:
                     num, den = fraction.as_pair()
                     text = f"({scalar.render(num)}) / ({scalar.render(den)})"
-                print(f"Gamma^{i}_{j}{k} = {text}", file=out)
+                lines.append(f"Gamma^{i}_{j}{k} = {text}")
     try:
         form = riemann.riemann_form(metric)
         for index, entries in form.components():
             label = "^".join(f"dx{i}" for i in index)
-            print(f"R[{label}]:", file=out)
+            lines.append(f"R[{label}]:")
             for row in entries:
-                print("  " + "; ".join(scalar.render(e) for e in row), file=out)
+                lines.append("  " + "; ".join(scalar.render(e) for e in row))
     except riemann.GrammarError:
-        print("R: entries not expressible in the scalar grammar; "
-              "flatness decided on cleared forms", file=out)
-    order = riemann.minimal_lc_flatness_order(metric, args.max_n)
-    if order is None:
-        print(f"not flat up to {args.max_n}", file=out)
-    else:
-        print(f"{order}-flat", file=out)
+        lines.append("R: entries not expressible in the scalar grammar; "
+                     "flatness decided on cleared forms")
+    order = riemann.minimal_lc_flatness_order(metric, max_n)
+    lines.append(f"not flat up to {max_n}" if order is None else f"{order}-flat")
+    return lines
+
+
+def _run_riemann(args, out) -> int:
+    try:
+        metric = riemann.parse_metric(_read(args.file))
+        lines = _riemann_report(metric, args.max_n)
+    except (riemann.MetricFileError, scalar.ScalarError) as err:
+        raise InputError(f"{args.file}: {err}")
+    for line in lines:
+        print(line, file=out)
     return 0
 
 

@@ -5,7 +5,11 @@ trees over rational constants, coordinates x1, x2, ..., sums, products,
 non-negative integer powers, sin and cos.  The operator set is closed
 under partial differentiation, so derivatives never leave the type.
 
-Values are immutable; every function here is pure.
+Values are immutable; every function here is pure.  Each node computes its
+hash once, when it is built, so cache and dict lookups on deep trees cost
+O(1).  normalize, diff and negate build rational nodes through one bounded
+shared constructor, so equal coefficients are one node, and a normalized
+sum reuses each term that has no like term.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -48,9 +52,15 @@ class EvalError(ScalarError):
 
 
 class Expr:
-    """Base node.  Subclasses are frozen dataclasses, hashable and comparable."""
+    """Base node.  Subclasses are frozen dataclasses, hashable and compared
+    structurally.  Each node computes its hash once, from its type tag and
+    fields, and keeps it in the `_hash` slot, so hashing a tree costs O(1)
+    however deep it is."""
 
     __slots__ = ()
+
+    def __hash__(self):
+        return self._hash
 
     def __add__(self, other):
         return add(self, as_expr(other))
@@ -80,48 +90,98 @@ class Expr:
         return render(self)
 
 
+# The integer tags in the cached hashes are the sort_key tags.  They are
+# ints, not strings, so hashes and set orders do not depend on PYTHONHASHSEED.
+
 @dataclass(frozen=True, slots=True)
 class Rat(Expr):
     value: Fraction
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
+        object.__setattr__(self, "_hash", hash((0, self.value)))
+
+    __hash__ = Expr.__hash__
 
 
 @dataclass(frozen=True, slots=True)
 class Var(Expr):
     index: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((1, self.index)))
+
+    __hash__ = Expr.__hash__
 
 
 @dataclass(frozen=True, slots=True)
 class Sum(Expr):
     terms: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((6, self.terms)))
+
+    __hash__ = Expr.__hash__
 
 
 @dataclass(frozen=True, slots=True)
 class Product(Expr):
     factors: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((5, self.factors)))
+
+    __hash__ = Expr.__hash__
 
 
 @dataclass(frozen=True, slots=True)
 class Power(Expr):
     base: Expr
     exponent: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((4, self.base, self.exponent)))
+
+    __hash__ = Expr.__hash__
 
 
 @dataclass(frozen=True, slots=True)
 class Sin(Expr):
     argument: Expr
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((2, self.argument)))
+
+    __hash__ = Expr.__hash__
 
 
 @dataclass(frozen=True, slots=True)
 class Cos(Expr):
     argument: Expr
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((3, self.argument)))
+
+    __hash__ = Expr.__hash__
 
 
-ZERO = Rat(Fraction(0))
-ONE = Rat(Fraction(1))
+# One node per rational value: normalize, diff and negate build their Rat
+# nodes here, so the few distinct coefficients of a computation are shared
+# by every tree that holds them instead of being copied into each.
+_rat = functools.lru_cache(maxsize=4096)(Rat)
+
+ZERO = _rat(Fraction(0))
+ONE = _rat(Fraction(1))
+_MINUS_ONE = _rat(Fraction(-1))
+_FRACTION_ONE = Fraction(1)
 
 
 def as_expr(value) -> Expr:
@@ -181,17 +241,17 @@ def _split_coefficient(e: Expr):
         rest = e.factors[1:]
         core = rest[0] if len(rest) == 1 else Product(rest)
         return e.factors[0].value, core
-    return Fraction(1), e
+    return _FRACTION_ONE, e
 
 
 def _rebuild_term(coeff: Fraction, core) -> Expr:
     if core is None:
-        return Rat(coeff)
+        return _rat(coeff)
     if coeff == 1:
         return core
     if isinstance(core, Product):
-        return Product((Rat(coeff),) + core.factors)
-    return Product((Rat(coeff), core))
+        return Product((_rat(coeff),) + core.factors)
+    return Product((_rat(coeff), core))
 
 
 @functools.lru_cache(maxsize=131072)
@@ -199,7 +259,9 @@ def normalize(e: Expr) -> Expr:
     """Canonical structural form: flattened sums/products, sorted factors,
     merged rational constants and like terms.  Idempotent; does not expand
     powers of sums or distribute products over sums."""
-    if isinstance(e, (Rat, Var)):
+    if isinstance(e, Rat):
+        return _rat(e.value)
+    if isinstance(e, Var):
         return e
     if isinstance(e, Sin):
         arg = normalize(e.argument)
@@ -228,7 +290,7 @@ def _normalize_power(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Rat):
-        return Rat(base.value ** exponent)
+        return _rat(base.value ** exponent)
     if isinstance(base, Power):
         return _normalize_power(base.base, base.exponent * exponent)
     if isinstance(base, Product):
@@ -250,30 +312,32 @@ def _normalize_product(factors) -> Expr:
             flat.append(f)
     if coeff == 0:
         return ZERO
+    # like factors are keyed by the node itself (its hash is cached) and
+    # put in sort_key order at the end
     exponents: dict = {}
     for f in flat:
         if isinstance(f, Power):
             base, exp = f.base, f.exponent
         else:
             base, exp = f, 1
-        key = sort_key(base)
-        if key in exponents:
-            exponents[key] = (base, exponents[key][1] + exp)
+        if base in exponents:
+            exponents[base] += exp
         else:
-            exponents[key] = (base, exp)
+            exponents[base] = exp
     rebuilt = []
-    for key in sorted(exponents):
-        base, exp = exponents[key]
+    for base in sorted(exponents, key=sort_key):
+        exp = exponents[base]
         rebuilt.append(base if exp == 1 else Power(base, exp))
     if not rebuilt:
-        return Rat(coeff)
+        return _rat(coeff)
     if coeff == 1:
         return rebuilt[0] if len(rebuilt) == 1 else Product(tuple(rebuilt))
+    head = _rat(coeff)
     if len(rebuilt) == 1 and isinstance(rebuilt[0], Sum):
         # constants distribute over a lone sum so that scaling is structural
-        scaled = [_normalize_product([Rat(coeff), t]) for t in rebuilt[0].terms]
+        scaled = [_normalize_product([head, t]) for t in rebuilt[0].terms]
         return _normalize_sum(scaled)
-    return Product((Rat(coeff),) + tuple(rebuilt))
+    return Product((head,) + tuple(rebuilt))
 
 
 def _normalize_sum(terms) -> Expr:
@@ -289,18 +353,25 @@ def _normalize_sum(terms) -> Expr:
         if core is None:
             constant += coeff
             continue
-        key = sort_key(core)
-        if key in collected:
-            collected[key] = (core, collected[key][1] + coeff)
+        # keyed by the node, whose hash is cached.  A core holds its term
+        # until a like term arrives, so a term without like terms is reused
+        # as it is; after that it holds the summed coefficient.
+        prior = collected.get(core)
+        if prior is None:
+            collected[core] = t
+        elif isinstance(prior, Expr):
+            collected[core] = _split_coefficient(prior)[0] + coeff
         else:
-            collected[key] = (core, coeff)
+            collected[core] = prior + coeff
     rebuilt = []
     if constant != 0:
-        rebuilt.append(Rat(constant))
-    for key in sorted(collected):
-        core, coeff = collected[key]
-        if coeff != 0:
-            rebuilt.append(_rebuild_term(coeff, core))
+        rebuilt.append(_rat(constant))
+    for core in sorted(collected, key=sort_key):
+        value = collected[core]
+        if isinstance(value, Expr):
+            rebuilt.append(value)
+        elif value != 0:
+            rebuilt.append(_rebuild_term(value, core))
     if not rebuilt:
         return ZERO
     if len(rebuilt) == 1:
@@ -323,7 +394,7 @@ def pow_(base, exponent: int) -> Expr:
 def negate(e: Expr) -> Expr:
     """Structural negation: folds the sign into the rational head."""
     if isinstance(e, Rat):
-        return Rat(-e.value)
+        return _rat(-e.value)
     if isinstance(e, Sum):
         return Sum(tuple(negate(t) for t in e.terms))
     if isinstance(e, Product):
@@ -332,9 +403,9 @@ def negate(e: Expr) -> Expr:
             if head.value == -1:
                 rest = e.factors[1:]
                 return rest[0] if len(rest) == 1 else Product(rest)
-            return Product((Rat(-head.value),) + e.factors[1:])
-        return Product((Rat(Fraction(-1)),) + e.factors)
-    return Product((Rat(Fraction(-1)), e))
+            return Product((_rat(-head.value),) + e.factors[1:])
+        return Product((_MINUS_ONE,) + e.factors)
+    return Product((_MINUS_ONE, e))
 
 
 # ------------------------------------------------------------------
@@ -364,13 +435,13 @@ def diff(e: Expr, index: int) -> Expr:
         db = diff(e.base, index)
         if db == ZERO:
             return ZERO
-        return mul(Rat(Fraction(e.exponent)), pow_(e.base, e.exponent - 1), db)
+        return mul(_rat(Fraction(e.exponent)), pow_(e.base, e.exponent - 1), db)
     if isinstance(e, Sin):
         da = diff(e.argument, index)
         return ZERO if da == ZERO else mul(Cos(e.argument), da)
     if isinstance(e, Cos):
         da = diff(e.argument, index)
-        return ZERO if da == ZERO else mul(rational(-1), Sin(e.argument), da)
+        return ZERO if da == ZERO else mul(_MINUS_ONE, Sin(e.argument), da)
     raise TypeError(type(e))
 
 
@@ -414,7 +485,15 @@ Point = Mapping[int, Number]
 
 def evaluate(e: Expr, point: Point) -> Number:
     """Evaluate at a point.  Exact Fraction result for polynomial data,
-    float as soon as sin/cos or a float coordinate is involved."""
+    float as soon as sin/cos or a float coordinate is involved.  Raises
+    EvalError when a value leaves the float range."""
+    try:
+        return _evaluate(e, point)
+    except OverflowError:
+        raise EvalError(f"{render(e)} overflows the float range at a sample point") from None
+
+
+def _evaluate(e: Expr, point: Point) -> Number:
     if isinstance(e, Rat):
         return e.value
     if isinstance(e, Var):
@@ -425,19 +504,19 @@ def evaluate(e: Expr, point: Point) -> Number:
     if isinstance(e, Sum):
         total = Fraction(0)
         for t in e.terms:
-            total = total + evaluate(t, point)
+            total = total + _evaluate(t, point)
         return total
     if isinstance(e, Product):
         result = Fraction(1)
         for f in e.factors:
-            result = result * evaluate(f, point)
+            result = result * _evaluate(f, point)
         return result
     if isinstance(e, Power):
-        return evaluate(e.base, point) ** e.exponent
+        return _evaluate(e.base, point) ** e.exponent
     if isinstance(e, Sin):
-        return math.sin(float(evaluate(e.argument, point)))
+        return math.sin(float(_evaluate(e.argument, point)))
     if isinstance(e, Cos):
-        return math.cos(float(evaluate(e.argument, point)))
+        return math.cos(float(_evaluate(e.argument, point)))
     raise TypeError(type(e))
 
 
@@ -726,11 +805,18 @@ def _is_zero_cached(e: Expr, seed: int) -> bool:
 #
 # The optional leading sign is a convenience extension so that entries such
 # as "-x1" are accepted in data files.  Whitespace is insignificant.
+# Parentheses, sin( and cos( may nest at most MAX_NESTING deep, which keeps
+# the parser and the recursive functions above inside the interpreter's
+# recursion limit.
+
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str):
         raise ParseError(message, self.pos)
@@ -794,13 +880,21 @@ class _Parser:
             return Power(base, exponent)
         return base
 
+    def parse_nested(self) -> Expr:
+        """The expression inside an opening parenthesis, and the ')'."""
+        if self.depth == MAX_NESTING:
+            self.error(f"parentheses nested deeper than {MAX_NESTING}")
+        self.depth += 1
+        inner = self.parse_expr()
+        self.expect(")")
+        self.depth -= 1
+        return inner
+
     def parse_base(self) -> Expr:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
+            return self.parse_nested()
         if ch.isalpha():
             start = self.pos
             while self.pos < len(self.text) and self.text[self.pos].isalpha():
@@ -814,8 +908,7 @@ class _Parser:
                 return Var(index)
             if name in ("sin", "cos"):
                 self.expect("(")
-                inner = self.parse_expr()
-                self.expect(")")
+                inner = self.parse_nested()
                 return Sin(inner) if name == "sin" else Cos(inner)
             self.pos = start
             self.error(f"unknown identifier '{name}'")

@@ -243,3 +243,23 @@ def test_module_runs_a_subcommand(data_path):
     proc = run_module("flatness", data_path("rotation.conn"))
     assert proc.returncode == 0
     assert proc.stdout == "4-flat\n"
+
+
+def test_overflowing_entry_is_an_input_error(tmp_path):
+    path = tmp_path / "huge.conn"
+    path.write_text("base 2\nfiber 1\nomega 1\nsin(10^400*x2)\n")
+    proc = run_module("flatness", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {path}: ")
+    assert "float range" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_deeply_nested_entry_is_an_input_error(tmp_path):
+    path = tmp_path / "deep.conn"
+    path.write_text("base 2\nfiber 1\nomega 1\n" + "(" * 3000 + "x1" + ")" * 3000 + "\n")
+    proc = run_module("flatness", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {path}: line 4: ")
+    assert "nested deeper" in proc.stderr
+    assert "Traceback" not in proc.stderr

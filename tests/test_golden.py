@@ -1,0 +1,51 @@
+"""Byte-exact CLI output on the shipped data files.
+
+Each case's stdout is stored in tests/data/golden/<name>.out.  The files
+were recorded by running the listed command with `python -m ndga.cli` and
+redirecting stdout; a change that alters any verdict, coefficient or line
+order shows up here.  Re-record a file only when an output change is
+intended, and say so with the change.
+"""
+
+import io
+import os
+
+import pytest
+
+from ndga import cli
+
+from conftest import DATA_DIR
+
+GOLDEN_DIR = os.path.join(DATA_DIR, "golden")
+
+# (name, argv); "@file" arguments name files in tests/data
+CASES = [
+    ("flatness_rotation", ["flatness", "@rotation.conn"]),
+    ("flatness_triangular_pair", ["flatness", "@triangular_pair.conn"]),
+    ("riemann_sphere_torus", ["riemann", "@sphere_torus.metric"]),
+    ("knflat_expand", ["knflat", "expand", "--N", "5", "--K", "3"]),
+    ("knflat_expand_infinitesimal",
+     ["knflat", "expand", "--N", "5", "--K", "3", "--infinitesimal"]),
+    ("depth_nilpotency", ["depth-forms", "--profile", "3,2", "nilpotency"]),
+    ("depth_table", ["depth-forms", "--profile", "3,2", "table"]),
+    ("depth_diff", ["depth-forms", "--profile", "3,2", "diff",
+                    "x1^2*x2*dx1 - 3*sin(x2)*d2x1 + x1*x2*dx2"]),
+    ("ncomplex_validate", ["ncomplex", "validate", "@chain_identity.ncx"]),
+    ("ncomplex_cohomology", ["ncomplex", "cohomology", "@chain_identity.ncx"]),
+    ("ncomplex_tensor",
+     ["ncomplex", "tensor", "@chain_identity.ncx", "@chain_identity.ncx"]),
+    ("cs_lagrangian", ["cs-lagrangian", "3"]),
+]
+
+
+def resolve(argv):
+    return [os.path.join(DATA_DIR, a[1:]) if a.startswith("@") else a for a in argv]
+
+
+@pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
+def test_cli_output_matches_golden(name, argv):
+    out = io.StringIO()
+    assert cli.main(resolve(argv), out=out) == 0
+    with open(os.path.join(GOLDEN_DIR, f"{name}.out"), "rb") as handle:
+        expected = handle.read()
+    assert out.getvalue().encode("utf-8") == expected

@@ -39,6 +39,16 @@ def test_parse_unknown_identifier():
         parse("tan(x1)")
 
 
+def test_parse_nesting_limit():
+    for opener in ("(", "sin("):
+        depth = scalar.MAX_NESTING
+        assert parse(opener * depth + "x1" + ")" * depth) is not None
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse(opener * (depth + 1) + "x1" + ")" * (depth + 1))
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse("(" * 3000 + "x1" + ")" * 3000)
+
+
 def test_parse_rationals_and_signs():
     assert parse("-3/4") == Rat(Fraction(-3, 4))
     assert normalize(parse("-x1")) == normalize(mul(-1, x1))
@@ -121,6 +131,11 @@ def test_evaluate_missing_assignment():
         evaluate(mul(2, x1), {2: 1})
 
 
+def test_evaluate_overflow_is_an_eval_error():
+    with pytest.raises(EvalError, match="float range"):
+        evaluate(parse("sin(10^400*x2)"), {2: 0.5})
+
+
 def test_evaluate_rational_point_stays_exact():
     e = parse("1/3*x1^2 + x2")
     assert evaluate(e, {1: Fraction(3, 2), 2: Fraction(1, 4)}) == Fraction(1, 1)
@@ -191,3 +206,82 @@ def test_substitute_affine():
     composed = scalar.substitute(e, {1: parse("2*x2 + 1")})
     expected = normalize(parse("(2*x2+1)^2"))
     assert composed == expected
+
+
+# ------------------------------------------------------------------
+# cached hashes and shared coefficients
+# ------------------------------------------------------------------
+
+def rebuilt(e):
+    """A copy of e that shares no node, and no Fraction, with e."""
+    if isinstance(e, Rat):
+        return Rat(Fraction(e.value.numerator, e.value.denominator))
+    if isinstance(e, Var):
+        return Var(e.index)
+    if isinstance(e, scalar.Sum):
+        return scalar.Sum(tuple(rebuilt(t) for t in e.terms))
+    if isinstance(e, scalar.Product):
+        return scalar.Product(tuple(rebuilt(f) for f in e.factors))
+    if isinstance(e, Power):
+        return Power(rebuilt(e.base), e.exponent)
+    return type(e)(rebuilt(e.argument))
+
+
+@given(expressions)
+def test_equal_trees_have_equal_hashes(e):
+    copy = rebuilt(e)
+    assert copy is not e
+    assert copy == e and hash(copy) == hash(e)
+    n = normalize(e)
+    assert normalize(copy) == n and hash(normalize(copy)) == hash(n)
+    round_trip = parse(render(n))
+    assert round_trip == n and hash(round_trip) == hash(n)
+
+
+def test_normalized_coefficients_are_shared():
+    head = normalize(parse("3*x1")).factors[0]
+    assert head == Rat(Fraction(3))
+    assert normalize(parse("3*x2")).factors[0] is head
+    assert diff(normalize(parse("x1^3")), 1).factors[0] is head
+    assert negate(normalize(parse("-3*x1"))).factors[0] is head
+    assert normalize(parse("x1 - x1")) is scalar.ZERO
+    assert normalize(parse("3")) is head
+
+
+def test_sum_reuses_terms_without_like_terms():
+    kept = normalize(parse("3*x1*x2"))
+    merged = normalize(parse("x3 + 2*x3"))
+    total = add(kept, x3, parse("2*x3"))
+    assert total == normalize(parse("3*x1*x2 + 3*x3"))
+    assert total.terms[1] is kept
+    assert total.terms[0] == merged
+
+
+# render(normalize(text)), recorded before hashes were cached and like
+# terms were keyed by node: the order of terms and factors is unchanged
+NORMAL_FORMS = [
+    ("x3 + x1 + x2 + x1", "2*x1 + x2 + x3"),
+    ("3*x2*x1 - 2*x1*x2 + 5 - x2 + 1/2", "11/2 - x2 + x1*x2"),
+    ("sin(x1)*x2 + x2*sin(x1) + cos(x1)^2 - x1^2 + 7*x1",
+     "7*x1 - x1^2 + cos(x1)^2 + 2*x2*sin(x1)"),
+    ("2*x1*x2^2*x1*3*sin(x2)", "6*x1^2*x2^2*sin(x2)"),
+    ("x2^3*x1*x2*cos(x1+x2)*(x1+1)*(x1+1)", "x1*x2^4*cos(x1 + x2)*(1 + x1)^2"),
+    ("(x1+x2)*2*(x2+x1)^2", "2*(x1 + x2)^3"),
+    ("cos(x2)*sin(x1) - sin(x1)*cos(x2) + 4/3*x3*x1 - 1/3*x1*x3", "x1*x3"),
+    ("-x1 - x2 - sin(x3) + 2*cos(2*x1) - 1/5*x1^2*x2 + x2*x1^2",
+     "-x1 - x2 - sin(x3) + 2*cos(2*x1) + 4/5*x1^2*x2"),
+    ("x1^2*x2 + x1*x2^2 + x1^3 + x2^3 + x1*x2 + 9",
+     "9 + x1^3 + x2^3 + x1*x2 + x1*x2^2 + x1^2*x2"),
+    ("3*(x1 + 2*x2) - 2*(x2 + x1) + x3*(x1+x2) + (x2+x1)*x3", "x1 + 4*x2 + 2*x3*(x1 + x2)"),
+    ("sin(x1)^2 + cos(x1)^2 + sin(x2+x1) + sin(x1+x2)",
+     "2*sin(x1 + x2) + sin(x1)^2 + cos(x1)^2"),
+    ("(2*x1)*(3*x2)*(1/6) + (-1)*x2*x1", "0"),
+    ("x2*x1 + x1*x2*x1 + 3*x1*x1*x2 - 1/2*x2*x1^2 + sin(x1)*x1 - x1*sin(x1)",
+     "x1*x2 + 7/2*x1^2*x2"),
+    ("(x1 + 1)*(x2 - 1)*(x1 + 1)*x3^2*x3", "x3^3*(-1 + x2)*(1 + x1)^2"),
+]
+
+
+@pytest.mark.parametrize("text, expected", NORMAL_FORMS)
+def test_normal_form_order(text, expected):
+    assert render(normalize(parse(text))) == expected
