@@ -8,9 +8,10 @@ deterministic for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
-from . import chern_simons, depth, forms, knflat, ncomplex, riemann, scalar
+from . import chern_simons, depth, forms, knflat, ncomplex, riemann, scalar, textfile
 
 
 class InputError(Exception):
@@ -65,12 +66,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str) -> str:
+@contextlib.contextmanager
+def _reading(path: str):
+    """Report a fault of the file at path, or of the work on its contents,
+    as an InputError that names the path."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        yield
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}")
+    except (textfile.InputFileError, scalar.ScalarError, ncomplex.ComplexError) as err:
+        raise InputError(f"{path}: {err}")
 
 
 def _run_cs(args, out) -> int:
@@ -81,11 +86,8 @@ def _run_cs(args, out) -> int:
 
 
 def _run_flatness(args, out) -> int:
-    try:
-        connection = forms.parse_connection(_read(args.file))
-        order = forms.minimal_flatness_order(connection, args.max_n)
-    except (forms.ConnectionFileError, scalar.ScalarError) as err:
-        raise InputError(f"{args.file}: {err}")
+    with _reading(args.file):
+        order = forms.minimal_flatness_order(forms.load_connection(args.file), args.max_n)
     if order is None:
         print(f"not flat up to {args.max_n}", file=out)
     else:
@@ -127,11 +129,8 @@ def _riemann_report(metric, max_n) -> list:
 
 
 def _run_riemann(args, out) -> int:
-    try:
-        metric = riemann.parse_metric(_read(args.file))
-        lines = _riemann_report(metric, args.max_n)
-    except (riemann.MetricFileError, scalar.ScalarError) as err:
-        raise InputError(f"{args.file}: {err}")
+    with _reading(args.file):
+        lines = _riemann_report(riemann.load_metric(args.file), args.max_n)
     for line in lines:
         print(line, file=out)
     return 0
@@ -184,12 +183,8 @@ def _run_depth(args, out) -> int:
 
 def _run_ncomplex(args, out) -> int:
     def load(path):
-        try:
-            return ncomplex.parse_complex(_read(path))
-        except ncomplex.ComplexFileError as err:
-            raise InputError(f"{path}: {err}")
-        except ncomplex.ComplexError as err:
-            raise InputError(f"{path}: {err}")
+        with _reading(path):
+            return ncomplex.load_complex(path)
 
     if args.nc_command == "validate":
         c = load(args.file)
@@ -212,7 +207,10 @@ def _run_ncomplex(args, out) -> int:
             print(f"total[m={m}] = {total}", file=out)
         return 0
     c1, c2 = load(args.file1), load(args.file2)
-    measured = ncomplex.tensor_nilpotency(c1, c2)
+    try:
+        measured = ncomplex.tensor_nilpotency(c1, c2)
+    except ncomplex.ComplexError as err:
+        raise InputError(str(err))
     bound = c1.order + c2.order - 1
     print(f"tensor nilpotency {measured} (bound {bound}, koszul sign on)", file=out)
     return 0

@@ -11,12 +11,11 @@ and tensor products of connections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
 
-from . import scalar
-from .scalar import Expr, ZERO, normalize
+from . import scalar, textfile
+from .scalar import ZERO, normalize
 
 MultiIndex = tuple  # strictly increasing tuple of coordinate indices
 Matrix = tuple      # tuple of tuple of Expr
@@ -567,80 +566,26 @@ def tensor_connection(c1: Connection, c2: Connection) -> Connection:
 #
 # Blocks for coordinates with omega_i = 0 may be omitted.
 
-class ConnectionFileError(Exception):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+ConnectionFileError = textfile.InputFileError
 
 
 def parse_connection(text: str) -> Connection:
-    lines = text.splitlines()
-    pos = 0
-
-    def next_content():
-        nonlocal pos
-        while pos < len(lines):
-            stripped = lines[pos].strip()
-            pos += 1
-            if stripped and not stripped.startswith("#"):
-                return stripped, pos
-        return None, pos
-
-    def expect_header(keyword):
-        content, line_no = next_content()
-        if content is None:
-            raise ConnectionFileError(f"missing '{keyword}' header", line_no)
-        parts = content.split()
-        if len(parts) != 2 or parts[0] != keyword:
-            raise ConnectionFileError(f"expected '{keyword} <int>'", line_no)
-        try:
-            return int(parts[1])
-        except ValueError:
-            raise ConnectionFileError(f"expected an integer after '{keyword}'", line_no)
-
-    base = expect_header("base")
-    fiber = expect_header("fiber")
+    lines = textfile.Lines(text)
+    base = lines.header("base")
+    fiber = lines.header("fiber")
     if base < 1 or fiber < 1:
-        raise ConnectionFileError("base and fiber dimensions must be positive", pos)
-
+        raise lines.error("base and fiber dimensions must be positive")
     coefficients = {}
-    while True:
-        content, line_no = next_content()
-        if content is None:
-            break
-        parts = content.split()
-        if len(parts) != 2 or parts[0] != "omega":
-            raise ConnectionFileError("expected 'omega <i>'", line_no)
-        try:
-            i = int(parts[1])
-        except ValueError:
-            raise ConnectionFileError("expected an integer coordinate index", line_no)
+    for content in lines:
+        i = lines.header("omega", content=content)
         if not 1 <= i <= base:
-            raise ConnectionFileError(f"coordinate index {i} out of range", line_no)
+            raise lines.error(f"coordinate index {i} out of range")
         if i in coefficients:
-            raise ConnectionFileError(f"duplicate block for omega {i}", line_no)
-        rows = []
-        for _ in range(fiber):
-            content, line_no = next_content()
-            if content is None:
-                raise ConnectionFileError("unexpected end of file inside a block", line_no)
-            cells = [c.strip() for c in content.split(";")]
-            if len(cells) != fiber:
-                raise ConnectionFileError(
-                    f"expected {fiber} entries separated by ';'", line_no
-                )
-            row = []
-            for cell in cells:
-                try:
-                    row.append(scalar.parse(cell))
-                except scalar.ParseError as err:
-                    raise ConnectionFileError(f"bad expression {cell!r}: {err}", line_no)
-            rows.append(tuple(row))
-        coefficients[i] = tuple(rows)
+            raise lines.error(f"duplicate block for omega {i}")
+        coefficients[i] = lines.matrix(fiber)
     comps = {(i,): m for i, m in coefficients.items()}
     return Connection(MatrixForm(base, (fiber, fiber), comps))
 
 
 def load_connection(path) -> Connection:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_connection(handle.read())
+    return parse_connection(textfile.read(path))

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
-from . import forms, scalar
+from . import forms
 from .forms import Connection, MatrixForm
 
 Vertex = Tuple[int, ...]

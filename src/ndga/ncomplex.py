@@ -14,11 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import List, Tuple
 
-from . import linalg
+from . import linalg, textfile
 from .linalg import FracMatrix
+
+
+# largest order or dimension a complex file may declare, and largest total
+# dimension of a tensor product
+MAX_SIZE = 4096
 
 
 class ComplexError(Exception):
@@ -69,9 +73,12 @@ class FiniteNComplex:
         return linalg.zero_matrix(self.dim(degree + 1), self.dim(degree))
 
     def power_at(self, degree: int, p: int) -> FracMatrix:
-        """d^p: V^degree -> V^(degree+p) as one exact matrix."""
-        result = linalg.identity(self.dim(degree))
-        for step in range(p):
+        """d^p: V^degree -> V^(degree+p) as one exact matrix, for p >= 1;
+        zero when either end lies outside the stored degrees."""
+        if degree < self.lo or degree + p > self.hi:
+            return linalg.zero_matrix(self.dim(degree + p), self.dim(degree))
+        result = self.map_at(degree)
+        for step in range(1, p):
             result = linalg.mat_mul(self.map_at(degree + step), result)
         return result
 
@@ -206,7 +213,7 @@ def tensor_nilpotency(c1: FiniteNComplex, c2: FiniteNComplex) -> int:
     """Measured minimal nilpotency of the tensor complex; certified to be
     at most order1 + order2 - 1."""
     total_dim = sum(c1.dims) * sum(c2.dims)
-    if total_dim > 4096:
+    if total_dim > MAX_SIZE:
         raise ComplexError("tensor size budget exceeded")
     bound = c1.order + c2.order - 1
     return measured_nilpotency(tensor_complex(c1, c2), bound)
@@ -225,74 +232,61 @@ def tensor_nilpotency(c1: FiniteNComplex, c2: FiniteNComplex) -> int:
 # The rows between two degree headers form the map out of the earlier
 # degree; the final degree block has no rows.
 
-class ComplexFileError(Exception):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+ComplexFileError = textfile.InputFileError
 
 
 def parse_complex(text: str) -> FiniteNComplex:
+    lines = textfile.Lines(text)
     order = None
-    degree_dims: List[Tuple[int, int]] = []
+    headers: List[Tuple[int, int, int]] = []  # (degree, dim, line)
     row_groups: List[List[Tuple[List[Fraction], int]]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "N":
+    for content in lines:
+        keyword = content.split()[0]
+        if keyword == "N":
             if order is not None:
-                raise ComplexFileError("duplicate N header", line_no)
-            if len(parts) != 2:
-                raise ComplexFileError("expected 'N <order>'", line_no)
-            try:
-                order = int(parts[1])
-            except ValueError:
-                raise ComplexFileError("expected an integer order", line_no)
-        elif parts[0] == "deg":
+                raise lines.error("duplicate N header")
+            order = lines.header("N", content=content)
+            if order > MAX_SIZE:
+                raise lines.error(f"order {order} is above {MAX_SIZE}")
+        elif keyword == "deg":
             if order is None:
-                raise ComplexFileError("'N <order>' must come first", line_no)
-            if len(parts) != 4 or parts[2] != "dim":
-                raise ComplexFileError("expected 'deg <i> dim <n>'", line_no)
-            try:
-                degree, dim = int(parts[1]), int(parts[3])
-            except ValueError:
-                raise ComplexFileError("expected integers in the degree header", line_no)
+                raise lines.error("'N <order>' must come first")
+            degree, dim = lines.header("deg", "dim", content=content)
             if dim < 0:
-                raise ComplexFileError("dimensions must be non-negative", line_no)
-            if degree_dims and degree != degree_dims[-1][0] + 1:
-                raise ComplexFileError(
-                    f"degrees must be consecutive; got {degree} after {degree_dims[-1][0]}",
-                    line_no,
+                raise lines.error("dimensions must be non-negative")
+            if dim > MAX_SIZE:
+                raise lines.error(f"dimension {dim} is above {MAX_SIZE}")
+            if headers and degree != headers[-1][0] + 1:
+                raise lines.error(
+                    f"degrees must be consecutive; got {degree} after {headers[-1][0]}"
                 )
-            degree_dims.append((degree, dim))
+            headers.append((degree, dim, lines.line))
             row_groups.append([])
         else:
             if not row_groups:
-                raise ComplexFileError("matrix rows before any degree header", line_no)
+                raise lines.error("matrix rows before any degree header")
             try:
-                row = [Fraction(cell) for cell in parts]
+                row = [Fraction(cell) for cell in content.split()]
             except ValueError:
-                raise ComplexFileError(f"bad rational entry in {line!r}", line_no)
-            row_groups[-1].append((row, line_no))
+                raise lines.error(f"bad rational entry in {textfile.quote(content)}")
+            row_groups[-1].append((row, lines.line))
     if order is None:
         raise ComplexFileError("missing 'N <order>' header", 1)
-    if not degree_dims:
+    if not headers:
         raise ComplexFileError("no degrees declared", 1)
     if row_groups[-1]:
         raise ComplexFileError(
             "rows after the final degree header", row_groups[-1][0][1]
         )
     maps = []
-    for t in range(len(degree_dims) - 1):
-        _, source_dim = degree_dims[t]
-        _, target_dim = degree_dims[t + 1]
+    for t in range(len(headers) - 1):
+        degree, source_dim, _ = headers[t]
+        _, target_dim, next_header = headers[t + 1]
         rows = row_groups[t]
         if len(rows) != target_dim:
-            line = rows[0][1] if rows else 1
             raise ComplexFileError(
-                f"map out of degree {degree_dims[t][0]} needs {target_dim} rows, got {len(rows)}",
-                line,
+                f"map out of degree {degree} needs {target_dim} rows, got {len(rows)}",
+                rows[0][1] if rows else next_header,
             )
         for row, line_no in rows:
             if len(row) != source_dim:
@@ -302,12 +296,11 @@ def parse_complex(text: str) -> FiniteNComplex:
         maps.append(tuple(tuple(row) for row, _ in rows))
     return FiniteNComplex(
         order,
-        degree_dims[0][0],
-        tuple(dim for _, dim in degree_dims),
+        headers[0][0],
+        tuple(dim for _, dim, _ in headers),
         tuple(maps),
     )
 
 
 def load_complex(path) -> FiniteNComplex:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_complex(handle.read())
+    return parse_complex(textfile.read(path))

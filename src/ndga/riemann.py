@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from . import forms, scalar
+from . import forms, scalar, textfile
 from .forms import MatrixForm
 from .scalar import Expr, Mono, TrigPoly
 
@@ -437,72 +437,28 @@ def minimal_lc_flatness_order(metric: Metric, max_n: int = 8):
 #   inverse            (optional)
 #   <n rows of n entries separated by ';'>
 
-class MetricFileError(Exception):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+MetricFileError = textfile.InputFileError
 
 
 def parse_metric(text: str) -> Metric:
-    lines = text.splitlines()
-    pos = 0
-
-    def next_content():
-        nonlocal pos
-        while pos < len(lines):
-            stripped = lines[pos].strip()
-            pos += 1
-            if stripped and not stripped.startswith("#"):
-                return stripped, pos
-        return None, pos
-
-    content, line_no = next_content()
-    if content is None:
-        raise MetricFileError("missing 'dim <n>' header", line_no)
-    parts = content.split()
-    if len(parts) != 2 or parts[0] != "dim":
-        raise MetricFileError("expected 'dim <n>'", line_no)
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise MetricFileError("expected an integer dimension", line_no)
+    lines = textfile.Lines(text)
+    n = lines.header("dim")
     if n < 1:
-        raise MetricFileError("dimension must be positive", line_no)
-
-    def read_matrix():
-        rows = []
-        for _ in range(n):
-            content, line_no = next_content()
-            if content is None:
-                raise MetricFileError("unexpected end of file inside a matrix", line_no)
-            cells = [c.strip() for c in content.split(";")]
-            if len(cells) != n:
-                raise MetricFileError(f"expected {n} entries separated by ';'", line_no)
-            row = []
-            for cell in cells:
-                try:
-                    row.append(scalar.parse(cell))
-                except scalar.ParseError as err:
-                    raise MetricFileError(f"bad expression {cell!r}: {err}", line_no)
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    g = read_matrix()
+        raise lines.error("dimension must be positive")
+    g = lines.matrix(n)
     inverse = None
-    content, line_no = next_content()
+    content = lines.next()
     if content is not None:
         if content.split() != ["inverse"]:
-            raise MetricFileError("expected 'inverse' or end of file", line_no)
-        inverse = read_matrix()
-        content, line_no = next_content()
-        if content is not None:
-            raise MetricFileError("unexpected content after the inverse block", line_no)
+            raise lines.error("expected 'inverse' or end of file")
+        inverse = lines.matrix(n)
+        if lines.next() is not None:
+            raise lines.error("unexpected content after the inverse block")
     try:
         return Metric(g, inverse)
     except MetricError as err:
-        raise MetricFileError(str(err), line_no)
+        raise lines.error(str(err))
 
 
 def load_metric(path) -> Metric:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_metric(handle.read())
+    return parse_metric(textfile.read(path))

@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -256,10 +257,57 @@ def test_overflowing_entry_is_an_input_error(tmp_path):
 
 
 def test_deeply_nested_entry_is_an_input_error(tmp_path):
-    path = tmp_path / "deep.conn"
-    path.write_text("base 2\nfiber 1\nomega 1\n" + "(" * 3000 + "x1" + ")" * 3000 + "\n")
-    proc = run_module("flatness", str(path))
-    assert proc.returncode == 1
-    assert proc.stderr.startswith(f"error: {path}: line 4: ")
-    assert "nested deeper" in proc.stderr
+    # the rejected cell is quoted clipped, so the message stays one short line
+    cases = [
+        ("deep.conn", ["flatness"],
+         "base 2\nfiber 1\nomega 1\n" + "(" * 3000 + "x1" + ")" * 3000 + "\n",
+         "line 4: ", "nested deeper"),
+        ("long.ncx", ["ncomplex", "cohomology"],
+         "N 2\ndeg 0 dim 1\n" + "1/" * 2500 + "x\ndeg 1 dim 1\n",
+         "line 3: ", "bad rational entry"),
+    ]
+    for name, command, text, line, message in cases:
+        path = tmp_path / name
+        path.write_text(text)
+        proc = run_module(*command, str(path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {path}: {line}")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr) < 300
+        assert proc.stderr.count("\n") == 1
+
+
+# each declares sizes that made cohomology run for seconds to minutes when
+# d^p was built from an identity matrix through every degree
+HOSTILE_COMPLEXES = {
+    "wide_degree": "N 3\ndeg 0 dim 1200\ndeg 1 dim 0\n",
+    "huge_dimension": "N 3\ndeg 0 dim 100000\ndeg 1 dim 0\n",
+    "long_order": "N 3000\ndeg 0 dim 2\n1 0\n0 1\ndeg 1 dim 2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_COMPLEXES))
+def test_hostile_complex_is_bounded(tmp_path, name):
+    path = tmp_path / f"{name}.ncx"
+    path.write_text(HOSTILE_COMPLEXES[name])
+    start = time.perf_counter()
+    proc = run_module("ncomplex", "cohomology", str(path))
+    assert time.perf_counter() - start < 5
+    assert proc.returncode in (0, 1)
     assert "Traceback" not in proc.stderr
+
+
+def test_undecodable_file_is_an_input_error(tmp_path):
+    path = tmp_path / "latin1.conn"
+    path.write_bytes(b"base 2\nfiber 1\nomega 1\n\xe9\n")
+    code, _ = run(["flatness", str(path)])
+    assert code == 1
+
+
+def test_tensor_over_budget_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "wide.ncx"
+    path.write_text("N 2\ndeg 0 dim 70\n")
+    code, _ = run(["ncomplex", "tensor", str(path), str(path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: tensor size budget exceeded\n"

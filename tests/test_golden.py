@@ -5,6 +5,10 @@ were recorded by running the listed command with `python -m ndga.cli` and
 redirecting stdout; a change that alters any verdict, coefficient or line
 order shows up here.  Re-record a file only when an output change is
 intended, and say so with the change.
+
+Each rejected input's stderr is stored the same way in
+tests/data/golden/<name>.err, recorded from tests/data so that the quoted
+paths are relative; the inputs are in tests/data/bad.
 """
 
 import io
@@ -38,6 +42,16 @@ CASES = [
 ]
 
 
+# (name, argv, exit code), run from tests/data
+ERROR_CASES = [
+    ("error_swapped_headers", ["flatness", "bad/swapped_headers.conn"], 1),
+    ("error_asymmetric_metric", ["riemann", "bad/asymmetric.metric"], 1),
+    ("error_short_row_metric", ["riemann", "bad/short_row.metric"], 1),
+    ("error_missing_rows", ["ncomplex", "cohomology", "bad/missing_rows.ncx"], 1),
+    ("error_missing_file", ["flatness", "bad/missing.conn"], 1),
+]
+
+
 def resolve(argv):
     return [os.path.join(DATA_DIR, a[1:]) if a.startswith("@") else a for a in argv]
 
@@ -49,3 +63,14 @@ def test_cli_output_matches_golden(name, argv):
     with open(os.path.join(GOLDEN_DIR, f"{name}.out"), "rb") as handle:
         expected = handle.read()
     assert out.getvalue().encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("name, argv, code", ERROR_CASES, ids=[name for name, _, _ in ERROR_CASES])
+def test_cli_error_matches_golden(name, argv, code, monkeypatch, capsys):
+    monkeypatch.chdir(DATA_DIR)
+    out = io.StringIO()
+    assert cli.main(argv, out=out) == code
+    assert out.getvalue() == ""
+    with open(os.path.join(GOLDEN_DIR, f"{name}.err"), "rb") as handle:
+        expected = handle.read()
+    assert capsys.readouterr().err.encode("utf-8") == expected

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ndga import ncomplex
+from ndga import linalg, ncomplex
 from ndga.ncomplex import (
     ComplexError, ComplexFileError, FiniteNComplex, complex_from,
     measured_nilpotency, p_cohomology_dim, parse_complex, tensor_complex,
@@ -197,6 +197,33 @@ def test_parse_fraction_entries():
     text = "N 2\ndeg 0 dim 2\n1/2 -3\ndeg 1 dim 1\n"
     c = parse_complex(text)
     assert c.maps[0] == ((Fraction(1, 2), Fraction(-3)),)
+
+
+def test_declared_sizes_are_bounded():
+    with pytest.raises(ComplexFileError, match="line 2: order 4097 is above 4096"):
+        parse_complex("# order\nN 4097\ndeg 0 dim 1\n")
+    with pytest.raises(ComplexFileError, match="line 3: dimension 4097 is above 4096"):
+        parse_complex("N 2\ndeg 0 dim 1\ndeg 1 dim 4097\n")
+    c = parse_complex(f"N {ncomplex.MAX_SIZE}\ndeg 0 dim {ncomplex.MAX_SIZE}\ndeg 1 dim 0\n")
+    assert (c.order, c.dims) == (4096, (4096, 0))
+
+
+def test_power_at_matches_the_composition_from_the_identity():
+    rng = random.Random(5)
+    for _ in range(20):
+        dims = [rng.randint(0, 2) for _ in range(rng.randint(1, 4))]
+        maps = [
+            tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in range(dims[t]))
+                  for _ in range(dims[t + 1]))
+            for t in range(len(dims) - 1)
+        ]
+        c = complex_from(2, rng.randint(-1, 1), dims, maps)
+        for degree in range(c.lo - 3, c.hi + 2):
+            for p in range(1, 5):
+                expected = linalg.identity(c.dim(degree))
+                for step in range(p):
+                    expected = linalg.mat_mul(c.map_at(degree + step), expected)
+                assert c.power_at(degree, p) == expected
 
 
 def test_parse_errors_carry_line_numbers():
