@@ -26,7 +26,10 @@ GOLDEN_DIR = os.path.join(DATA_DIR, "golden")
 CASES = [
     ("flatness_rotation", ["flatness", "@rotation.conn"]),
     ("flatness_triangular_pair", ["flatness", "@triangular_pair.conn"]),
+    ("flatness_generic_c08", ["flatness", "@generic_c08.conn"]),
+    ("flatness_trig_pair", ["flatness", "@trig_pair.conn"]),
     ("riemann_sphere_torus", ["riemann", "@sphere_torus.metric"]),
+    ("riemann_round_sphere3", ["riemann", "@round_sphere3.metric"]),
     ("knflat_expand", ["knflat", "expand", "--N", "5", "--K", "3"]),
     ("knflat_expand_infinitesimal",
      ["knflat", "expand", "--N", "5", "--K", "3", "--infinitesimal"]),
