@@ -1,24 +1,37 @@
 """Matrix-valued differential forms on a coordinate patch.
 
 A form is a finite map from strictly increasing coordinate multi-indices to
-matrices of scalar expressions.  Square shapes model endomorphism-valued
-forms; m x 1 shapes model vector-valued forms.  The module provides the
-wedge product, the exterior derivative, connections d + omega, curvature,
-N-flatness certificates via ordered-pairing expansions of curvature powers,
-and tensor products of connections.
+matrices.  Square shapes model endomorphism-valued forms; m x 1 shapes
+model vector-valued forms.  The module provides the wedge product, the
+exterior derivative, connections d + omega, curvature, N-flatness
+certificates via ordered-pairing expansions of curvature powers, and
+tensor products of connections.
+
+Matrix entries are scalar.TrigPoly values, the package's one expanded
+ring.  An entry given as an expression is expanded once, when its form is
+built; after that wedge, d, nabla, curvature and the certificates run on
+polynomial arithmetic alone, and a structurally zero entry is an empty
+polynomial.  Expressions appear only at the edges: matrix_of and the
+accessors MatrixForm.component(), components() and
+Connection.coefficient() return entries as scalar expressions, through
+TrigPoly.to_expr.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from typing import Iterable, Mapping, Sequence
 
 from . import scalar, textfile
-from .scalar import ZERO, normalize
+from .scalar import TrigPoly
 
 MultiIndex = tuple  # strictly increasing tuple of coordinate indices
-Matrix = tuple      # tuple of tuple of Expr
+Matrix = tuple      # tuple of tuple of TrigPoly (of Expr at the accessors)
+
+# entries are never mutated, so every zero and unit entry is one object
+_ZERO = TrigPoly.zero()
+_ONE = TrigPoly.one()
 
 
 class FormError(Exception):
@@ -26,40 +39,53 @@ class FormError(Exception):
 
 
 # ------------------------------------------------------------------
-# matrices of scalar expressions
+# matrices of polynomial entries
 # ------------------------------------------------------------------
 
-def matrix_of(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(tuple(normalize(scalar.as_expr(e)) for e in row) for row in rows)
-
-
-def zero_entries(rows: int, cols: int) -> Matrix:
-    return tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows))
-
-
-def identity_entries(n: int) -> Matrix:
+def _poly_entries(rows: Iterable[Iterable]) -> Matrix:
+    """Entries given as TrigPoly values, expressions or rationals, as
+    expanded polynomials."""
     return tuple(
-        tuple(scalar.ONE if i == j else ZERO for j in range(n)) for i in range(n)
+        tuple(e if isinstance(e, TrigPoly) else TrigPoly.from_expr(scalar.as_expr(e))
+              for e in row)
+        for row in rows
     )
 
 
+def _expr_entries(a: Matrix) -> Matrix:
+    return tuple(tuple(e.to_expr() for e in row) for row in a)
+
+
+def matrix_of(rows: Iterable[Iterable]) -> Matrix:
+    """Entries as canonical scalar expressions: expanded, then converted
+    back with TrigPoly.to_expr, as the accessors of MatrixForm return them."""
+    return _expr_entries(_poly_entries(rows))
+
+
+def zero_entries(rows: int, cols: int) -> Matrix:
+    return tuple(tuple(_ZERO for _ in range(cols)) for _ in range(rows))
+
+
+def identity_entries(n: int) -> Matrix:
+    return tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
+
+
 def entries_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(scalar.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def entries_scale(c, a: Matrix) -> Matrix:
-    return tuple(tuple(scalar.mul(c, x) for x in row) for row in a)
+    """c times a for a rational c."""
+    return tuple(tuple(x.scale(c) for x in row) for row in a)
 
 
 def entries_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != len(b):
         raise FormError("matrix shape mismatch")
+    columns = list(zip(*b))
     return tuple(
-        tuple(
-            scalar.add(*[scalar.mul(a[i][k], b[k][j]) for k in range(len(b))])
-            for j in range(len(b[0]))
-        )
-        for i in range(len(a))
+        tuple(TrigPoly.combination(zip(repeat(1), row, column)) for column in columns)
+        for row in a
     )
 
 
@@ -67,16 +93,19 @@ def entries_kron(a: Matrix, b: Matrix) -> Matrix:
     rows = []
     for ra in a:
         for rb in b:
-            rows.append(tuple(scalar.mul(x, y) for x in ra for y in rb))
+            rows.append(tuple(x * y for x in ra for y in rb))
     return tuple(rows)
 
 
 def entries_is_zero(a: Matrix) -> bool:
-    return all(scalar.is_zero(e) for row in a for e in row)
+    """Exact for polynomial entries: an empty entry is zero and, with no
+    trig atom, a nonempty one is not.  Entries with trig atoms go to the
+    sampled branch of scalar.is_zero."""
+    return all(scalar.is_zero(e) for row in a for e in row if e.terms)
 
 
 def _entries_nonzero_structurally(a: Matrix) -> bool:
-    return any(e != ZERO for row in a for e in row)
+    return any(e.terms for row in a for e in row)
 
 
 # ------------------------------------------------------------------
@@ -94,12 +123,23 @@ def merge_indices(left: MultiIndex, right: MultiIndex):
     return sign, tuple(sorted(left + right))
 
 
+def _form(base_dim: int, shape, components: dict) -> "MatrixForm":
+    """A form from valid polynomial components, all-zero matrices dropped."""
+    form = object.__new__(MatrixForm)
+    form.base_dim = base_dim
+    form.shape = shape
+    form._components = {
+        index: m for index, m in components.items() if _entries_nonzero_structurally(m)
+    }
+    return form
+
+
 class MatrixForm:
-    """Immutable graded form with matrix coefficients.
+    """Immutable graded form with polynomial matrix coefficients.
 
     components: {multi-index: matrix}; all-zero matrices are dropped and
-    entries are kept normalized, so `==` is structural equality of
-    canonical representatives.
+    entries are canonical polynomials, so `==` is equality of forms up to
+    the identities TrigPoly reduces (sin^2 = 1 - cos^2).
     """
 
     __slots__ = ("base_dim", "shape", "_components")
@@ -113,7 +153,7 @@ class MatrixForm:
                 raise FormError(f"index {index} outside base dimension {base_dim}")
             if list(index) != sorted(set(index)):
                 raise FormError(f"multi-index {index} is not strictly increasing")
-            entries = matrix_of(entries)
+            entries = _poly_entries(entries)
             if len(entries) != rows or any(len(r) != cols for r in entries):
                 raise FormError("component has the wrong matrix shape")
             if _entries_nonzero_structurally(entries):
@@ -125,11 +165,12 @@ class MatrixForm:
     # -- inspection ------------------------------------------------
 
     def components(self):
-        return sorted(self._components.items())
+        """Sorted (multi-index, matrix of Expr) pairs of the nonzero part."""
+        return [(index, _expr_entries(m)) for index, m in sorted(self._components.items())]
 
     def component(self, index) -> Matrix:
-        index = tuple(index)
-        return self._components.get(index, zero_entries(*self.shape))
+        """The matrix of Expr at a multi-index."""
+        return _expr_entries(self._components.get(tuple(index), zero_entries(*self.shape)))
 
     def degrees(self):
         return sorted({len(i) for i in self._components})
@@ -181,13 +222,14 @@ class MatrixForm:
                 comp[index] = entries_add(comp[index], entries)
             else:
                 comp[index] = entries
-        return MatrixForm(self.base_dim, self.shape, comp)
+        return _form(self.base_dim, self.shape, comp)
 
     def __sub__(self, other: "MatrixForm") -> "MatrixForm":
-        return self + other.scale(-1)
+        return self + -other
 
     def scale(self, c) -> "MatrixForm":
-        return MatrixForm(
+        """c times the form for a rational c."""
+        return _form(
             self.base_dim,
             self.shape,
             {i: entries_scale(c, m) for i, m in self._components.items()},
@@ -198,24 +240,20 @@ class MatrixForm:
 
 
 def zero_form(base_dim: int, shape) -> MatrixForm:
-    return MatrixForm(base_dim, shape, {})
+    return _form(base_dim, tuple(shape), {})
 
 
 def identity_form(base_dim: int, fiber_dim: int) -> MatrixForm:
-    return MatrixForm(base_dim, (fiber_dim, fiber_dim), {(): identity_entries(fiber_dim)})
+    return _form(base_dim, (fiber_dim, fiber_dim), {(): identity_entries(fiber_dim)})
 
 
 def scalar_form(base_dim: int, components: Mapping[MultiIndex, object]) -> MatrixForm:
-    return MatrixForm(
-        base_dim, (1, 1), {tuple(i): ((scalar.as_expr(e),),) for i, e in components.items()}
-    )
+    return MatrixForm(base_dim, (1, 1), {tuple(i): ((e,),) for i, e in components.items()})
 
 
 def basis_one_form(base_dim: int, index: int, fiber_dim: int = 1) -> MatrixForm:
     """dx_index times the identity on the fiber."""
-    return MatrixForm(
-        base_dim, (fiber_dim, fiber_dim), {(index,): identity_entries(fiber_dim)}
-    )
+    return _form(base_dim, (fiber_dim, fiber_dim), {(index,): identity_entries(fiber_dim)})
 
 
 def wedge(a: MatrixForm, b: MatrixForm) -> MatrixForm:
@@ -224,21 +262,29 @@ def wedge(a: MatrixForm, b: MatrixForm) -> MatrixForm:
     a._check_compatible(b)
     if a.shape[1] != b.shape[0]:
         raise FormError(f"fiber shape mismatch: {a.shape} then {b.shape}")
-    comp: dict = {}
+    rows, cols = a.shape[0], b.shape[1]
+    # every signed entry product that lands on one output entry is collected
+    # first, so that each output entry is summed in one dict
+    products: dict = {}
     for ia, ma in a._components.items():
         for ib, mb in b._components.items():
             merged = merge_indices(ia, ib)
             if merged is None:
                 continue
             sign, index = merged
-            product = entries_mul(ma, mb)
-            if sign < 0:
-                product = entries_scale(-1, product)
-            if index in comp:
-                comp[index] = entries_add(comp[index], product)
-            else:
-                comp[index] = product
-    return MatrixForm(a.base_dim, (a.shape[0], b.shape[1]), comp)
+            target = products.get(index)
+            if target is None:
+                target = products[index] = [[[] for _ in range(cols)] for _ in range(rows)]
+            for row, out in zip(ma, target):
+                for j, bucket in enumerate(out):
+                    bucket.extend(
+                        (sign, p, q[j]) for p, q in zip(row, mb) if p.terms and q[j].terms
+                    )
+    comp = {
+        index: tuple(tuple(TrigPoly.combination(bucket) for bucket in out) for out in target)
+        for index, target in products.items()
+    }
+    return _form(a.base_dim, (rows, cols), comp)
 
 
 def wedge_power(a: MatrixForm, k: int) -> MatrixForm:
@@ -259,9 +305,7 @@ def exterior_d(a: MatrixForm) -> MatrixForm:
         for j in range(1, a.base_dim + 1):
             if j in occupied:
                 continue
-            derived = tuple(
-                tuple(scalar.diff(e, j) for e in row) for row in entries
-            )
+            derived = tuple(tuple(e.diff(j) for e in row) for row in entries)
             if not _entries_nonzero_structurally(derived):
                 continue
             sign, merged = merge_indices((j,), index)
@@ -271,7 +315,7 @@ def exterior_d(a: MatrixForm) -> MatrixForm:
                 comp[merged] = entries_add(comp[merged], derived)
             else:
                 comp[merged] = derived
-    return MatrixForm(a.base_dim, a.shape, comp)
+    return _form(a.base_dim, a.shape, comp)
 
 
 # ------------------------------------------------------------------
@@ -288,7 +332,7 @@ class Connection:
         rows, cols = self.form.shape
         if rows != cols:
             raise FormError("connection fibers must be square")
-        if any(len(i) != 1 for i, _ in self.form.components()):
+        if any(len(i) != 1 for i in self.form._components):
             raise FormError("connection form must have pure degree 1")
 
     @property
@@ -300,12 +344,13 @@ class Connection:
         return self.form.shape[0]
 
     def coefficient(self, i: int) -> Matrix:
+        """omega_i as a matrix of Expr."""
         return self.form.component((i,))
 
 
 def connection_from_coefficients(base_dim: int, coefficients: Mapping[int, Matrix]) -> Connection:
     mats = {(i,): m for i, m in coefficients.items()}
-    some = next(iter(coefficients.values()), ((ZERO,),))
+    some = next(iter(coefficients.values()), ((0,),))
     fiber = len(some)
     return Connection(MatrixForm(base_dim, (fiber, fiber), mats))
 
@@ -380,14 +425,14 @@ def probe_forms(conn: Connection):
     functions make every F^K ^ dx_i direction visible through F^K ^ df."""
     n, m = conn.base_dim, conn.fiber_dim
     probes = []
-    fs = [scalar.ONE] + [scalar.var(i) for i in range(1, n + 1)]
+    fs = [_ONE] + [TrigPoly.var(i) for i in range(1, n + 1)]
     for j in range(m):
         for f in fs:
-            column = tuple((f,) if r == j else (ZERO,) for r in range(m))
-            probes.append(MatrixForm(n, (m, 1), {(): column}))
+            column = tuple((f,) if r == j else (_ZERO,) for r in range(m))
+            probes.append(_form(n, (m, 1), {(): column}))
         for i in range(1, n + 1):
-            column = tuple((scalar.ONE,) if r == j else (ZERO,) for r in range(m))
-            probes.append(MatrixForm(n, (m, 1), {(i,): column}))
+            column = tuple((_ONE,) if r == j else (_ZERO,) for r in range(m))
+            probes.append(_form(n, (m, 1), {(i,): column}))
     return probes
 
 
@@ -479,7 +524,14 @@ def pairing_sum(components: Mapping, index_set: Iterable[int], fiber_dim: int) -
     """Signed sum over pairings, over every ordering of each pairing's
     pairs, of the ordered matrix products of paired components.  This is
     exactly the dx^A coefficient of the corresponding power of
-    sum_{i<j} F_ij dx^i ^ dx^j."""
+    sum_{i<j} F_ij dx^i ^ dx^j.  Components may hold expressions; the sum
+    is returned as a matrix of Expr."""
+    polys = {index: _poly_entries(m) for index, m in components.items()}
+    return _expr_entries(_pairing_total(polys, index_set, fiber_dim))
+
+
+def _pairing_total(components: Mapping, index_set: Iterable[int], fiber_dim: int) -> Matrix:
+    """pairing_sum over polynomial components, as a polynomial matrix."""
     elements = sorted(index_set)
     k = len(elements) // 2
     total = zero_entries(fiber_dim, fiber_dim)
@@ -503,8 +555,8 @@ def pairing_power_form(F: MatrixForm, k: int) -> MatrixForm:
     m = F.shape[0]
     out = {}
     for A in combinations(range(1, F.base_dim + 1), 2 * k):
-        out[A] = pairing_sum(comps, A, m)
-    return MatrixForm(F.base_dim, F.shape, out)
+        out[A] = _pairing_total(comps, A, m)
+    return _form(F.base_dim, F.shape, out)
 
 
 def pairing_flatness_certificate(conn: Connection, k: int):
@@ -517,7 +569,7 @@ def pairing_flatness_certificate(conn: Connection, k: int):
     comps = curvature_components(F)
     failures = []
     for A in combinations(range(1, conn.base_dim + 1), 2 * k):
-        total = pairing_sum(comps, A, conn.fiber_dim)
+        total = _pairing_total(comps, A, conn.fiber_dim)
         if not entries_is_zero(total):
             failures.append(A)
     return not failures, failures
@@ -545,14 +597,13 @@ def tensor_connection(c1: Connection, c2: Connection) -> Connection:
         raise FormError("base dimension mismatch")
     m1, m2 = c1.fiber_dim, c2.fiber_dim
     id1, id2 = identity_entries(m1), identity_entries(m2)
+    zero1, zero2 = zero_entries(m1, m1), zero_entries(m2, m2)
     comps = {}
     for i in range(1, c1.base_dim + 1):
-        left = entries_kron(c1.coefficient(i), id2)
-        right = entries_kron(id1, c2.coefficient(i))
-        total = entries_add(left, right)
-        if _entries_nonzero_structurally(total):
-            comps[(i,)] = total
-    return Connection(MatrixForm(c1.base_dim, (m1 * m2, m1 * m2), comps))
+        left = entries_kron(c1.form._components.get((i,), zero1), id2)
+        right = entries_kron(id1, c2.form._components.get((i,), zero2))
+        comps[(i,)] = entries_add(left, right)
+    return Connection(_form(c1.base_dim, (m1 * m2, m1 * m2), comps))
 
 
 # ------------------------------------------------------------------

@@ -12,11 +12,12 @@ elimination; no floating point anywhere.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from . import linalg, textfile
+from . import linalg, scalar, textfile
 from .linalg import FracMatrix
 
 
@@ -225,7 +226,8 @@ def tensor_nilpotency(c1: FiniteNComplex, c2: FiniteNComplex) -> int:
 #
 #   N <order>
 #   deg <i> dim <n_i>
-#   <rows of the matrix out of degree i, whitespace-separated fractions>
+#   <rows of the matrix out of degree i, whitespace-separated rationals
+#    written [+-]digits[/digits]>
 #   deg <i+1> dim <n_{i+1}>
 #   ...
 #
@@ -233,6 +235,21 @@ def tensor_nilpotency(c1: FiniteNComplex, c2: FiniteNComplex) -> int:
 # degree; the final degree block has no rows.
 
 ComplexFileError = textfile.InputFileError
+
+
+_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(cell: str):
+    """A cell [+-]digits[/digits] as a Fraction, each integer at most
+    scalar.MAX_DIGITS digits long and the denominator nonzero; else None."""
+    match = _RATIONAL.fullmatch(cell)
+    if match is None:
+        return None
+    sign, numerator, denominator = match.groups("1")
+    if max(len(numerator), len(denominator)) > scalar.MAX_DIGITS or not int(denominator):
+        return None
+    return Fraction(int(sign + numerator), int(denominator))
 
 
 def parse_complex(text: str) -> FiniteNComplex:
@@ -265,10 +282,13 @@ def parse_complex(text: str) -> FiniteNComplex:
         else:
             if not row_groups:
                 raise lines.error("matrix rows before any degree header")
-            try:
-                row = [Fraction(cell) for cell in content.split()]
-            except ValueError:
-                raise lines.error(f"bad rational entry in {textfile.quote(content)}")
+            row = []
+            for cell in content.split():
+                value = _rational(cell)
+                if value is None:
+                    raise lines.error(f"bad rational entry in {textfile.quote(content)}: "
+                                      f"{textfile.quote(cell)}")
+                row.append(value)
             row_groups[-1].append((row, lines.line))
     if order is None:
         raise ComplexFileError("missing 'N <order>' header", 1)

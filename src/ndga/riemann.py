@@ -6,11 +6,12 @@ This module therefore computes internally with exact quotients num/det^k.
 Numerators are scalar.TrigPoly values, the package's one expanded form:
 polynomials over coordinates, sin(u) and cos(u) with sin^2 = 1 - cos^2
 applied, the same reduction that decides scalar.is_zero.  The denominator
-is always a power of det(g), produced by cofactor inversion.  Final
-curvature entries are converted back to scalar expressions by exact
-polynomial division; flatness certificates clear denominators instead,
-which leaves every verdict unchanged because det(g) vanishes nowhere on
-the metric's domain.
+is always a power of det(g), produced by cofactor inversion.  Curvature
+entries are exact polynomial quotients, handed to forms as TrigPoly
+entries; flatness certificates clear denominators instead, which leaves
+every verdict unchanged because det(g) vanishes nowhere on the metric's
+domain.  Both forms are built from the numerators directly, with no
+detour through expressions.
 """
 
 from __future__ import annotations
@@ -92,11 +93,11 @@ def exact_divide(num: TrigPoly, den: TrigPoly) -> Optional[TrigPoly]:
         t_mono = tuple(
             sorted((atoms[i], d) for i, d in enumerate(diff) if d)
         )
-        t_coeff = remainder[lead_mono] / lead_den_coeff
-        quotient[t_mono] = quotient.get(t_mono, Fraction(0)) + t_coeff
+        t_coeff = Fraction(remainder[lead_mono]) / lead_den_coeff
+        quotient[t_mono] = quotient.get(t_mono, 0) + t_coeff
         product = TrigPoly({t_mono: t_coeff}) * den
         for mono, coeff in product.terms.items():
-            value = remainder.get(mono, Fraction(0)) - coeff
+            value = remainder.get(mono, 0) - coeff
             if value:
                 remainder[mono] = value
             else:
@@ -148,16 +149,20 @@ class DetFraction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def as_expr(self) -> Optional[Expr]:
-        """Exact scalar expression, or None when num / det^power is not
+    def as_poly(self) -> Optional[TrigPoly]:
+        """The exact quotient num / det^power, or None when it is not
         polynomial."""
         value = self.num
         for _ in range(self.power):
-            divided = exact_divide(value, self.det)
-            if divided is None:
+            value = exact_divide(value, self.det)
+            if value is None:
                 return None
-            value = divided
-        return value.to_expr()
+        return value
+
+    def as_expr(self) -> Optional[Expr]:
+        """as_poly() as a scalar expression."""
+        value = self.as_poly()
+        return None if value is None else value.to_expr()
 
     def as_pair(self) -> Tuple[Expr, Expr]:
         """(numerator, denominator) as scalar expressions."""
@@ -369,7 +374,7 @@ def riemann_form(metric: Metric) -> MatrixForm:
             for i in range(n):
                 row = []
                 for j in range(n):
-                    value = R[i][j][k][l].as_expr()
+                    value = R[i][j][k][l].as_poly()
                     if value is None:
                         raise GrammarError(
                             f"curvature entry R^{i + 1}_{j + 1}{k + 1}{l + 1} "
@@ -400,14 +405,14 @@ def _cleared_forms(metric: Metric) -> Tuple[MatrixForm, MatrixForm]:
     for k in range(n):
         for l in range(k + 1, n):
             entries = tuple(
-                tuple(R[i][j][k][l].aligned_num(r_power).to_expr() for j in range(n))
+                tuple(R[i][j][k][l].aligned_num(r_power) for j in range(n))
                 for i in range(n)
             )
             curvature_components[(k + 1, l + 1)] = entries
     connection_components = {}
     for k in range(n):
         entries = tuple(
-            tuple(gamma.symbols[i][j][k].aligned_num(g_power).to_expr() for j in range(n))
+            tuple(gamma.symbols[i][j][k].aligned_num(g_power) for j in range(n))
             for i in range(n)
         )
         connection_components[(k + 1,)] = entries

@@ -1,15 +1,21 @@
-"""Exact symbolic scalar expressions.
+"""Exact symbolic scalars: expressions and their expanded polynomials.
 
-The coefficient field for every form module in this package: expression
-trees over rational constants, coordinates x1, x2, ..., sums, products,
-non-negative integer powers, sin and cos.  The operator set is closed
-under partial differentiation, so derivatives never leave the type.
+Expressions (Expr) are trees over rational constants, coordinates x1, x2,
+..., sums, products, non-negative integer powers, sin and cos.  The
+operator set is closed under partial differentiation, so derivatives never
+leave the type.  Expressions are what the package parses and renders.
 
-Values are immutable; every function here is pure.  Each node computes its
-hash once, when it is built, so cache and dict lookups on deep trees cost
-O(1).  normalize, diff and negate build rational nodes through one bounded
-shared constructor, so equal coefficients are one node, and a normalized
-sum reuses each term that has no like term.
+TrigPoly is the expanded form: a polynomial over coordinate and sin/cos
+atoms with sin^2 = 1 - cos^2 applied.  It is the entry type of
+forms.MatrixForm and the numerator type of the riemann quotients, so form
+and curvature arithmetic runs on polynomial dicts; is_zero decides both
+kinds of value with one test.
+
+Values are immutable; every function here is pure.  Each expression node
+computes its hash once, when it is built, so cache and dict lookups on
+deep trees cost O(1).  normalize, diff and negate build rational nodes
+through one bounded shared constructor, so equal coefficients are one
+node, and a normalized sum reuses each term that has no like term.
 """
 
 from __future__ import annotations
@@ -282,6 +288,13 @@ def normalize(e: Expr) -> Expr:
     raise TypeError(type(e))
 
 
+def _merged_exponent(exponent: int) -> int:
+    """An exponent that normalize merged from several; see MAX_EXPONENT."""
+    if exponent > MAX_EXPONENT:
+        raise ScalarError(f"exponent {exponent} is above {MAX_EXPONENT}")
+    return exponent
+
+
 def _normalize_power(base: Expr, exponent: int) -> Expr:
     if exponent < 0:
         raise ScalarError("negative exponents are outside the expression grammar")
@@ -292,7 +305,7 @@ def _normalize_power(base: Expr, exponent: int) -> Expr:
     if isinstance(base, Rat):
         return _rat(base.value ** exponent)
     if isinstance(base, Power):
-        return _normalize_power(base.base, base.exponent * exponent)
+        return _normalize_power(base.base, _merged_exponent(base.exponent * exponent))
     if isinstance(base, Product):
         return _normalize_product([_normalize_power(f, exponent) for f in base.factors])
     return Power(base, exponent)
@@ -321,7 +334,7 @@ def _normalize_product(factors) -> Expr:
         else:
             base, exp = f, 1
         if base in exponents:
-            exponents[base] += exp
+            exponents[base] = _merged_exponent(exponents[base] + exp)
         else:
             exponents[base] = exp
     rebuilt = []
@@ -528,9 +541,17 @@ def _evaluate(e: Expr, point: Point) -> Number:
 # (kind, sort_key(u), u) for kind "sin" or "cos".  A monomial is a sorted
 # tuple of (atom, exponent) pairs.  Every sin-exponent is kept at most one
 # by rewriting sin^2 u = 1 - cos^2 u, so Pythagorean identities in a single
-# argument reduce to the zero polynomial.
+# argument reduce to the zero polynomial.  Integral coefficients are kept
+# as int, the others as Fraction; both hash and compare alike, and int
+# arithmetic is the fast path of the common integer case.
 
 Mono = tuple
+
+
+def _coefficient(value):
+    """An exact rational as int when it is integral, else as Fraction."""
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _poly(terms: dict) -> "TrigPoly":
@@ -540,7 +561,7 @@ def _poly(terms: dict) -> "TrigPoly":
     return p
 
 
-def _add_term(terms: dict, mono: Mono, coeff: Fraction) -> None:
+def _add_term(terms: dict, mono: Mono, coeff) -> None:
     """terms[mono] += coeff for a nonzero coeff, dropping a sum that is 0."""
     if mono not in terms:
         terms[mono] = coeff
@@ -573,21 +594,65 @@ def _add_reduced(terms: dict, exponents: dict, coeff) -> None:
     _add_term(terms, tuple(sorted(exponents.items())), coeff)
 
 
+@functools.lru_cache(maxsize=8192)
+def _mono_product(m1: Mono, m2: Mono):
+    """The product of two monomials, or None when it lifts a sin exponent
+    to 2 or more and so needs _add_reduced.  Few distinct monomials meet in
+    one computation, so the cache answers most calls."""
+    if not m1 or not m2:
+        return m1 or m2
+    merged = dict(m1)
+    for atom, exp in m2:
+        total = merged.get(atom, 0) + exp
+        if total >= 2 and atom[0] == "sin":
+            return None
+        merged[atom] = total
+    return tuple(sorted(merged.items()))
+
+
+def _mul_into(terms: dict, left: dict, right: dict, sign: int = 1) -> None:
+    """terms += sign * left * right, for the term dicts of two polynomials
+    and a sign of +1 or -1."""
+    for m1, c1 in left.items():
+        if sign < 0:
+            c1 = -c1
+        for m2, c2 in right.items():
+            coeff = c1 * c2
+            mono = _mono_product(m1, m2)
+            if mono is None:
+                merged = dict(m1)
+                for atom, exp in m2:
+                    merged[atom] = merged.get(atom, 0) + exp
+                _add_reduced(terms, merged, coeff)
+                continue
+            # _add_term, inlined in the innermost loop of the ring
+            value = terms.get(mono)
+            if value is None:
+                terms[mono] = coeff
+            else:
+                value += coeff
+                if value:
+                    terms[mono] = value
+                else:
+                    del terms[mono]
+
+
 class TrigPoly:
     """Polynomial over coordinate and sin/cos atoms, kept canonical with
-    every sin-exponent at most one.  Operations return new polynomials and
-    leave their operands unchanged."""
+    every sin-exponent at most one and no zero coefficient.  Operations
+    return new polynomials and leave their operands unchanged, so equal
+    values may share one object."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self.terms = {m: _coefficient(c) for m, c in terms.items() if c != 0}
 
     # construction ---------------------------------------------------
 
     @staticmethod
     def const(value) -> "TrigPoly":
-        value = Fraction(value)
+        value = _coefficient(value)
         return _poly({(): value} if value else {})
 
     @staticmethod
@@ -596,11 +661,15 @@ class TrigPoly:
 
     @staticmethod
     def one() -> "TrigPoly":
-        return _poly({(): Fraction(1)})
+        return _poly({(): 1})
 
     @staticmethod
     def atom(atom) -> "TrigPoly":
-        return _poly({((atom, 1),): Fraction(1)})
+        return _poly({((atom, 1),): 1})
+
+    @staticmethod
+    def var(index: int) -> "TrigPoly":
+        return TrigPoly.atom(("x", index, None))
 
     @staticmethod
     def from_expr(e: Expr) -> "TrigPoly":
@@ -609,41 +678,37 @@ class TrigPoly:
     # ring operations -------------------------------------------------
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
             _add_term(terms, mono, coeff)
         return _poly(terms)
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
-        return self + other.scale(-1)
+        return self + -other
 
     def scale(self, value) -> "TrigPoly":
-        value = Fraction(value)
+        value = _coefficient(value)
         if not value:
             return TrigPoly.zero()
         return _poly({m: value * c for m, c in self.terms.items()})
 
     def __neg__(self) -> "TrigPoly":
-        return self.scale(-1)
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "TrigPoly") -> "TrigPoly":
+        return TrigPoly.combination([(1, self, other)])
+
+    @staticmethod
+    def combination(products) -> "TrigPoly":
+        """The sum of sign * p * q over (sign, p, q) triples, sign +1 or -1,
+        accumulated in one dict."""
         terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if not m1 or not m2:
-                    _add_term(terms, m1 or m2, c1 * c2)
-                    continue
-                merged = dict(m1)
-                reduce = False
-                for atom, exp in m2:
-                    total = merged.get(atom, 0) + exp
-                    merged[atom] = total
-                    if total >= 2 and atom[0] == "sin":
-                        reduce = True
-                if reduce:
-                    _add_reduced(terms, merged, c1 * c2)
-                else:
-                    _add_term(terms, tuple(sorted(merged.items())), c1 * c2)
+        for sign, p, q in products:
+            _mul_into(terms, p.terms, q.terms, sign)
         return _poly(terms)
 
     def power(self, k: int) -> "TrigPoly":
@@ -657,6 +722,17 @@ class TrigPoly:
 
     def atoms(self) -> set:
         return {atom for mono in self.terms for atom, _ in mono}
+
+    def variables(self) -> set:
+        """Indices of the coordinates the polynomial holds, those inside
+        trig arguments included."""
+        found = set()
+        for kind, key, payload in self.atoms():
+            if kind == "x":
+                found.add(key)
+            else:
+                found |= variables(payload)
+        return found
 
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):
@@ -680,15 +756,16 @@ class TrigPoly:
                 if kind == "x":
                     _add_term(terms, rest, coeff * exp)
                     continue
-                inner = TrigPoly.from_expr(diff(payload, index))
+                # the argument is a normalized expression: expand it and
+                # differentiate the expansion
+                inner = _expanded(payload).diff(index)
                 if inner.is_zero():
                     continue
                 if kind == "sin":
-                    outer = TrigPoly.atom(("cos", key, payload)).scale(coeff * exp)
+                    outer = _poly({rest: coeff * exp}) * TrigPoly.atom(("cos", key, payload))
                 else:
-                    outer = TrigPoly.atom(("sin", key, payload)).scale(-coeff * exp)
-                for m, c in (_poly({rest: Fraction(1)}) * outer * inner).terms.items():
-                    _add_term(terms, m, c)
+                    outer = _poly({rest: -coeff * exp}) * TrigPoly.atom(("sin", key, payload))
+                _mul_into(terms, outer.terms, inner.terms)
         return _poly(terms)
 
     # conversion --------------------------------------------------------
@@ -717,7 +794,7 @@ def _expanded(e: Expr) -> TrigPoly:
     if isinstance(e, Rat):
         return TrigPoly.const(e.value)
     if isinstance(e, Var):
-        return TrigPoly.atom(("x", e.index, None))
+        return TrigPoly.var(e.index)
     if isinstance(e, (Sin, Cos)):
         kind = "sin" if isinstance(e, Sin) else "cos"
         return TrigPoly.atom((kind, sort_key(e.argument), e.argument))
@@ -741,26 +818,34 @@ def _expanded(e: Expr) -> TrigPoly:
 # zero test
 # ------------------------------------------------------------------
 #
-# Expand into a TrigPoly.  The zero polynomial certifies a zero function,
+# One test for expressions and polynomials: an expression is first
+# expanded into a TrigPoly.  The zero polynomial certifies a zero function,
 # Pythagorean identities in one argument included.  A nonzero polynomial
 # without trig atoms certifies a nonzero function.  Anything else (trig
 # identities across related arguments, such as sin(2u) = 2 sin(u) cos(u))
-# falls back to seeded sampling at ZERO_SAMPLES points in [-1,1]^n.  A point
-# shows a nonzero function when |sum_m c_m m(p)| >= ZERO_TOLERANCE *
+# falls back to seeded sampling at ZERO_SAMPLES points in [-1,1]^n, drawn
+# over the sorted coordinates of the polynomial's atoms.  A point shows a
+# nonzero function when |sum_m c_m m(p)| >= ZERO_TOLERANCE *
 # sum_m |c_m m(p)| over the monomials m of the polynomial; the bound is
 # relative, so small coefficients do not pass for zero.
 
-def is_zero(e: Expr, seed: int | None = None) -> bool:
-    """True iff e is identically zero.  Exact for polynomial expressions and
-    for trig expressions that reduce to zero; otherwise probabilistic
-    (seeded sampling) once sin/cos atoms are involved."""
-    return _is_zero_cached(normalize(e), _zero_seed if seed is None else seed)
+def is_zero(e, seed: int | None = None) -> bool:
+    """True iff e, an Expr or a TrigPoly, is identically zero.  Exact for
+    polynomials and for trig expressions that reduce to zero; otherwise
+    probabilistic (seeded sampling) once sin/cos atoms are involved."""
+    seed = _zero_seed if seed is None else seed
+    if isinstance(e, TrigPoly):
+        return _poly_is_zero(e, seed)
+    return _is_zero_cached(normalize(e), seed)
 
 
 @functools.lru_cache(maxsize=65536)
 def _is_zero_cached(e: Expr, seed: int) -> bool:
-    poly = TrigPoly.from_expr(e)
-    if poly.is_zero():
+    return _poly_is_zero(TrigPoly.from_expr(e), seed)
+
+
+def _poly_is_zero(poly: TrigPoly, seed: int) -> bool:
+    if not poly.terms:
         return True
     atoms = poly.atoms()
     if all(kind == "x" for kind, _, _ in atoms):
@@ -770,7 +855,7 @@ def _is_zero_cached(e: Expr, seed: int) -> bool:
     largest = max(abs(c) for c in poly.terms.values())
     weighted = [(mono, float(c / largest)) for mono, c in poly.terms.items()]
     rng = random.Random(seed)
-    names = sorted(variables(e))
+    names = sorted(poly.variables())
     for _ in range(ZERO_SAMPLES):
         point = {i: rng.uniform(-1.0, 1.0) for i in names}
         values = {}
@@ -807,9 +892,16 @@ def _is_zero_cached(e: Expr, seed: int) -> bool:
 # as "-x1" are accepted in data files.  Whitespace is insignificant.
 # Parentheses, sin( and cos( may nest at most MAX_NESTING deep, which keeps
 # the parser and the recursive functions above inside the interpreter's
-# recursion limit.
+# recursion limit.  An integer literal has at most MAX_DIGITS digits, below
+# the interpreter's 4300-digit limit on int conversion.  A written exponent,
+# and one that normalize merges (powers of powers multiply, like factors
+# add), is at most MAX_EXPONENT: an exponent is the degree of what the
+# expansion builds, and (x2 + 1)^MAX_EXPONENT already holds 513 terms,
+# while constants past the float range such as 10^400 stay writable.
 
 MAX_NESTING = 100
+MAX_DIGITS = 1000
+MAX_EXPONENT = 512
 
 
 class _Parser:
@@ -876,7 +968,11 @@ class _Parser:
         base = self.parse_base()
         if self.peek() == "^":
             self.pos += 1
+            start = self.pos
             exponent = self.parse_integer(allow_sign=False)
+            if exponent > MAX_EXPONENT:
+                self.pos = start
+                self.error(f"exponent above {MAX_EXPONENT}")
             return Power(base, exponent)
         return base
 
@@ -924,8 +1020,12 @@ class _Parser:
         if self.pos >= len(self.text) or not self.text[self.pos].isdigit():
             self.pos = start
             self.error("expected an integer")
+        digits = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
+        if self.pos - digits > MAX_DIGITS:
+            self.pos = start
+            self.error(f"integer longer than {MAX_DIGITS} digits")
         return int(self.text[start:self.pos])
 
     def parse_rational(self) -> Rat:

@@ -99,8 +99,10 @@ class Lines:
             row = []
             for cell in cells:
                 try:
-                    row.append(scalar.parse(cell))
-                except scalar.ParseError as err:
+                    # normalized here, so that a merged exponent above
+                    # scalar.MAX_EXPONENT is reported at its line
+                    row.append(scalar.normalize(scalar.parse(cell)))
+                except scalar.ScalarError as err:
                     raise self.error(f"bad expression {quote(cell)}: {err}")
             rows.append(tuple(row))
         return tuple(rows)

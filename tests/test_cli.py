@@ -278,6 +278,43 @@ def test_deeply_nested_entry_is_an_input_error(tmp_path):
         assert proc.stderr.count("\n") == 1
 
 
+# (command, file text, line and message of the error); each entry took a
+# minute or more, or ended in a traceback, before integers, exponents and
+# .ncx cells were bounded
+HOSTILE_ENTRIES = {
+    "power.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n(x2+1)^3000\n",
+                   "line 4: ", "exponent above 512"),
+    "merged_power.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n((x2+1)^100)^100\n",
+                          "line 4: ", "exponent 10000 is above 512"),
+    "long_integer.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n" + "7" * 5000 + "*x1\n",
+                          "line 4: ", "integer longer than 1000 digits"),
+    "exponent_cell.ncx": (["ncomplex", "cohomology"],
+                          "N 2\ndeg 0 dim 1\n1e99999999\ndeg 1 dim 1\n",
+                          "line 3: ", "bad rational entry in '1e99999999': '1e99999999'"),
+    "long_cell.ncx": (["ncomplex", "cohomology"],
+                      "N 2\ndeg 0 dim 1\n" + "7" * 5000 + "\ndeg 1 dim 1\n",
+                      "line 3: ", "bad rational entry"),
+    "zero_denominator.ncx": (["ncomplex", "cohomology"],
+                             "N 2\ndeg 0 dim 2\n1 1/0\n0 1\ndeg 1 dim 2\n",
+                             "line 3: ", "bad rational entry in '1 1/0': '1/0'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_ENTRIES))
+def test_hostile_entry_is_a_quick_input_error(tmp_path, name):
+    command, text, line, message = HOSTILE_ENTRIES[name]
+    path = tmp_path / name
+    path.write_text(text)
+    start = time.perf_counter()
+    proc = run_module(*command, str(path))
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {path}: {line}")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 # each declares sizes that made cohomology run for seconds to minutes when
 # d^p was built from an identity matrix through every degree
 HOSTILE_COMPLEXES = {

@@ -14,7 +14,7 @@ from ndga.forms import (
     pairing_power_form, pairing_sum, scalar_form, tensor_connection, wedge,
     wedge_power, zero_form,
 )
-from ndga.scalar import ZERO, var
+from ndga.scalar import ZERO, TrigPoly, var
 
 x1, x2 = var(1), var(2)
 
@@ -223,6 +223,141 @@ def test_brute_force_agrees_with_certificates():
     for _ in range(4):
         conn = random_polynomial_connection(rng)
         assert brute_force_flatness_order(conn, 8) == minimal_flatness_order(conn, 8)
+
+
+def test_polynomial_forms_never_sample(monkeypatch):
+    def no_sampling(e, point):
+        raise AssertionError("a polynomial zero test sampled")
+
+    conn = random_polynomial_connection(random.Random(2024))
+    monkeypatch.setattr(scalar, "evaluate", no_sampling)
+    assert brute_force_flatness_order(conn, 8) == minimal_flatness_order(conn, 8)
+
+
+def test_form_arithmetic_builds_no_expressions(monkeypatch):
+    # entries are expanded when a form is built; after that wedge, d, nabla,
+    # the flatness scans and the certificates run on TrigPoly arithmetic
+    connections = [
+        random_polynomial_connection(random.Random(5)),
+        connection_from_coefficients(2, {
+            1: ((scalar.parse("sin(x2)"), ZERO), (x1, scalar.parse("cos(x1 + x2)"))),
+            2: ((ZERO, scalar.parse("x1*sin(x2)^2")), (ZERO, x2)),
+        }),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("expression arithmetic inside form arithmetic")
+
+    for name in ("normalize", "add", "mul", "diff", "pow_", "negate"):
+        monkeypatch.setattr(scalar, name, refuse)
+    for conn in connections:
+        F = curvature(conn)
+        wedge(F, conn.form).is_zero()
+        exterior_d(F).is_zero()
+        for probe in forms.probe_forms(conn):
+            nabla_apply(conn, probe).is_zero()
+        minimal_flatness_order(conn, 8)
+        brute_force_flatness_order(conn, 8)
+        pairing_flatness_certificate(conn, 1)
+        tensor_connection(conn, conn)
+
+
+# ------------------------------------------------------------------
+# oracle: the same objects built from expressions
+# ------------------------------------------------------------------
+#
+# The forms below are dicts {multi-index: matrix of Expr} combined with
+# scalar.add, scalar.mul and scalar.diff: a route through expression
+# arithmetic, independent of the polynomial one that forms uses.
+
+def oracle_wedge(a, b):
+    out = {}
+    for ia, ma in a.items():
+        for ib, mb in b.items():
+            merged = forms.merge_indices(ia, ib)
+            if merged is None:
+                continue
+            sign, index = merged
+            product = [
+                [scalar.mul(sign, scalar.add(*[scalar.mul(ma[i][k], mb[k][j])
+                                               for k in range(len(mb))]))
+                 for j in range(len(mb[0]))]
+                for i in range(len(ma))
+            ]
+            out[index] = oracle_add(out.get(index), product)
+    return out
+
+
+def oracle_d(a, base_dim):
+    out = {}
+    for index, m in a.items():
+        for j in range(1, base_dim + 1):
+            if j in index:
+                continue
+            sign, merged = forms.merge_indices((j,), index)
+            derived = [[scalar.mul(sign, scalar.diff(e, j)) for e in row] for row in m]
+            out[merged] = oracle_add(out.get(merged), derived)
+    return out
+
+
+def oracle_add(a, b):
+    if a is None:
+        return b
+    return [[scalar.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def oracle_sum(a, b):
+    out = dict(a)
+    for index, m in b.items():
+        out[index] = oracle_add(out.get(index), m)
+    return out
+
+
+def assert_matches(form, oracle):
+    """form equals the oracle's dict, entry by entry through TrigPoly."""
+    rows, cols = form.shape
+    for index in {i for i, _ in form.components()} | set(oracle):
+        expected = oracle.get(index, [[ZERO] * cols for _ in range(rows)])
+        got = form.component(index)
+        for i in range(rows):
+            for j in range(cols):
+                assert TrigPoly.from_expr(got[i][j]) == TrigPoly.from_expr(expected[i][j])
+
+
+TRIG_FACTORS = ("sin(x{})", "cos(x{})", "sin(x{} + x1)", "cos(2*x{})")
+
+
+@given(st.data())
+def test_form_arithmetic_matches_the_expression_oracle(data):
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=10**6)))
+    base = data.draw(st.integers(min_value=1, max_value=3))
+    fiber = data.draw(st.integers(min_value=1, max_value=2))
+    trig = data.draw(st.booleans())
+
+    def entry():
+        terms = []
+        for _ in range(rng.randint(0, 2)):
+            factors = [scalar.rational(rng.randint(-3, 3), rng.choice((1, 2)))]
+            factors += [var(rng.randint(1, base)) for _ in range(rng.randint(0, 2))]
+            if trig and rng.random() < 0.5:
+                text = rng.choice(TRIG_FACTORS).format(rng.randint(1, base))
+                factors.append(scalar.parse(text))
+            terms.append(scalar.mul(*factors))
+        return scalar.add(*terms) if terms else ZERO
+
+    omega = {(i,): [[entry() for _ in range(fiber)] for _ in range(fiber)]
+             for i in range(1, base + 1)}
+    conn = connection_from_coefficients(base, {i[0]: m for i, m in omega.items()})
+    degree = rng.randint(0, base)
+    index = tuple(sorted(rng.sample(range(1, base + 1), degree)))
+    probe = {index: [[entry()] for _ in range(fiber)]}
+    alpha = MatrixForm(base, (fiber, 1), probe)
+
+    F = oracle_sum(oracle_d(omega, base), oracle_wedge(omega, omega))
+    assert_matches(curvature(conn), F)
+    assert_matches(nabla_apply(conn, alpha),
+                   oracle_sum(oracle_d(probe, base), oracle_wedge(omega, probe)))
+    assert_matches(wedge(curvature(conn), alpha), oracle_wedge(F, probe))
 
 
 def test_block_connections_are_flat_beyond_the_block():

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from ndga import scalar
 from ndga.scalar import (
-    Cos, EvalError, ParseError, Power, Rat, Sin, Var,
+    Cos, EvalError, ParseError, Power, Rat, ScalarError, Sin, TrigPoly, Var,
     add, diff, evaluate, is_zero, mul, negate, normalize, parse, pow_, render, var,
 )
 
@@ -47,6 +47,25 @@ def test_parse_nesting_limit():
             parse(opener * (depth + 1) + "x1" + ")" * (depth + 1))
     with pytest.raises(ParseError, match="nested deeper"):
         parse("(" * 3000 + "x1" + ")" * 3000)
+
+
+def test_parse_bounds_exponents_and_digits():
+    top = scalar.MAX_EXPONENT
+    assert parse(f"x1^{top}") == Power(Var(1), top)
+    assert normalize(parse("10^400")) == Rat(Fraction(10**400))
+    with pytest.raises(ParseError, match="exponent above"):
+        parse(f"(x2+1)^{top + 1}")
+    # powers of powers multiply, and like factors add their exponents
+    for text in (f"(x1^{top})^2", f"(x2+1)^{top}*(x2+1)^{top}"):
+        with pytest.raises(ScalarError, match=f"exponent {2 * top} is above {top}"):
+            normalize(parse(text))
+    digits = scalar.MAX_DIGITS
+    assert parse("9" * digits) == Rat(Fraction(10**digits - 1))
+    assert parse("1/" + "9" * digits) == Rat(Fraction(1, 10**digits - 1))
+    for text in ("9" * (digits + 1), "-" + "9" * (digits + 1), "1/" + "9" * (digits + 1),
+                 "x1^" + "9" * 5000):
+        with pytest.raises(ParseError, match=f"longer than {digits} digits"):
+            parse(text)
 
 
 def test_parse_rationals_and_signs():
@@ -182,9 +201,48 @@ def test_is_zero_decides_pythagorean_identities_exactly(monkeypatch):
         raise AssertionError("is_zero sampled an expression it can decide exactly")
 
     monkeypatch.setattr(scalar, "evaluate", no_sampling)
-    assert is_zero(parse("sin(x1)^2 + cos(x1)^2 - 1"))
-    assert is_zero(parse("x2*(sin(x1)^2 + cos(x1)^2) - x2"))
-    assert is_zero(parse("sin(x1)^4 - cos(x1)^4 - sin(x1)^2 + cos(x1)^2"))
+    for text in PYTHAGOREAN_IDENTITIES:
+        assert is_zero(parse(text))
+
+
+PYTHAGOREAN_IDENTITIES = (
+    "sin(x1)^2 + cos(x1)^2 - 1",
+    "x2*(sin(x1)^2 + cos(x1)^2) - x2",
+    "sin(x1)^4 - cos(x1)^4 - sin(x1)^2 + cos(x1)^2",
+)
+
+
+def test_is_zero_gives_a_polynomial_the_verdict_of_its_expression(monkeypatch):
+    calls = []
+
+    def counting(e, point):
+        calls.append(e)
+        return original(e, point)
+
+    original = scalar.evaluate
+    monkeypatch.setattr(scalar, "evaluate", counting)
+    for text, expected in (("sin(2*x1) - 2*sin(x1)*cos(x1)", True), ("1/10^12*sin(x1)", False)):
+        e = parse(text)
+        assert is_zero(e) is expected
+        del calls[:]
+        assert is_zero(TrigPoly.from_expr(e)) is expected
+        assert calls, "a trig polynomial that does not reduce to 0 is sampled"
+
+    def no_sampling(e, point):
+        raise AssertionError("is_zero sampled a polynomial it can decide exactly")
+
+    scalar._is_zero_cached.cache_clear()
+    monkeypatch.setattr(scalar, "evaluate", no_sampling)
+    for text in PYTHAGOREAN_IDENTITIES:
+        assert is_zero(TrigPoly.from_expr(parse(text)))
+        assert is_zero(parse(text))
+    assert not is_zero(TrigPoly.from_expr(parse("x1*x2 - x2*x1 + 1/10^12*x3")))
+    assert is_zero(TrigPoly.zero())
+
+
+def test_sample_points_cover_the_variables_inside_trig_arguments():
+    poly = TrigPoly.from_expr(parse("x3*sin(x1 + x2)^2 + cos(x4)"))
+    assert poly.variables() == {1, 2, 3, 4}
 
 
 # ------------------------------------------------------------------
