@@ -20,7 +20,7 @@ TrigPoly.to_expr.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, repeat
+from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
 
 from . import scalar, textfile
@@ -42,14 +42,14 @@ class FormError(Exception):
 # matrices of polynomial entries
 # ------------------------------------------------------------------
 
+def _poly_entry(e) -> TrigPoly:
+    """A TrigPoly value, an expression or a rational as an expanded
+    polynomial."""
+    return e if isinstance(e, TrigPoly) else TrigPoly.from_expr(scalar.as_expr(e))
+
+
 def _poly_entries(rows: Iterable[Iterable]) -> Matrix:
-    """Entries given as TrigPoly values, expressions or rationals, as
-    expanded polynomials."""
-    return tuple(
-        tuple(e if isinstance(e, TrigPoly) else TrigPoly.from_expr(scalar.as_expr(e))
-              for e in row)
-        for row in rows
-    )
+    return tuple(tuple(_poly_entry(e) for e in row) for row in rows)
 
 
 def _expr_entries(a: Matrix) -> Matrix:
@@ -75,8 +75,13 @@ def entries_add(a: Matrix, b: Matrix) -> Matrix:
 
 
 def entries_scale(c, a: Matrix) -> Matrix:
-    """c times a for a rational c."""
-    return tuple(tuple(x.scale(c) for x in row) for row in a)
+    """c times a for a scalar c: a rational, an expression or a TrigPoly."""
+    factor = _poly_entry(c)
+    return tuple(tuple(factor * x for x in row) for row in a)
+
+
+def entries_neg(a: Matrix) -> Matrix:
+    return tuple(tuple(-x for x in row) for row in a)
 
 
 def entries_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -84,7 +89,7 @@ def entries_mul(a: Matrix, b: Matrix) -> Matrix:
         raise FormError("matrix shape mismatch")
     columns = list(zip(*b))
     return tuple(
-        tuple(TrigPoly.combination(zip(repeat(1), row, column)) for column in columns)
+        tuple(sum((x * y for x, y in zip(row, column)), _ZERO) for column in columns)
         for row in a
     )
 
@@ -228,7 +233,8 @@ class MatrixForm:
         return self + -other
 
     def scale(self, c) -> "MatrixForm":
-        """c times the form for a rational c."""
+        """c times the form for a scalar c: a rational, an expression or a
+        TrigPoly."""
         return _form(
             self.base_dim,
             self.shape,
@@ -236,7 +242,11 @@ class MatrixForm:
         )
 
     def __neg__(self) -> "MatrixForm":
-        return self.scale(-1)
+        return _form(
+            self.base_dim,
+            self.shape,
+            {i: entries_neg(m) for i, m in self._components.items()},
+        )
 
 
 def zero_form(base_dim: int, shape) -> MatrixForm:
@@ -262,29 +272,21 @@ def wedge(a: MatrixForm, b: MatrixForm) -> MatrixForm:
     a._check_compatible(b)
     if a.shape[1] != b.shape[0]:
         raise FormError(f"fiber shape mismatch: {a.shape} then {b.shape}")
-    rows, cols = a.shape[0], b.shape[1]
-    # every signed entry product that lands on one output entry is collected
-    # first, so that each output entry is summed in one dict
-    products: dict = {}
+    comp: dict = {}
     for ia, ma in a._components.items():
         for ib, mb in b._components.items():
             merged = merge_indices(ia, ib)
             if merged is None:
                 continue
             sign, index = merged
-            target = products.get(index)
-            if target is None:
-                target = products[index] = [[[] for _ in range(cols)] for _ in range(rows)]
-            for row, out in zip(ma, target):
-                for j, bucket in enumerate(out):
-                    bucket.extend(
-                        (sign, p, q[j]) for p, q in zip(row, mb) if p.terms and q[j].terms
-                    )
-    comp = {
-        index: tuple(tuple(TrigPoly.combination(bucket) for bucket in out) for out in target)
-        for index, target in products.items()
-    }
-    return _form(a.base_dim, (rows, cols), comp)
+            product = entries_mul(ma, mb)
+            if sign < 0:
+                product = entries_neg(product)
+            if index in comp:
+                comp[index] = entries_add(comp[index], product)
+            else:
+                comp[index] = product
+    return _form(a.base_dim, (a.shape[0], b.shape[1]), comp)
 
 
 def wedge_power(a: MatrixForm, k: int) -> MatrixForm:
@@ -310,7 +312,7 @@ def exterior_d(a: MatrixForm) -> MatrixForm:
                 continue
             sign, merged = merge_indices((j,), index)
             if sign < 0:
-                derived = entries_scale(-1, derived)
+                derived = entries_neg(derived)
             if merged in comp:
                 comp[merged] = entries_add(comp[merged], derived)
             else:
@@ -517,7 +519,7 @@ def component_lookup(components: Mapping, i: int, j: int, fiber_dim: int) -> Mat
     upper = components.get((j, i))
     if upper is None:
         return zero_entries(fiber_dim, fiber_dim)
-    return entries_scale(-1, upper)
+    return entries_neg(upper)
 
 
 def pairing_sum(components: Mapping, index_set: Iterable[int], fiber_dim: int) -> Matrix:
@@ -544,7 +546,7 @@ def _pairing_total(components: Mapping, index_set: Iterable[int], fiber_dim: int
                     product, component_lookup(components, a, b, fiber_dim)
                 )
             if pairing.sign < 0:
-                product = entries_scale(-1, product)
+                product = entries_neg(product)
             total = entries_add(total, product)
     return total
 

@@ -288,13 +288,6 @@ def normalize(e: Expr) -> Expr:
     raise TypeError(type(e))
 
 
-def _merged_exponent(exponent: int) -> int:
-    """An exponent that normalize merged from several; see MAX_EXPONENT."""
-    if exponent > MAX_EXPONENT:
-        raise ScalarError(f"exponent {exponent} is above {MAX_EXPONENT}")
-    return exponent
-
-
 def _normalize_power(base: Expr, exponent: int) -> Expr:
     if exponent < 0:
         raise ScalarError("negative exponents are outside the expression grammar")
@@ -305,7 +298,11 @@ def _normalize_power(base: Expr, exponent: int) -> Expr:
     if isinstance(base, Rat):
         return _rat(base.value ** exponent)
     if isinstance(base, Power):
-        return _normalize_power(base.base, _merged_exponent(base.exponent * exponent))
+        # powers of powers multiply: see MAX_EXPONENT
+        merged = base.exponent * exponent
+        if merged > MAX_EXPONENT:
+            raise ScalarError(f"exponent {merged} is above {MAX_EXPONENT}")
+        return _normalize_power(base.base, merged)
     if isinstance(base, Product):
         return _normalize_product([_normalize_power(f, exponent) for f in base.factors])
     return Power(base, exponent)
@@ -334,7 +331,7 @@ def _normalize_product(factors) -> Expr:
         else:
             base, exp = f, 1
         if base in exponents:
-            exponents[base] = _merged_exponent(exponents[base] + exp)
+            exponents[base] += exp
         else:
             exponents[base] = exp
     rebuilt = []
@@ -541,17 +538,9 @@ def _evaluate(e: Expr, point: Point) -> Number:
 # (kind, sort_key(u), u) for kind "sin" or "cos".  A monomial is a sorted
 # tuple of (atom, exponent) pairs.  Every sin-exponent is kept at most one
 # by rewriting sin^2 u = 1 - cos^2 u, so Pythagorean identities in a single
-# argument reduce to the zero polynomial.  Integral coefficients are kept
-# as int, the others as Fraction; both hash and compare alike, and int
-# arithmetic is the fast path of the common integer case.
+# argument reduce to the zero polynomial.
 
 Mono = tuple
-
-
-def _coefficient(value):
-    """An exact rational as int when it is integral, else as Fraction."""
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
 
 
 def _poly(terms: dict) -> "TrigPoly":
@@ -561,7 +550,7 @@ def _poly(terms: dict) -> "TrigPoly":
     return p
 
 
-def _add_term(terms: dict, mono: Mono, coeff) -> None:
+def _add_term(terms: dict, mono: Mono, coeff: Fraction) -> None:
     """terms[mono] += coeff for a nonzero coeff, dropping a sum that is 0."""
     if mono not in terms:
         terms[mono] = coeff
@@ -594,49 +583,6 @@ def _add_reduced(terms: dict, exponents: dict, coeff) -> None:
     _add_term(terms, tuple(sorted(exponents.items())), coeff)
 
 
-@functools.lru_cache(maxsize=8192)
-def _mono_product(m1: Mono, m2: Mono):
-    """The product of two monomials, or None when it lifts a sin exponent
-    to 2 or more and so needs _add_reduced.  Few distinct monomials meet in
-    one computation, so the cache answers most calls."""
-    if not m1 or not m2:
-        return m1 or m2
-    merged = dict(m1)
-    for atom, exp in m2:
-        total = merged.get(atom, 0) + exp
-        if total >= 2 and atom[0] == "sin":
-            return None
-        merged[atom] = total
-    return tuple(sorted(merged.items()))
-
-
-def _mul_into(terms: dict, left: dict, right: dict, sign: int = 1) -> None:
-    """terms += sign * left * right, for the term dicts of two polynomials
-    and a sign of +1 or -1."""
-    for m1, c1 in left.items():
-        if sign < 0:
-            c1 = -c1
-        for m2, c2 in right.items():
-            coeff = c1 * c2
-            mono = _mono_product(m1, m2)
-            if mono is None:
-                merged = dict(m1)
-                for atom, exp in m2:
-                    merged[atom] = merged.get(atom, 0) + exp
-                _add_reduced(terms, merged, coeff)
-                continue
-            # _add_term, inlined in the innermost loop of the ring
-            value = terms.get(mono)
-            if value is None:
-                terms[mono] = coeff
-            else:
-                value += coeff
-                if value:
-                    terms[mono] = value
-                else:
-                    del terms[mono]
-
-
 class TrigPoly:
     """Polynomial over coordinate and sin/cos atoms, kept canonical with
     every sin-exponent at most one and no zero coefficient.  Operations
@@ -646,13 +592,13 @@ class TrigPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        self.terms = {m: _coefficient(c) for m, c in terms.items() if c != 0}
+        self.terms = {m: c for m, c in terms.items() if c != 0}
 
     # construction ---------------------------------------------------
 
     @staticmethod
     def const(value) -> "TrigPoly":
-        value = _coefficient(value)
+        value = Fraction(value)
         return _poly({(): value} if value else {})
 
     @staticmethod
@@ -661,11 +607,11 @@ class TrigPoly:
 
     @staticmethod
     def one() -> "TrigPoly":
-        return _poly({(): 1})
+        return _poly({(): Fraction(1)})
 
     @staticmethod
     def atom(atom) -> "TrigPoly":
-        return _poly({((atom, 1),): 1})
+        return _poly({((atom, 1),): Fraction(1)})
 
     @staticmethod
     def var(index: int) -> "TrigPoly":
@@ -691,7 +637,7 @@ class TrigPoly:
         return self + -other
 
     def scale(self, value) -> "TrigPoly":
-        value = _coefficient(value)
+        value = Fraction(value)
         if not value:
             return TrigPoly.zero()
         return _poly({m: value * c for m, c in self.terms.items()})
@@ -700,15 +646,23 @@ class TrigPoly:
         return _poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "TrigPoly") -> "TrigPoly":
-        return TrigPoly.combination([(1, self, other)])
-
-    @staticmethod
-    def combination(products) -> "TrigPoly":
-        """The sum of sign * p * q over (sign, p, q) triples, sign +1 or -1,
-        accumulated in one dict."""
         terms: dict = {}
-        for sign, p, q in products:
-            _mul_into(terms, p.terms, q.terms, sign)
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                if not m1 or not m2:
+                    _add_term(terms, m1 or m2, c1 * c2)
+                    continue
+                merged = dict(m1)
+                reduce = False
+                for atom, exp in m2:
+                    total = merged.get(atom, 0) + exp
+                    merged[atom] = total
+                    if total >= 2 and atom[0] == "sin":
+                        reduce = True
+                if reduce:
+                    _add_reduced(terms, merged, c1 * c2)
+                else:
+                    _add_term(terms, tuple(sorted(merged.items())), c1 * c2)
         return _poly(terms)
 
     def power(self, k: int) -> "TrigPoly":
@@ -762,10 +716,11 @@ class TrigPoly:
                 if inner.is_zero():
                     continue
                 if kind == "sin":
-                    outer = _poly({rest: coeff * exp}) * TrigPoly.atom(("cos", key, payload))
+                    outer = TrigPoly.atom(("cos", key, payload)).scale(coeff * exp)
                 else:
-                    outer = _poly({rest: -coeff * exp}) * TrigPoly.atom(("sin", key, payload))
-                _mul_into(terms, outer.terms, inner.terms)
+                    outer = TrigPoly.atom(("sin", key, payload)).scale(-coeff * exp)
+                for m, c in (_poly({rest: Fraction(1)}) * outer * inner).terms.items():
+                    _add_term(terms, m, c)
         return _poly(terms)
 
     # conversion --------------------------------------------------------
@@ -812,6 +767,66 @@ def _expanded(e: Expr) -> TrigPoly:
     if isinstance(e, Power):
         return _expanded(e.base).power(e.exponent)
     raise TypeError(type(e))
+
+
+# An expression read from a file must expand to a bounded polynomial, and
+# exponents alone do not bound it: (x1+1)^100*(x2+1)^100*(x3+1)^100 holds
+# 101^3 terms.  check_expansion bounds the expansion of every subexpression
+# without expanding.  The bound of a node is the smaller of two counts: the
+# sum (for sums) or product (for products and powers) of the bounds of its
+# children, and the number of monomials of its degree or less in its atoms.
+# Arguments of sin and cos are checked too, since differentiation expands
+# them.  The bound covers the input; arithmetic on accepted entries, such
+# as products of curvature entries, is not bounded.
+
+def check_expansion(e: Expr) -> None:
+    """Raise ScalarError unless every subexpression of the normalized
+    expression e, trig arguments included, expands to at most MAX_TERMS
+    terms."""
+    _expansion_bound(e)
+
+
+def _expansion_bound(e: Expr):
+    """(bound on the number of terms, degree, atoms) of e's expansion."""
+    if isinstance(e, Rat):
+        return 1, 0, frozenset()
+    if isinstance(e, (Sin, Cos)):
+        _expansion_bound(e.argument)
+        return 1, 1, frozenset([e])
+    if isinstance(e, Var):
+        return 1, 1, frozenset([e])
+    over = MAX_TERMS + 1
+    if isinstance(e, Power):
+        base, degree, atoms = _expansion_bound(e.base)
+        bound = 1
+        if base > 1:
+            for _ in range(e.exponent):
+                bound = min(bound * base, over)
+        degree *= e.exponent
+    else:
+        parts = [_expansion_bound(child) for child in
+                 (e.terms if isinstance(e, Sum) else e.factors)]
+        atoms = frozenset().union(*(part[2] for part in parts))
+        if isinstance(e, Sum):
+            bound = min(sum(part[0] for part in parts), over)
+            degree = max(part[1] for part in parts)
+        else:
+            bound = 1
+            for part in parts:
+                bound = min(bound * part[0], over)
+            degree = sum(part[1] for part in parts)
+    # the number of monomials of degree <= degree in len(atoms) atoms,
+    # C(len(atoms) + degree, degree), built up until it passes MAX_TERMS
+    k = min(len(atoms), degree)
+    monomials = 1
+    for i in range(1, k + 1):
+        if monomials >= bound:
+            break
+        monomials = monomials * (len(atoms) + degree - k + i) // i
+    bound = min(bound, monomials)
+    if bound > MAX_TERMS:
+        raise ScalarError(f"expands to more than {MAX_TERMS} terms")
+    return bound, degree, atoms
 
 
 # ------------------------------------------------------------------
@@ -894,14 +909,16 @@ def _poly_is_zero(poly: TrigPoly, seed: int) -> bool:
 # the parser and the recursive functions above inside the interpreter's
 # recursion limit.  An integer literal has at most MAX_DIGITS digits, below
 # the interpreter's 4300-digit limit on int conversion.  A written exponent,
-# and one that normalize merges (powers of powers multiply, like factors
-# add), is at most MAX_EXPONENT: an exponent is the degree of what the
+# and one that normalize merges from a power of a power (the exponents
+# multiply), is at most MAX_EXPONENT: an exponent is the degree of what the
 # expansion builds, and (x2 + 1)^MAX_EXPONENT already holds 513 terms,
-# while constants past the float range such as 10^400 stay writable.
+# while constants past the float range such as 10^400 stay writable.  An
+# expression read from a file is also held to MAX_TERMS by check_expansion.
 
 MAX_NESTING = 100
 MAX_DIGITS = 1000
 MAX_EXPONENT = 512
+MAX_TERMS = 1000
 
 
 class _Parser:

@@ -4,8 +4,9 @@ Blank lines and lines whose first non-blank character is '#' are skipped;
 every other line is read stripped, under its physical line number, and each
 error names that number as `line N: ...`.  Headers are `keyword <int>`
 pairs, and matrix rows hold ';'-separated expressions of the scalar
-grammar.  Input quoted back in an error is clipped to QUOTE_CHARS
-characters, so a hostile line still gives a short message.
+grammar, each of which must expand to at most scalar.MAX_TERMS terms.
+Input quoted back in an error is clipped to QUOTE_CHARS characters, so a
+hostile line still gives a short message.
 """
 
 from __future__ import annotations
@@ -99,9 +100,12 @@ class Lines:
             row = []
             for cell in cells:
                 try:
-                    # normalized here, so that a merged exponent above
-                    # scalar.MAX_EXPONENT is reported at its line
-                    row.append(scalar.normalize(scalar.parse(cell)))
+                    # normalized and size-checked here, so that a merged
+                    # exponent above scalar.MAX_EXPONENT or an expansion
+                    # above scalar.MAX_TERMS is reported at its line
+                    entry = scalar.normalize(scalar.parse(cell))
+                    scalar.check_expansion(entry)
+                    row.append(entry)
                 except scalar.ScalarError as err:
                     raise self.error(f"bad expression {quote(cell)}: {err}")
             rows.append(tuple(row))

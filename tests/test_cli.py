@@ -286,6 +286,10 @@ HOSTILE_ENTRIES = {
                    "line 4: ", "exponent above 512"),
     "merged_power.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n((x2+1)^100)^100\n",
                           "line 4: ", "exponent 10000 is above 512"),
+    "wide_product.conn": (["flatness"],
+                          "base 3\nfiber 1\nomega 1\n(x1+1)^100*(x2+1)^100*(x3+1)^100\n"
+                          "omega 2\n0\nomega 3\n0\n",
+                          "line 4: ", "expands to more than 1000 terms"),
     "long_integer.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n" + "7" * 5000 + "*x1\n",
                           "line 4: ", "integer longer than 1000 digits"),
     "exponent_cell.ncx": (["ncomplex", "cohomology"],

@@ -234,6 +234,24 @@ def test_polynomial_forms_never_sample(monkeypatch):
     assert brute_force_flatness_order(conn, 8) == minimal_flatness_order(conn, 8)
 
 
+def test_scale_takes_any_scalar():
+    # a rational, an expression or a TrigPoly scales each entry as
+    # scalar.mul would
+    form = MatrixForm(2, (2, 2), {
+        (1,): ((x2, ZERO), (x1, 1)),
+        (1, 2): ((scalar.parse("cos(x1)"), 3), (ZERO, x1)),
+    })
+    for c in (Fraction(-3, 2), x1, scalar.parse("sin(x2) + 1"), TrigPoly.var(2)):
+        factor = c.to_expr() if isinstance(c, TrigPoly) else c
+        expected = MatrixForm(2, (2, 2), {
+            index: tuple(tuple(scalar.mul(factor, e) for e in row) for row in m)
+            for index, m in form.components()
+        })
+        assert form.scale(c) == expected
+    assert form.scale(0).is_structurally_zero()
+    assert -form == form.scale(-1)
+
+
 def test_form_arithmetic_builds_no_expressions(monkeypatch):
     # entries are expanded when a form is built; after that wedge, d, nabla,
     # the flatness scans and the certificates run on TrigPoly arithmetic

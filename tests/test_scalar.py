@@ -55,10 +55,14 @@ def test_parse_bounds_exponents_and_digits():
     assert normalize(parse("10^400")) == Rat(Fraction(10**400))
     with pytest.raises(ParseError, match="exponent above"):
         parse(f"(x2+1)^{top + 1}")
-    # powers of powers multiply, and like factors add their exponents
-    for text in (f"(x1^{top})^2", f"(x2+1)^{top}*(x2+1)^{top}"):
-        with pytest.raises(ScalarError, match=f"exponent {2 * top} is above {top}"):
-            normalize(parse(text))
+    # powers of powers multiply their exponents
+    with pytest.raises(ScalarError, match=f"exponent {2 * top} is above {top}"):
+        normalize(parse(f"(x1^{top})^2"))
+    # like factors add theirs, unbounded: the bound is on input, not on
+    # arithmetic, and expansion size is bounded by check_expansion
+    high = parse(f"x1^{top}")
+    assert scalar.mul(high, high) == Power(Var(1), 2 * top)
+    assert normalize(parse(f"(x2+1)^{top}*(x2+1)^{top}")) == Power(normalize(parse("x2+1")), 2 * top)
     digits = scalar.MAX_DIGITS
     assert parse("9" * digits) == Rat(Fraction(10**digits - 1))
     assert parse("1/" + "9" * digits) == Rat(Fraction(1, 10**digits - 1))
@@ -66,6 +70,27 @@ def test_parse_bounds_exponents_and_digits():
                  "x1^" + "9" * 5000):
         with pytest.raises(ParseError, match=f"longer than {digits} digits"):
             parse(text)
+
+
+def test_check_expansion_bounds_terms_without_expanding():
+    for text in ("(x2+1)^512", "x1^300*x1^300", "(x1+x2+1)^43", "sin(x1)^500 + x3"):
+        scalar.check_expansion(normalize(parse(text)))
+    for text in ("(x1+1)^100*(x2+1)^100*(x3+1)^100", "(x1+x2+1)^44",
+                 "(x1+1)^500*(x1+1)^501", "cos(x1) + sin((x1+x2+x3+1)^40)"):
+        with pytest.raises(ScalarError, match=f"more than {scalar.MAX_TERMS} terms"):
+            scalar.check_expansion(normalize(parse(text)))
+
+
+@given(expressions)
+def test_check_expansion_never_undercounts(e):
+    e = normalize(e)
+    size = len(TrigPoly.from_expr(e).terms)
+    scalar.check_expansion(e)
+    if size > 1:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scalar, "MAX_TERMS", size - 1)
+            with pytest.raises(ScalarError):
+                scalar.check_expansion(e)
 
 
 def test_parse_rationals_and_signs():
