@@ -175,9 +175,10 @@ def _run_depth(args, out) -> int:
         return 0
     try:
         form = depth.parse_form(args.expression, profile)
-    except depth.DepthFormError as err:
+        text = depth.render_form(depth.differential(form))
+    except (depth.DepthFormError, scalar.ScalarError) as err:
         raise InputError(str(err))
-    print(depth.render_form(depth.differential(form)), file=out)
+    print(text, file=out)
     return 0
 
 

@@ -37,10 +37,6 @@ def mat_mul(a: FracMatrix, b: FracMatrix) -> FracMatrix:
     )
 
 
-def is_zero_matrix(a: FracMatrix) -> bool:
-    return all(entry == 0 for row in a for entry in row)
-
-
 def kronecker(a: FracMatrix, b: FracMatrix) -> FracMatrix:
     rows = []
     for ra in a:

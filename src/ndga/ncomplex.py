@@ -6,12 +6,23 @@ window 1 <= p <= N-1:
 
     H(p, i) = Ker(d^p : V^i -> V^(i+p)) / Im(d^(N-p) : V^(i-N+p) -> V^i)
 
-with out-of-range degrees read as zero spaces.  All ranks come from exact
-elimination; no floating point anywhere.
+with out-of-range degrees read as zero spaces.  Every answer here is read
+from one rank table per complex, r(i, j) = rank(d^(j-i): V^i -> V^j) for
+0 < j - i <= N, built once by exact elimination (no floating point):
+
+    valid            no entry of length N
+    dim H(p, i)      dim V^i - r(i, i+p) - r(i-N+p, i)
+    nilpotency       1 + the longest entry
+
+The tensor product with the Koszul sign of factors of nilpotency a and b
+has nilpotency exactly a + b - 1, or a + b - 2 when a and b are both even;
+so N + M - 1 bounds it for factors of orders N and M, and N + M - 2 when
+N and M are both even.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,8 +60,8 @@ class FiniteNComplex:
             raise ComplexError("need exactly one map per consecutive degree pair")
         for t, matrix in enumerate(self.maps):
             rows, cols = len(matrix), len(matrix[0]) if matrix else 0
-            if self.dims[t + 1] == 0 or self.dims[t] == 0:
-                continue
+            if not matrix and 0 in (self.dims[t], self.dims[t + 1]):
+                continue  # () stands for any map out of or into a zero space
             if rows != self.dims[t + 1] or any(len(r) != self.dims[t] for r in matrix):
                 raise ComplexError(
                     f"dimension mismatch between consecutive matrices at degree {self.lo + t}: "
@@ -83,6 +94,24 @@ class FiniteNComplex:
             result = linalg.mat_mul(self.map_at(degree + step), result)
         return result
 
+    @functools.cached_property
+    def ranks(self) -> dict:
+        """The rank table {(i, j): rank of d^(j-i): V^i -> V^j} over stored
+        degrees with 0 < j - i <= order, nonzero ranks only, at one product
+        and one rank per entry.  A row stops at its first zero composition,
+        since every longer one is zero too, so no product passes through a
+        zero-dimensional degree."""
+        table = {}
+        for i in range(self.lo, self.hi + 1):
+            power = None
+            for j in range(i + 1, min(i + self.order, self.hi) + 1):
+                step = self.maps[j - 1 - self.lo]
+                power = step if power is None else linalg.mat_mul(step, power)
+                if not any(any(row) for row in power):
+                    break
+                table[(i, j)] = linalg.rank(power)
+        return table
+
 
 def complex_from(order: int, lo: int, dims, maps) -> FiniteNComplex:
     return FiniteNComplex(
@@ -95,28 +124,24 @@ def complex_from(order: int, lo: int, dims, maps) -> FiniteNComplex:
 
 def validate(c: FiniteNComplex) -> bool:
     """True iff every order-fold composition is exactly zero."""
-    for degree in range(c.lo, c.hi - c.order + 1):
-        if not linalg.is_zero_matrix(c.power_at(degree, c.order)):
-            return False
-    return True
+    return all(j - i < c.order for i, j in c.ranks)
 
 
 def p_cohomology_dim(c: FiniteNComplex, p: int, degree: int) -> int:
     """dim Ker(d^p at degree) - rank(d^(order-p) into degree).  The
-    containment Im subset Ker is certified first; its failure means the
-    input is not a valid complex of this order."""
+    containment Im subset Ker, d^order = 0 through degree, is certified
+    first; its failure means the input is not a valid complex of this
+    order."""
     if not 1 <= p <= c.order - 1:
         raise ComplexError(f"p must satisfy 1 <= p <= {c.order - 1}")
-    outgoing = c.power_at(degree, p)
-    incoming = c.power_at(degree - (c.order - p), c.order - p)
-    if not linalg.is_zero_matrix(linalg.mat_mul(outgoing, incoming)):
+    source = degree - (c.order - p)
+    if (source, degree + p) in c.ranks:
         raise ComplexError(
             f"image is not contained in the kernel at degree {degree} (p={p}); "
             "the differential does not satisfy the declared nilpotency order"
         )
-    kernel_dim = c.dim(degree) - linalg.rank(outgoing)
-    image_rank = linalg.rank(incoming)
-    return kernel_dim - image_rank
+    return (c.dim(degree) - c.ranks.get((degree, degree + p), 0)
+            - c.ranks.get((source, degree), 0))
 
 
 def total_cohomology_dims(c: FiniteNComplex, m: int) -> Tuple[int, List[Tuple[int, int, int]]]:
@@ -199,25 +224,34 @@ def tensor_complex(c1: FiniteNComplex, c2: FiniteNComplex, order: int | None = N
     return FiniteNComplex(order, lo, tuple(dims), tuple(maps))
 
 
-def measured_nilpotency(c: FiniteNComplex, bound: int) -> int:
-    """Least t <= bound with every t-fold composition zero."""
-    for t in range(1, bound + 1):
-        if all(
-            linalg.is_zero_matrix(c.power_at(degree, t))
-            for degree in range(c.lo, c.hi + 1)
-        ):
-            return t
-    raise ComplexError(f"nilpotency exceeds {bound}")
+def measured_nilpotency(c: FiniteNComplex) -> int:
+    """Least t with every t-fold composition zero: one more than the
+    longest entry of the rank table, which ends at the order."""
+    longest = max((j - i for i, j in c.ranks), default=0)
+    if longest == c.order:
+        raise ComplexError(f"nilpotency exceeds {c.order}")
+    return longest + 1
 
 
 def tensor_nilpotency(c1: FiniteNComplex, c2: FiniteNComplex) -> int:
-    """Measured minimal nilpotency of the tensor complex; certified to be
-    at most order1 + order2 - 1."""
+    """Exact nilpotency of tensor_complex(c1, c2), read from the factors'
+    nilpotencies a and b without building it: a + b - 1, or a + b - 2 when
+    a and b are both even.  The Koszul summands d1 (x) 1 and sigma (x) d2
+    anticommute, so d^2 = d1^2 (x) 1 + 1 (x) d2^2 is a sum of commuting
+    nilpotents of orders ceil(a/2) and ceil(b/2), and the binomial theorem
+    gives the order.  A factor of total dimension 0 makes the zero space,
+    of nilpotency 1.  Both factors must be valid."""
     total_dim = sum(c1.dims) * sum(c2.dims)
     if total_dim > MAX_SIZE:
         raise ComplexError("tensor size budget exceeded")
-    bound = c1.order + c2.order - 1
-    return measured_nilpotency(tensor_complex(c1, c2), bound)
+    for k, c in enumerate((c1, c2), 1):
+        if not validate(c):
+            raise ComplexError(f"factor {k}: d^{c.order} is not zero; "
+                               f"not a valid {c.order}-complex")
+    if total_dim == 0:
+        return 1
+    a, b = measured_nilpotency(c1), measured_nilpotency(c2)
+    return a + b - 1 - (a % 2 == 0 and b % 2 == 0)
 
 
 # ------------------------------------------------------------------

@@ -296,6 +296,11 @@ def _normalize_power(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Rat):
+        # a numerator or denominator of b bits raised to the exponent has at
+        # least exponent * (b - 1) bits: see MAX_CONSTANT_DIGITS
+        bits = max(base.value.numerator.bit_length(), base.value.denominator.bit_length())
+        if exponent * (bits - 1) > _MAX_CONSTANT_BITS:
+            raise ScalarError(f"constant power above {MAX_CONSTANT_DIGITS} digits")
         return _rat(base.value ** exponent)
     if isinstance(base, Power):
         # powers of powers multiply: see MAX_EXPONENT
@@ -914,11 +919,17 @@ def _poly_is_zero(poly: TrigPoly, seed: int) -> bool:
 # expansion builds, and (x2 + 1)^MAX_EXPONENT already holds 513 terms,
 # while constants past the float range such as 10^400 stay writable.  An
 # expression read from a file is also held to MAX_TERMS by check_expansion.
+# A power of a constant that surely has more than MAX_CONSTANT_DIGITS
+# digits, the interpreter's limit on int-to-string conversion, is refused
+# before it is computed, since it could not be rendered: ((10^512)^512)^64
+# would otherwise build a number of 16.8 million digits.
 
 MAX_NESTING = 100
 MAX_DIGITS = 1000
 MAX_EXPONENT = 512
 MAX_TERMS = 1000
+MAX_CONSTANT_DIGITS = 4300
+_MAX_CONSTANT_BITS = int(MAX_CONSTANT_DIGITS / math.log10(2))
 
 
 class _Parser:
@@ -1093,7 +1104,10 @@ def _render_power_base(e: Expr) -> str:
 def render(e: Expr) -> str:
     """Text form that parses back to a structurally equal tree."""
     if isinstance(e, Rat):
-        return str(e.value)
+        try:
+            return str(e.value)
+        except ValueError:  # past the interpreter's int-to-string limit
+            raise ScalarError(f"constant above {MAX_CONSTANT_DIGITS} digits")
     if isinstance(e, Var):
         return f"x{e.index}"
     if isinstance(e, Sin):

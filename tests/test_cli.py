@@ -292,6 +292,10 @@ HOSTILE_ENTRIES = {
                           "line 4: ", "expands to more than 1000 terms"),
     "long_integer.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n" + "7" * 5000 + "*x1\n",
                           "line 4: ", "integer longer than 1000 digits"),
+    "constant_power.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n((10^512)^512)^64\n",
+                            "line 4: ", "constant power above 4300 digits"),
+    "wide.metric": (["riemann"], "dim 9\n" + "1;0;0;0;0;0;0;0;0\n" * 9,
+                    "line 1: ", "dimension 9 is above 6"),
     "exponent_cell.ncx": (["ncomplex", "cohomology"],
                           "N 2\ndeg 0 dim 1\n1e99999999\ndeg 1 dim 1\n",
                           "line 3: ", "bad rational entry in '1e99999999': '1e99999999'"),
@@ -315,6 +319,35 @@ def test_hostile_entry_is_a_quick_input_error(tmp_path, name):
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {path}: {line}")
     assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
+# constants past the interpreter's 4300-digit print limit: a power of one,
+# refused when the file is read, and products of 1000-digit literals, which
+# fail when they are rendered
+LONG = "7" * 1000
+PRODUCT = "*".join([LONG] * 5)
+OVERSIZED_CONSTANTS = {
+    "power_metric": (["riemann"], "dim 2\n" + LONG + "^5*x1^2;0\n0;1\n"),
+    "product_metric": (["riemann"], "dim 2\n" + PRODUCT + "*x1^2;0\n0;1\n"),
+    "merged_exponent_form": (["depth-forms", "--profile", "2,2", "diff", "(x1^300)^2*dx2"], None),
+    "product_form": (["depth-forms", "--profile", "2,2", "diff", PRODUCT + "*x1*dx2"], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED_CONSTANTS))
+def test_oversized_constant_is_an_input_error(tmp_path, name):
+    command, metric = OVERSIZED_CONSTANTS[name]
+    if metric is not None:
+        path = tmp_path / "big.metric"
+        path.write_text(metric)
+        command = command + [str(path)]
+    start = time.perf_counter()
+    proc = run_module(*command)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1
 
@@ -344,6 +377,14 @@ def test_undecodable_file_is_an_input_error(tmp_path):
     path.write_bytes(b"base 2\nfiber 1\nomega 1\n\xe9\n")
     code, _ = run(["flatness", str(path)])
     assert code == 1
+
+
+def test_tensor_of_an_invalid_factor_is_an_input_error(tmp_path, capsys, data_path):
+    path = tmp_path / "bad.ncx"
+    path.write_text("N 2\ndeg 0 dim 1\n1\ndeg 1 dim 1\n1\ndeg 2 dim 1\n")
+    code, _ = run(["ncomplex", "tensor", data_path("chain_identity.ncx"), str(path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: factor 2: d^2 is not zero; not a valid 2-complex\n"
 
 
 def test_tensor_over_budget_is_an_input_error(tmp_path, capsys):

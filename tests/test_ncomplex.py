@@ -58,6 +58,12 @@ def test_two_complexes_are_n_complexes():
 def test_dimension_mismatch_raises():
     with pytest.raises(ComplexError, match="dimension mismatch"):
         complex_from(2, 0, (2, 2), [((1, 0),)])
+    # a map out of or into a zero space holds no entries
+    with pytest.raises(ComplexError, match="got 1x1, expected 0x1"):
+        complex_from(2, 0, (1, 0), [((5,),)])
+    with pytest.raises(ComplexError, match="at degree 1: got 1x1, expected 1x0"):
+        complex_from(3, 0, (1, 0, 1), [(), ((7,),)])
+    complex_from(3, 0, (1, 0, 1), [(), ()])
 
 
 # ------------------------------------------------------------------
@@ -172,7 +178,7 @@ def test_identity_chain_tensor_square():
     t = tensor_complex(c, c)
     assert t.dims == (1, 2, 3, 2, 1)
     assert validate(t)
-    assert measured_nilpotency(t, 5) == 5
+    assert measured_nilpotency(t) == 5
 
 
 def test_tensor_is_a_valid_complex_with_koszul_sign():
@@ -182,6 +188,217 @@ def test_tensor_is_a_valid_complex_with_koszul_sign():
         c2 = random_valid_complex(rng, rng.choice([2, 3]))
         measured = tensor_nilpotency(c1, c2)
         assert measured <= c1.order + c2.order - 1
+
+
+def test_invalid_factor_is_refused():
+    with pytest.raises(ComplexError, match="factor 2: d\\^2 is not zero"):
+        tensor_nilpotency(zero_two_dims(4), chain_of_identities(2))
+
+
+# ------------------------------------------------------------------
+# the rank table against the per-(p, i) route
+# ------------------------------------------------------------------
+#
+# The oracle composes d^p with power_at and takes ranks degree by degree.
+# power_at stores a zero matrix with no rows as (), which loses its column
+# count, so the oracle reads d^p as zero (None) whenever a degree on its
+# way is zero-dimensional, and only multiplies matrices of honest shape.
+
+def oracle_power(c, degree, p):
+    if any(c.dim(t) == 0 for t in range(degree, degree + p + 1)):
+        return None
+    return c.power_at(degree, p)
+
+
+def oracle_rank(m):
+    return 0 if m is None else linalg.rank(m)
+
+
+def oracle_is_zero(m):
+    return m is None or all(entry == 0 for row in m for entry in row)
+
+
+def oracle_validate(c):
+    return all(oracle_is_zero(oracle_power(c, i, c.order)) for i in range(c.lo, c.hi + 1))
+
+
+def oracle_cohomology(c, p, degree):
+    """dim H(p, degree), or None when the image is not in the kernel."""
+    outgoing = oracle_power(c, degree, p)
+    incoming = oracle_power(c, degree - (c.order - p), c.order - p)
+    if not (outgoing is None or incoming is None
+            or oracle_is_zero(linalg.mat_mul(outgoing, incoming))):
+        return None
+    return c.dim(degree) - oracle_rank(outgoing) - oracle_rank(incoming)
+
+
+def oracle_nilpotency(c):
+    """Least t <= order with every t-fold composition zero, or None."""
+    for t in range(1, c.order + 1):
+        if all(oracle_is_zero(oracle_power(c, i, t)) for i in range(c.lo, c.hi + 1)):
+            return t
+    return None
+
+
+def assert_matches_oracle(c):
+    assert validate(c) == oracle_validate(c)
+    for degree in range(c.lo - c.order, c.hi + c.order + 1):
+        for p in range(1, c.order):
+            expected = oracle_cohomology(c, p, degree)
+            if expected is None:
+                with pytest.raises(ComplexError, match="image is not contained"):
+                    p_cohomology_dim(c, p, degree)
+            else:
+                assert p_cohomology_dim(c, p, degree) == expected
+    expected = oracle_nilpotency(c)
+    if expected is None:
+        with pytest.raises(ComplexError, match="nilpotency exceeds"):
+            measured_nilpotency(c)
+    else:
+        assert measured_nilpotency(c) == expected
+
+
+@st.composite
+def sparse_complexes(draw):
+    """Random sparse maps between degrees of dimension 0 to 2, valid or
+    not."""
+    dims = draw(st.lists(st.integers(0, 2), min_size=1, max_size=7))
+    entry = st.sampled_from([0, 0, 1, -1, 2])
+    maps = [
+        draw(st.lists(st.lists(entry, min_size=dims[t], max_size=dims[t]),
+                      min_size=dims[t + 1], max_size=dims[t + 1]))
+        for t in range(len(dims) - 1)
+    ]
+    return complex_from(draw(st.integers(2, 4)), draw(st.integers(-1, 1)), dims, maps)
+
+
+def unimodular(rng, n):
+    """A random integer matrix of determinant 1 and its inverse, as lists."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    q = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        s, r = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        p[s] = [x + k * y for x, y in zip(p[s], p[r])]
+        for row in q:
+            row[r] -= k * row[s]
+    return p, q
+
+
+def segment_complex(rng, order, degrees, count):
+    """A direct sum of `count` random segments e_a -> ... -> e_b of length
+    at most order, each degree in a scrambled basis, and the segments.
+    Degrees that no segment covers are zero-dimensional."""
+    segments = []
+    for _ in range(count):
+        a = rng.randrange(degrees)
+        segments.append((a, min(degrees - 1, a + rng.randint(1, order) - 1)))
+    dims = [0] * degrees
+    slot = {}  # (segment, degree): index of the segment's vector in the degree
+    for s, (a, b) in enumerate(segments):
+        for t in range(a, b + 1):
+            slot[(s, t)] = dims[t]
+            dims[t] += 1
+    changes = [unimodular(rng, n) for n in dims]
+    maps = []
+    for t in range(degrees - 1):
+        shift = [[0] * dims[t] for _ in range(dims[t + 1])]
+        for s, (a, b) in enumerate(segments):
+            if a <= t < b:
+                shift[slot[(s, t + 1)]][slot[(s, t)]] = 1
+        if dims[t] and dims[t + 1]:
+            shift = linalg.mat_mul(linalg.to_matrix(changes[t + 1][0]),
+                                   linalg.mat_mul(linalg.to_matrix(shift),
+                                                  linalg.to_matrix(changes[t][1])))
+        maps.append(shift)
+    lo = rng.randint(-1, 1)
+    c = complex_from(order, lo, dims, maps)
+    return c, [(a + lo, b + lo) for a, b in segments]
+
+
+def segment_cohomology(c, segments, p, degree):
+    """The segments [a, b] holding e_degree in Ker d^p but not in
+    Im d^(N-p)."""
+    return sum(1 for a, b in segments
+               if a <= degree <= b and degree + p > b and degree - (c.order - p) < a)
+
+
+@given(sparse_complexes())
+def test_rank_table_matches_the_oracle_on_random_maps(c):
+    assert_matches_oracle(c)
+
+
+@given(st.integers(2, 5), st.integers(1, 7), st.integers(0, 6), st.randoms(use_true_random=False))
+def test_rank_table_matches_the_oracle_on_segment_sums(order, degrees, count, rng):
+    c, segments = segment_complex(rng, order, degrees, count)
+    assert validate(c)
+    assert_matches_oracle(c)
+    assert measured_nilpotency(c) == max((b - a + 1 for a, b in segments), default=1)
+    for degree in range(c.lo, c.hi + 1):
+        for p in range(1, order):
+            assert p_cohomology_dim(c, p, degree) == segment_cohomology(c, segments, p, degree)
+
+
+def test_zero_dimensional_degree_in_the_middle():
+    # composing through the empty degree 1 once raised a shape mismatch
+    c = complex_from(3, 0, [1, 0, 1], [(), ((),)])
+    assert validate(c)
+    assert p_cohomology_dim(c, 2, 0) == 1
+    assert c.ranks == {}
+
+
+def koszul_order(a, b):
+    return 1 + 2 * ((a - 1) // 2) + 2 * ((b - 1) // 2) + (a % 2 == 0 or b % 2 == 0)
+
+
+@given(st.integers(2, 4), st.integers(2, 4), st.randoms(use_true_random=False))
+def test_tensor_formula_matches_the_tensor_complex(n1, n2, rng):
+    c1, _ = segment_complex(rng, n1, rng.randint(1, 4), rng.randint(0, 3))
+    c2, _ = segment_complex(rng, n2, rng.randint(1, 4), rng.randint(0, 3))
+    assert tensor_nilpotency(c1, c2) == measured_nilpotency(tensor_complex(c1, c2))
+
+
+def test_tensor_formula_on_even_and_empty_factors():
+    def segment(length, order):
+        return complex_from(order, 0, [1] * length, [((1,),)] * (length - 1))
+
+    empty = complex_from(3, 0, (0, 0), [()])
+    cases = [(segment(a, 4), segment(b, 4)) for a in (2, 4) for b in (2, 4)]
+    cases += [(segment(2, 2), segment(3, 3)), (empty, segment(2, 2)), (segment(4, 4), empty)]
+    for c1, c2 in cases:
+        measured = measured_nilpotency(tensor_complex(c1, c2))
+        assert tensor_nilpotency(c1, c2) == measured
+    assert koszul_order(2, 2) == 2 and koszul_order(4, 2) == 4 and koszul_order(4, 4) == 6
+    assert tensor_nilpotency(empty, segment(2, 2)) == 1
+
+
+def test_queries_read_one_rank_table(monkeypatch):
+    calls = {"rank": 0, "mat_mul": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built without the rank table")
+
+    c, _ = segment_complex(random.Random(4), 4, 9, 8)
+    monkeypatch.setattr(linalg, "rank", counted("rank", linalg.rank))
+    monkeypatch.setattr(linalg, "mat_mul", counted("mat_mul", linalg.mat_mul))
+    monkeypatch.setattr(FiniteNComplex, "power_at", refuse)
+    monkeypatch.setattr(ncomplex, "tensor_complex", refuse)
+    # the queries of `ndga ncomplex cohomology`
+    assert validate(c)
+    for i in range(c.lo, c.hi + 1):
+        for p in range(1, c.order):
+            p_cohomology_dim(c, p, i)
+    for m in ncomplex.total_diagonals(c):
+        total_cohomology_dims(c, m)
+    assert calls["rank"] == len(c.ranks) > 0
+    assert calls["mat_mul"] <= len(c.ranks)
+    assert tensor_nilpotency(c, chain_of_identities(3)) == koszul_order(measured_nilpotency(c), 3)
 
 
 # ------------------------------------------------------------------

@@ -97,6 +97,20 @@ def test_supplied_inverse_is_certified():
         Metric([[2, 0], [0, 4]], inverse=[[1, 0], [0, 1]])
 
 
+def test_supplied_inverse_is_certified_on_polynomials(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("expression arithmetic in the certificate")
+
+    s = scalar.sin(x1)
+    g = [[1, s], [s, 1 + s**2]]
+    inverse, wrong = [[1 + s**2, -s], [-s, 1]], [[1 + s**2, s], [s, 1]]
+    for name in ("add", "mul", "negate"):
+        monkeypatch.setattr(scalar, name, refuse)
+    Metric(g, inverse=inverse)
+    with pytest.raises(MetricError, match=r"fails g g\^-1 = I at \(1,1\)"):
+        Metric(g, inverse=wrong)
+
+
 def test_cofactor_inverse_of_sphere_metric():
     g = sphere_torus_metric()
     assert g.inverse_expr(1, 1) is None  # 1/sin^2 is outside the grammar
@@ -258,3 +272,11 @@ def test_parse_metric_errors():
         parse_metric("dim 2\n1;x1\n0;1\n")
     with pytest.raises(MetricFileError, match="entries"):
         parse_metric("dim 2\n1;0;0\n0;1\n")
+    with pytest.raises(MetricFileError, match="line 1: dimension 7 is above 6"):
+        parse_metric("dim 7\n")
+
+
+def test_largest_metric_dimension_is_read():
+    n = riemann.MAX_DIM
+    rows = "".join(";".join("1" if i == j else "0" for j in range(n)) + "\n" for i in range(n))
+    assert parse_metric(f"dim {n}\n{rows}").dim == n

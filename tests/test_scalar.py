@@ -72,6 +72,18 @@ def test_parse_bounds_exponents_and_digits():
             parse(text)
 
 
+def test_constant_powers_are_bounded_before_they_are_computed():
+    limit = scalar.MAX_CONSTANT_DIGITS
+    assert normalize(parse("(2^100)^100")) == Rat(Fraction(2**10000))
+    # 10^5000 and a number of about 10^8 digits: neither could be printed
+    for text in ("(10^100)^50", "((10^512)^512)^64", "(1/10^100)^50"):
+        with pytest.raises(ScalarError, match=f"constant power above {limit} digits"):
+            normalize(parse(text))
+    assert render(Rat(Fraction(10**limit - 1))) == "9" * limit
+    with pytest.raises(ScalarError, match=f"constant above {limit} digits"):
+        render(Rat(Fraction(1, 10**limit)))
+
+
 def test_check_expansion_bounds_terms_without_expanding():
     for text in ("(x2+1)^512", "x1^300*x1^300", "(x1+x2+1)^43", "sin(x1)^500 + x3"):
         scalar.check_expansion(normalize(parse(text)))
