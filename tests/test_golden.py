@@ -33,7 +33,9 @@ CASES = [
     ("knflat_expand", ["knflat", "expand", "--N", "5", "--K", "3"]),
     ("knflat_expand_infinitesimal",
      ["knflat", "expand", "--N", "5", "--K", "3", "--infinitesimal"]),
+    ("knflat_expand_n10", ["knflat", "expand", "--N", "10", "--K", "4"]),
     ("depth_nilpotency", ["depth-forms", "--profile", "3,2", "nilpotency"]),
+    ("depth_nilpotency_443", ["depth-forms", "--profile", "4,4,3", "nilpotency"]),
     ("depth_table", ["depth-forms", "--profile", "3,2", "table"]),
     ("depth_diff", ["depth-forms", "--profile", "3,2", "diff",
                     "x1^2*x2*dx1 - 3*sin(x2)*d2x1 + x1*x2*dx2"]),
