@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True,
                    help="comma-separated depth bounds, e.g. 3,2")
     dsub = p.add_subparsers(dest="depth_command", required=True)
-    dsub.add_parser("nilpotency", help="measured minimal nilpotency of d")
+    dsub.add_parser("nilpotency", help="exact nilpotency of d")
     dsub.add_parser("table", help="generator multiplication sign table")
     q = dsub.add_parser("diff", help="differential of a parsed form")
     q.add_argument("expression")
@@ -137,8 +137,8 @@ def _run_riemann(args, out) -> int:
 
 
 def _run_knflat(args, parser, out) -> int:
-    if args.N < 1 or args.K < 2:
-        parser.error("knflat expand needs --N >= 1 and --K >= 2")
+    if not 1 <= args.N <= knflat.MAX_N or args.K < 2:
+        parser.error(f"knflat expand needs 1 <= --N <= {knflat.MAX_N} and --K >= 2")
     if args.infinitesimal:
         terms = knflat.infinitesimal_expansion(args.N, args.K)
         by_power = {}
@@ -166,19 +166,18 @@ def _parse_profile(text: str):
 
 def _run_depth(args, out) -> int:
     profile = _parse_profile(args.profile)
-    if args.depth_command == "nilpotency":
-        print(depth.minimal_nilpotency(profile), file=out)
-        return 0
-    if args.depth_command == "table":
-        for g1, g2, value in depth.sign_table(profile):
-            print(f"{g1} * {g2} = {value}", file=out)
-        return 0
     try:
-        form = depth.parse_form(args.expression, profile)
-        text = depth.render_form(depth.differential(form))
+        if args.depth_command == "nilpotency":
+            lines = [str(depth.nilpotency(profile))]
+        elif args.depth_command == "table":
+            lines = [f"{g1} * {g2} = {value}" for g1, g2, value in depth.sign_table(profile)]
+        else:
+            form = depth.parse_form(args.expression, profile)
+            lines = [depth.render_form(depth.differential(form))]
     except (depth.DepthFormError, scalar.ScalarError) as err:
         raise InputError(str(err))
-    print(text, file=out)
+    for line in lines:
+        print(line, file=out)
     return 0
 
 

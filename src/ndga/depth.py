@@ -7,21 +7,34 @@ multiply to zero, and generators of distinct variables commute up to the
 sign (-1)^(a b) of their degrees.  The differential raises depth by one and
 kills d^(N_i - 1) x_i; it restricts to the de Rham differential on the
 all-twos profile.
+
+The algebra is the Koszul-signed tensor product of its one-variable
+factors, whose differentials are exactly N_i-nilpotent, so d has the exact
+order obtained by folding the two-factor rule a + b - 1 (a + b - 2 when a
+and b are both even) over the profile: (3, 2) -> 4, (4, 4, 4) -> 6 -> 8.
+That is the tensor bound sum(N_i) - len(profile) + 1 less 1 for each even
+N_i after the first even one.  nilpotency reads it off; minimal_nilpotency
+measures it by brute force on a probe set.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterable, Mapping, Tuple
 
-from . import linalg, scalar
+from . import linalg, ncomplex, scalar
 from .scalar import Expr, ZERO
 
 Profile = Tuple[int, ...]
 DepthIndex = Tuple[Tuple[int, int], ...]  # ((position, depth), ...) by position
+
+# largest generator count sum(N_i - 1) a sign table is printed for: 200
+# generators make 40,000 rows
+MAX_GENERATORS = 200
 
 
 class DepthFormError(Exception):
@@ -246,15 +259,24 @@ def probe_set(profile) -> list:
 
 
 def nilpotency_bound(profile) -> int:
-    """Tensor bound: one-variable factors are exactly N_i-nilpotent and the
-    graded tensor of an a-nilpotent and b-nilpotent differential is
-    (a + b - 1)-nilpotent."""
+    """Tensor bound sum(N_i) - len(profile) + 1: one-variable factors are
+    exactly N_i-nilpotent and the graded tensor of an a-nilpotent and a
+    b-nilpotent differential is (a + b - 1)-nilpotent.  The exact order,
+    nilpotency(profile), is 1 lower for each even N_i after the first even
+    one."""
     profile = check_profile(profile)
     return sum(profile) - len(profile) + 1
 
 
+def nilpotency(profile) -> int:
+    """The exact nilpotency of d: ncomplex.koszul_nilpotency folded over
+    the one-variable orders, e.g. (4, 4, 4) -> 6 -> 8."""
+    return functools.reduce(ncomplex.koszul_nilpotency, check_profile(profile))
+
+
 def minimal_nilpotency(profile) -> int:
-    """Least m with d^m = 0 on the probe set; certified <= the tensor bound."""
+    """Least m with d^m = 0 on the probe set; certified <= the tensor bound.
+    The brute-force oracle for nilpotency(profile)."""
     profile = check_profile(profile)
     if sum(profile) > 12:
         raise DepthFormError("profile budget exceeded (sum of depths at most 12)")
@@ -462,6 +484,9 @@ def sign_table(profile) -> list:
     """Rows (g, g', 'value') for every ordered generator pair: '0' on a
     shared variable, else the sign of their product."""
     profile = check_profile(profile)
+    count = sum(bound - 1 for bound in profile)
+    if count > MAX_GENERATORS:
+        raise DepthFormError(f"sign table of {count} generators is above {MAX_GENERATORS}")
     generators = []
     for position, bound in enumerate(profile, start=1):
         for depth in range(1, bound):

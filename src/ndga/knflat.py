@@ -24,6 +24,11 @@ from . import forms
 from .forms import Connection, MatrixForm
 
 Vertex = Tuple[int, ...]
+
+# largest path length the expansions are asked for: N = 16 takes under a
+# second at any K (entries stay below N, so a K above N costs as K = N),
+# and each further step roughly doubles the work
+MAX_N = 16
 FreeDeltaElement = Dict[Vertex, int]  # word s -> integer coefficient
 
 
@@ -126,19 +131,23 @@ def vertices_by_delta_power(n: int, k: int) -> Dict[int, List[Vertex]]:
     return grouped
 
 
-def _all_paths_by_endpoint(n: int) -> Dict[Vertex, int]:
-    """Signed path counts to every endpoint in one depth-first sweep."""
-    counts: Dict[Vertex, int] = {}
-
-    def walk(v: Vertex, steps: int, weight: int):
-        if steps == n:
-            counts[v] = counts.get(v, 0) + weight
-            return
-        for edge in successors(v):
-            walk(edge.target, steps + 1, weight * edge.weight)
-
-    walk((), 0, 1)
-    return {v: c for v, c in counts.items() if c != 0}
+def _all_paths_by_endpoint(n: int, k: int, max_length: int | None = None) -> Dict[Vertex, int]:
+    """Signed counts of length-n paths from the empty vertex to every
+    endpoint with all entries < k (and length <= max_length if given),
+    pushed level by level through the edges as a transfer matrix.  Entries
+    and lengths never decrease along an edge, so a vertex outside these
+    bounds never reaches one inside them and is dropped when reached."""
+    counts: Dict[Vertex, int] = {(): 1}
+    for _ in range(n):
+        nxt: Dict[Vertex, int] = {}
+        for v, c in counts.items():
+            for edge in successors(v):
+                s = edge.target
+                if any(entry >= k for entry in s) or (max_length is not None and len(s) > max_length):
+                    continue
+                nxt[s] = nxt.get(s, 0) + c * edge.weight
+        counts = {v: c for v, c in nxt.items() if c != 0}
+    return counts
 
 
 def nabla_power_expansion(n: int, k: int) -> List[Tuple[int, FreeDeltaElement]]:
@@ -147,14 +156,10 @@ def nabla_power_expansion(n: int, k: int) -> List[Tuple[int, FreeDeltaElement]]:
     vertices with all entries < k."""
     if n < 1 or k < 2:
         raise PathSystemError("need n >= 1 and k >= 2")
-    counts = _all_paths_by_endpoint(n)
+    counts = _all_paths_by_endpoint(n, k)
     coefficients: List[Tuple[int, FreeDeltaElement]] = []
     for j in range(n):
-        element: FreeDeltaElement = {}
-        for s, c in counts.items():
-            if delta_power(s, n) == j and all(entry < k for entry in s):
-                element[s] = c
-        coefficients.append((j, element))
+        coefficients.append((j, {s: c for s, c in counts.items() if delta_power(s, n) == j}))
     return coefficients
 
 
@@ -235,15 +240,8 @@ def infinitesimal_expansion(n: int, k: int) -> List[Tuple[int, int, Vertex]]:
     whose signed path count vanishes are omitted."""
     if n < 2:
         raise PathSystemError("need n >= 2")
-    out = []
-    for j in range(n - 1, -1, -1):
-        m = n - j - 1
-        if not 1 <= n - j <= k:
-            continue
-        coeff = c_coefficient((m,), n)
-        if coeff:
-            out.append((j, coeff, (m,)))
-    return sorted(out)
+    counts = _all_paths_by_endpoint(n, k, max_length=1)
+    return sorted((delta_power(s, n), c, s) for s, c in counts.items() if s)
 
 
 def infinitesimal_from_full(n: int, k: int) -> List[Tuple[int, FreeDeltaElement]]:

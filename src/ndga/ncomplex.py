@@ -86,8 +86,10 @@ class FiniteNComplex:
 
     def power_at(self, degree: int, p: int) -> FracMatrix:
         """d^p: V^degree -> V^(degree+p) as one exact matrix, for p >= 1;
-        zero when either end lies outside the stored degrees."""
-        if degree < self.lo or degree + p > self.hi:
+        zero, of that shape, when either end lies outside the stored
+        degrees or any degree on the way is zero-dimensional."""
+        if degree < self.lo or degree + p > self.hi or not all(
+                self.dim(degree + step) for step in range(p + 1)):
             return linalg.zero_matrix(self.dim(degree + p), self.dim(degree))
         result = self.map_at(degree)
         for step in range(1, p):
@@ -233,14 +235,22 @@ def measured_nilpotency(c: FiniteNComplex) -> int:
     return longest + 1
 
 
-def tensor_nilpotency(c1: FiniteNComplex, c2: FiniteNComplex) -> int:
-    """Exact nilpotency of tensor_complex(c1, c2), read from the factors'
-    nilpotencies a and b without building it: a + b - 1, or a + b - 2 when
-    a and b are both even.  The Koszul summands d1 (x) 1 and sigma (x) d2
+def koszul_nilpotency(a: int, b: int) -> int:
+    """Nilpotency of the Koszul-signed tensor product of differentials of
+    nilpotency a and b (each at least 1): a + b - 1, or a + b - 2 when a
+    and b are both even.  The summands d1 (x) 1 and sigma (x) d2
     anticommute, so d^2 = d1^2 (x) 1 + 1 (x) d2^2 is a sum of commuting
     nilpotents of orders ceil(a/2) and ceil(b/2), and the binomial theorem
-    gives the order.  A factor of total dimension 0 makes the zero space,
-    of nilpotency 1.  Both factors must be valid."""
+    gives the order (Dubois-Violette, "d^N = 0: generalized homology",
+    K-Theory 14, 1998)."""
+    return a + b - 1 - (a % 2 == 0 and b % 2 == 0)
+
+
+def tensor_nilpotency(c1: FiniteNComplex, c2: FiniteNComplex) -> int:
+    """Exact nilpotency of tensor_complex(c1, c2), read from the factors'
+    nilpotencies without building it (koszul_nilpotency).  A factor of
+    total dimension 0 makes the zero space, of nilpotency 1.  Both factors
+    must be valid."""
     total_dim = sum(c1.dims) * sum(c2.dims)
     if total_dim > MAX_SIZE:
         raise ComplexError("tensor size budget exceeded")
@@ -250,8 +260,7 @@ def tensor_nilpotency(c1: FiniteNComplex, c2: FiniteNComplex) -> int:
                                f"not a valid {c.order}-complex")
     if total_dim == 0:
         return 1
-    a, b = measured_nilpotency(c1), measured_nilpotency(c2)
-    return a + b - 1 - (a % 2 == 0 and b % 2 == 0)
+    return koszul_nilpotency(measured_nilpotency(c1), measured_nilpotency(c2))
 
 
 # ------------------------------------------------------------------

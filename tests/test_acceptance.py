@@ -238,7 +238,8 @@ def test_c10_depth_nilpotency():
     ok = all(measured[p] == v for p, v in expected.items())
     mixed = measured[(3, 2)]
     ok = ok and mixed <= depth.nilpotency_bound((3, 2))
-    print(f"  note: profile (3,2) measured nilpotency {mixed} "
+    print(f"  note: profile (3,2) measured nilpotency {mixed}, "
+          f"exact Koszul order {depth.nilpotency((3, 2))} "
           f"(additive-minus-count value would be 3; tensor bound 4)")
     report(10, "depth-nilpotency", ok)
     assert ok

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from ndga import cli
+from ndga import cli, depth
 
 
 def run(argv):
@@ -139,6 +139,13 @@ def test_knflat_usage_error():
     assert run_usage_error(["knflat", "expand", "--N", "0", "--K", "3"]) == 2
 
 
+def test_knflat_largest_order():
+    code, text = run(["knflat", "expand", "--N", "16", "--K", "3", "--infinitesimal"])
+    assert code == 0
+    # at even N only d(w) survives, with coefficient N/2
+    assert text.splitlines()[-3:] == ["c13 = 0", "c14 = 8*d(w)", "c15 = 0"]
+
+
 # ------------------------------------------------------------------
 # depth-forms
 # ------------------------------------------------------------------
@@ -153,6 +160,19 @@ def test_depth_nilpotency_mixed_profile():
     code, text = run(["depth-forms", "--profile", "3,2", "nilpotency"])
     assert code == 0
     assert text.strip() == "4"
+
+
+def test_depth_nilpotency_beyond_the_probe_budget():
+    assert run(["depth-forms", "--profile", "7,7", "nilpotency"]) == (0, "13\n")
+    assert run(["depth-forms", "--profile", "8,8,8", "nilpotency"]) == (0, "20\n")
+
+
+def test_depth_nilpotency_applies_no_differential(monkeypatch):
+    def refuse(form):
+        raise AssertionError("differential called")
+
+    monkeypatch.setattr(depth, "differential", refuse)
+    assert run(["depth-forms", "--profile", "4,4,3", "nilpotency"]) == (0, "8\n")
 
 
 def test_depth_table():
@@ -321,6 +341,31 @@ def test_hostile_entry_is_a_quick_input_error(tmp_path, name):
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+# (argv, exit code, start of the one error line); before they were
+# bounded, each ran past a 5 s limit or ended in a traceback
+HOSTILE_ARGUMENTS = {
+    "knflat_long_expansion": (["knflat", "expand", "--N", "40", "--K", "4"], 2, "ndga: error: "),
+    "knflat_deep_infinitesimal": (["knflat", "expand", "--N", "100000", "--K", "4", "--infinitesimal"],
+                                  2, "ndga: error: "),
+    "depth_large_table": (["depth-forms", "--profile", "1000,1000", "table"], 1,
+                          "error: sign table of 1998 generators is above 200"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_ARGUMENTS))
+def test_hostile_argument_is_a_quick_error(name):
+    command, code, message = HOSTILE_ARGUMENTS[name]
+    start = time.perf_counter()
+    proc = run_module(*command)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines[-1].startswith(message)
+    assert sum("error:" in line for line in lines) == 1
 
 
 # constants past the interpreter's 4300-digit print limit: a power of one,

@@ -7,7 +7,7 @@ from ndga import depth, linalg, scalar
 from ndga.depth import (
     AffineMap, DepthForm, DepthFormError, affine_pullback, chart_compatible,
     d_power, differential, function, generator, identity_map, merge_sign,
-    minimal_nilpotency, monomial, multiply, nilpotency_bound, parse_form,
+    minimal_nilpotency, monomial, multiply, nilpotency, nilpotency_bound, parse_form,
     render_form, sign_table, zero,
 )
 from ndga.scalar import ONE, ZERO, var
@@ -144,6 +144,40 @@ def test_minimal_nilpotency(profile, expected):
 def test_probe_budget():
     with pytest.raises(DepthFormError):
         minimal_nilpotency((7, 7))
+
+
+def profiles_up_to(total):
+    """Every profile, in every order, with entry sum at most total."""
+    out = []
+    for first in range(2, total + 1):
+        out.append((first,))
+        out += [(first,) + rest for rest in profiles_up_to(total - first)]
+    return out
+
+
+def test_exact_nilpotency_matches_the_probe_oracle():
+    profiles = profiles_up_to(8)
+    assert len(profiles) == 33
+    for profile in profiles:
+        assert nilpotency(profile) == minimal_nilpotency(profile), profile
+
+
+@pytest.mark.parametrize("profile,expected", [
+    ((7, 7), 13),
+    ((8, 8, 8), 20),
+    ((4, 4, 4), 8),
+    ((2, 2, 2, 2, 2), 2),
+    ((5, 4, 3), 10),
+])
+def test_exact_nilpotency_beyond_the_probe_budget(profile, expected):
+    assert nilpotency(profile) == expected
+    assert nilpotency(profile) <= nilpotency_bound(profile)
+
+
+def test_sign_table_is_bounded():
+    assert len(sign_table((101, 101))) == depth.MAX_GENERATORS ** 2
+    with pytest.raises(DepthFormError, match="201 generators is above 200"):
+        sign_table((101, 102))
 
 
 @pytest.mark.parametrize("profile", [(2,), (3,), (2, 2), (3, 2), (2, 2, 2)])

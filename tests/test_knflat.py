@@ -157,10 +157,23 @@ def test_cubic_with_low_nilpotency_drops_second_derivative():
     assert expansion[0] == {(1, 0): 1, (0, 0, 0): 1}
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-@pytest.mark.parametrize("k", range(2, 5))
+@pytest.mark.parametrize("n", range(1, 15))
+@pytest.mark.parametrize("k", range(2, 7))
 def test_oracle_equivalence(n, k):
     assert nabla_power_expansion(n, k) == oracle_expansion(n, k)
+
+
+def test_expansion_visits_each_vertex_once_per_level(monkeypatch):
+    # one call per (level, vertex) kept: 468 here, where the paths number 142,417
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return successors(s)
+
+    monkeypatch.setattr(knflat, "successors", counted)
+    assert nabla_power_expansion(10, 4) == oracle_expansion(10, 4)
+    assert len(calls) <= 1000
 
 
 def test_no_admissible_path_means_zero():
@@ -188,8 +201,8 @@ def test_infinitesimal_square():
 
 
 def test_infinitesimal_equals_filtered_full():
-    for n in (2, 3, 4, 5):
-        for k in (2, 3):
+    for n in range(2, 13):
+        for k in range(2, 7):
             filtered = sorted(
                 (j, c, s)
                 for j, element in infinitesimal_from_full(n, k)

@@ -439,8 +439,23 @@ def test_power_at_matches_the_composition_from_the_identity():
             for p in range(1, 5):
                 expected = linalg.identity(c.dim(degree))
                 for step in range(p):
-                    expected = linalg.mat_mul(c.map_at(degree + step), expected)
+                    # the product with explicit sizes, since a matrix with
+                    # no rows is () and does not carry its column count
+                    rows, inner, cols = (c.dim(degree + step + 1), c.dim(degree + step),
+                                         c.dim(degree))
+                    step_map = c.map_at(degree + step)
+                    expected = tuple(
+                        tuple(sum((step_map[i][k] * expected[k][j] for k in range(inner)),
+                                  Fraction(0)) for j in range(cols))
+                        for i in range(rows))
                 assert c.power_at(degree, p) == expected
+
+
+def test_power_at_keeps_its_shape_through_a_zero_dimensional_degree():
+    c = complex_from(3, 0, [1, 0, 1], [(), ((),)])
+    assert c.power_at(0, 2) == linalg.zero_matrix(1, 1)
+    assert c.power_at(0, 1) == linalg.zero_matrix(0, 1)
+    assert c.power_at(1, 1) == ((),)
 
 
 def test_parse_errors_carry_line_numbers():
