@@ -169,7 +169,7 @@ def test_exact_nilpotency_matches_the_probe_oracle():
     ((2, 2, 2, 2, 2), 2),
     ((5, 4, 3), 10),
 ])
-def test_exact_nilpotency_beyond_the_probe_budget(profile, expected):
+def test_exact_nilpotency_values(profile, expected):
     assert nilpotency(profile) == expected
     assert nilpotency(profile) <= nilpotency_bound(profile)
 
