@@ -6,12 +6,16 @@ This module therefore computes internally with exact quotients num/det^k.
 Numerators are scalar.TrigPoly values, the package's one expanded form:
 polynomials over coordinates, sin(u) and cos(u) with sin^2 = 1 - cos^2
 applied, the same reduction that decides scalar.is_zero.  The denominator
-is always a power of det(g), produced by cofactor inversion.  Curvature
-entries are exact polynomial quotients, handed to forms as TrigPoly
-entries; flatness certificates clear denominators instead, which leaves
-every verdict unchanged because det(g) vanishes nowhere on the metric's
-domain.  Both forms are built from the numerators directly, with no
-detour through expressions.
+is always a power of det(g), produced by cofactor inversion.  The kernels
+work on numerators over one shared power: the inverse numerators sit over
+det^p (p = 0 for a supplied inverse, 1 for cofactors), so every
+Christoffel symbol sits over det^p and every curvature entry over det^2p,
+and no sum lifts a term to a common denominator.  Curvature entries are
+exact polynomial quotients, handed to forms as TrigPoly entries; flatness
+certificates clear denominators instead, which leaves every verdict
+unchanged because det(g) vanishes nowhere on the metric's domain.  Both
+forms are built from the numerators directly, with no detour through
+expressions.
 """
 
 from __future__ import annotations
@@ -117,35 +121,6 @@ class DetFraction:
     power: int
     det: TrigPoly
 
-    def _align(self, other: "DetFraction") -> Tuple[TrigPoly, TrigPoly, int]:
-        power = max(self.power, other.power)
-        a = self.num * self.det.power(power - self.power)
-        b = other.num * other.det.power(power - other.power)
-        return a, b, power
-
-    def __add__(self, other: "DetFraction") -> "DetFraction":
-        a, b, power = self._align(other)
-        return DetFraction(a + b, power, self.det)
-
-    def __sub__(self, other: "DetFraction") -> "DetFraction":
-        a, b, power = self._align(other)
-        return DetFraction(a - b, power, self.det)
-
-    def __mul__(self, other: "DetFraction") -> "DetFraction":
-        return DetFraction(self.num * other.num, self.power + other.power, self.det)
-
-    def scale(self, value) -> "DetFraction":
-        return DetFraction(self.num.scale(value), self.power, self.det)
-
-    def diff(self, index: int) -> "DetFraction":
-        if self.power == 0:
-            return DetFraction(self.num.diff(index), 0, self.det)
-        numerator = (
-            self.num.diff(index) * self.det
-            - self.num.scale(self.power) * self.det.diff(index)
-        )
-        return DetFraction(numerator, self.power + 1, self.det)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -171,6 +146,8 @@ class DetFraction:
     def aligned_num(self, power: int) -> TrigPoly:
         if power < self.power:
             raise MetricError("cannot align to a smaller power")
+        if power == self.power:
+            return self.num
         return self.num * self.det.power(power - self.power)
 
 
@@ -281,9 +258,6 @@ class Metric:
     def det_poly(self) -> TrigPoly:
         return self._det
 
-    def fraction(self, e: Expr) -> DetFraction:
-        return DetFraction(TrigPoly.from_expr(e), 0, self._det)
-
 
 # ------------------------------------------------------------------
 # Christoffel symbols and curvature
@@ -305,55 +279,73 @@ class Christoffel:
 
 
 def christoffel(metric: Metric) -> Christoffel:
-    """Gamma^i_jk = 1/2 sum_l g^il (d_k g_lj + d_j g_lk - d_l g_jk)."""
-    n = metric.dim
-    g = [[metric.fraction(metric.g[i][j]) for j in range(n)] for i in range(n)]
-    symbols = []
-    for i in range(n):
-        row_i = []
-        for j in range(n):
-            row_j = []
-            for k in range(n):
-                total = DetFraction(TrigPoly.zero(), 0, metric.det_poly())
+    """Gamma^i_jk = sum_l g^il [jk,l] with the first-kind brackets
+    [jk,l] = 1/2 (d_k g_lj + d_j g_lk - d_l g_jk), every symbol over the
+    one power of det(g) that the inverse numerators share."""
+    n, det = metric.dim, metric.det_poly()
+    g = metric._g_poly
+    dg = [[[g[a][b].diff(c + 1) for b in range(n)] for a in range(n)] for c in range(n)]
+    power = max(f.power for row in metric._inverse for f in row)
+    inverse = [[f.aligned_num(power) for f in row] for row in metric._inverse]
+    half = Fraction(1, 2)
+    symbols = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        for k in range(n):
+            bracket = [(dg[k][l][j] + dg[j][l][k] - dg[l][j][k]).scale(half) for l in range(n)]
+            for i in range(n):
+                total = TrigPoly.zero()
                 for l in range(n):
-                    bracket = (
-                        g[l][j].diff(k + 1) + g[l][k].diff(j + 1) - g[j][k].diff(l + 1)
-                    )
-                    total = total + metric.inverse_fraction(i + 1, l + 1) * bracket
-                row_j.append(total.scale(Fraction(1, 2)))
-            row_i.append(tuple(row_j))
-        symbols.append(tuple(row_i))
-    result = Christoffel(metric, tuple(symbols))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(j, n + 1):
-                if not (result.entry(i, j, k) - result.entry(i, k, j)).is_zero():
+                    if bracket[l].terms and inverse[i][l].terms:
+                        total = total + inverse[i][l] * bracket[l]
+                symbols[i][j][k] = DetFraction(total, power, det)
+    for i in range(n):
+        for j in range(n):
+            for k in range(j + 1, n):
+                if symbols[i][j][k].num != symbols[i][k][j].num:
                     raise MetricError("Christoffel symbols are not symmetric")
-    return result
+    return Christoffel(metric, tuple(tuple(tuple(row) for row in s) for s in symbols))
 
 
 def riemann_components(metric: Metric) -> list:
-    """R[i][j][k][l] = d_k G^i_jl - d_l G^i_jk + G^h_jl G^i_hk - G^h_jk G^i_hl
-    (0-based indices), as exact quotients."""
+    """R[i][j][k][l] = d_k G^i_jl - d_l G^i_jk + G^i_hk G^h_jl - G^i_hl G^h_jk
+    (0-based indices), as exact quotients.  The symbols sit over det^p with
+    p = 0 (supplied inverse) or 1 (cofactor inverse), so by the quotient
+    rule both d_k G and G G sit over det^(2p), and so does every entry.
+    Only k < l is computed: R[..][l][k] is the negation, R[..][k][k] zero."""
     n = metric.dim
-    gamma = christoffel(metric)
-    G = gamma.symbols
-    R = []
-    for i in range(n):
-        ri = []
-        for j in range(n):
-            rj = []
-            for k in range(n):
-                rk = []
-                for l in range(n):
-                    value = G[i][j][l].diff(k + 1) - G[i][j][k].diff(l + 1)
+    det = metric.det_poly()
+    symbols = christoffel(metric).symbols
+    power = symbols[0][0][0].power
+    G = [[[f.num for f in row] for row in s] for s in symbols]
+    d_det = [det.diff(k + 1) for k in range(n)]
+    derivatives: Dict[tuple, TrigPoly] = {}
+
+    def d(k: int, i: int, j: int, l: int) -> TrigPoly:
+        """Numerator of d_k G^i_jl over det^(2p), computed once."""
+        key = (k, i, min(j, l), max(j, l))
+        if key not in derivatives:
+            value = G[i][j][l].diff(k + 1)
+            if power and value.terms:
+                value = value * det
+            if power and G[i][j][l].terms and d_det[k].terms:
+                value = value - G[i][j][l] * d_det[k]
+            derivatives[key] = value
+        return derivatives[key]
+
+    zero = DetFraction(TrigPoly.zero(), 2 * power, det)
+    R = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        for l in range(k + 1, n):
+            for i in range(n):
+                for j in range(n):
+                    value = d(k, i, j, l) - d(l, i, j, k)
                     for h in range(n):
-                        value = value + G[h][j][l] * G[i][h][k]
-                        value = value - G[h][j][k] * G[i][h][l]
-                    rk.append(value)
-                rj.append(tuple(rk))
-            ri.append(tuple(rj))
-        R.append(tuple(ri))
+                        if G[i][h][k].terms and G[h][j][l].terms:
+                            value = value + G[i][h][k] * G[h][j][l]
+                        if G[i][h][l].terms and G[h][j][k].terms:
+                            value = value - G[i][h][l] * G[h][j][k]
+                    R[i][j][k][l] = DetFraction(value, 2 * power, det)
+                    R[i][j][l][k] = DetFraction(-value, 2 * power, det)
     return R
 
 
@@ -441,8 +433,9 @@ def minimal_lc_flatness_order(metric: Metric, max_n: int = 8):
 MetricFileError = textfile.InputFileError
 
 # largest dimension a metric file may declare: cofactor inversion costs
-# n! n^2 products, and the riemann report on an identity metric took 1.1 s
-# at dimension 6, 2.1 s at 7 and 4.8 s at 8 (2-vCPU machine)
+# n! n^2 products, and the riemann report on an identity metric takes
+# 0.05 s at dimension 6, 0.26 s at 7 and 2.0 s at 8 (in process, best of 3,
+# 2-vCPU machine); a fraction-free determinant would lift the bound
 MAX_DIM = 6
 
 

@@ -671,8 +671,10 @@ class TrigPoly:
         return _poly(terms)
 
     def power(self, k: int) -> "TrigPoly":
-        out = TrigPoly.one()
-        for _ in range(k):
+        if k < 1:
+            return TrigPoly.one()
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 

@@ -25,6 +25,300 @@ def sphere_torus_metric():
 
 
 # ------------------------------------------------------------------
+# reference formula: the n^4 Christoffel and Riemann sums, each term an
+# exact DetFraction lifted to a common power of det(g) before it is added
+# ------------------------------------------------------------------
+
+def _align(a, b):
+    power = max(a.power, b.power)
+    return (a.num * a.det.power(power - a.power),
+            b.num * b.det.power(power - b.power), power)
+
+
+def _add(a, b):
+    left, right, power = _align(a, b)
+    return DetFraction(left + right, power, a.det)
+
+
+def _sub(a, b):
+    left, right, power = _align(a, b)
+    return DetFraction(left - right, power, a.det)
+
+
+def _mul(a, b):
+    return DetFraction(a.num * b.num, a.power + b.power, a.det)
+
+
+def _diff(a, index):
+    if a.power == 0:
+        return DetFraction(a.num.diff(index), 0, a.det)
+    num = a.num.diff(index) * a.det - a.num.scale(a.power) * a.det.diff(index)
+    return DetFraction(num, a.power + 1, a.det)
+
+
+def _reference_christoffel(metric):
+    """G[i][j][k] = 1/2 sum_l g^il (d_k g_lj + d_j g_lk - d_l g_jk)."""
+    n, det = metric.dim, metric.det_poly()
+    g = [[DetFraction(TrigPoly.from_expr(metric.g[i][j]), 0, det) for j in range(n)]
+         for i in range(n)]
+    G = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                total = DetFraction(TrigPoly.zero(), 0, det)
+                for l in range(n):
+                    bracket = _sub(_add(_diff(g[l][j], k + 1), _diff(g[l][k], j + 1)),
+                                   _diff(g[j][k], l + 1))
+                    total = _add(total, _mul(metric.inverse_fraction(i + 1, l + 1), bracket))
+                G[i][j][k] = DetFraction(total.num.scale(Fraction(1, 2)), total.power, det)
+    return G
+
+
+def _reference_riemann(metric):
+    """R[i][j][k][l] = d_k G^i_jl - d_l G^i_jk + G^h_jl G^i_hk - G^h_jk G^i_hl,
+    every entry computed, with its antisymmetry in (k, l) checked."""
+    n = metric.dim
+    G = _reference_christoffel(metric)
+    R = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    value = _sub(_diff(G[i][j][l], k + 1), _diff(G[i][j][k], l + 1))
+                    for h in range(n):
+                        value = _add(value, _mul(G[h][j][l], G[i][h][k]))
+                        value = _sub(value, _mul(G[h][j][k], G[i][h][l]))
+                    R[i][j][k][l] = value
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    assert _add(R[i][j][k][l], R[i][j][l][k]).is_zero()
+    return G, R
+
+
+def _poly_text(poly):
+    return scalar.render(poly.to_expr())
+
+
+def _metric_text(rows, inverse=None):
+    lines = [f"dim {len(rows)}"] + [";".join(row) for row in rows]
+    if inverse is not None:
+        lines += ["inverse"] + [";".join(row) for row in inverse]
+    return "\n".join(lines) + "\n"
+
+
+def _coefficient(rng):
+    return Fraction(rng.randint(1, 4), rng.choice((1, 2, 3)))
+
+
+def _product_surfaces(rng, dim):
+    """Diagonal c da^2 + c' f(x_a)^2 db^2 blocks in shuffled coordinates,
+    f a sine, cosine, polynomial or linear factor; a constant in an odd
+    dimension's last coordinate."""
+    coords = rng.sample(range(1, dim + 1), dim)
+    diag = {}
+    for a, b in zip(coords[0::2], coords[1::2]):
+        f = rng.choice((f"sin(x{a})", f"cos(x{a})", f"(1 + x{a}^2)", f"(x{a}^2 + 2)", f"x{a}"))
+        diag[a], diag[b] = str(_coefficient(rng)), f"{_coefficient(rng)}*{f}^2"
+    if dim % 2:
+        diag[coords[-1]] = str(_coefficient(rng))
+    return _metric_text([[diag[i] if i == j else "0" for j in range(1, dim + 1)]
+                         for i in range(1, dim + 1)])
+
+
+def _warped_sphere(rng):
+    p, q, r = rng.sample((1, 2, 3), 3)
+    c = _coefficient(rng)
+    diag = {p: str(c), q: f"{c}*sin(x{p})^2", r: f"{c}*sin(x{p})^2*sin(x{q})^2"}
+    return _metric_text([[diag[i] if i == j else "0" for j in (1, 2, 3)] for i in (1, 2, 3)])
+
+
+def _polynomial_metric(rng, dim):
+    """Constant positive diagonal plus linear symmetric perturbations,
+    off the diagonal too."""
+    g = [[TrigPoly.const(rng.randint(1, 3) if i == j else 0) for j in range(dim)]
+         for i in range(dim)]
+    for _ in range(dim):
+        i, j = rng.randrange(dim), rng.randrange(dim)
+        term = TrigPoly.var(rng.randint(1, dim)).scale(rng.choice((-2, -1, 1, 2)))
+        g[i][j] = g[i][j] + term
+        if i != j:
+            g[j][i] = g[j][i] + term
+    return _metric_text([[_poly_text(e) for e in row] for row in g])
+
+
+def _flat_change(rng, dim, supply_inverse):
+    """g = J^T J for the Jacobian J = I + N of x_i -> x_i + p_i(x_{i+1}, ...),
+    with the polynomial inverse J^-1 J^-T supplied or left to cofactors."""
+    def mat_mul(a, b):
+        out = []
+        for i in range(dim):
+            row = []
+            for j in range(dim):
+                total = TrigPoly.zero()
+                for k in range(dim):
+                    total = total + a[i][k] * b[k][j]
+                row.append(total)
+            out.append(row)
+        return out
+
+    def transpose(a):
+        return [[a[j][i] for j in range(dim)] for i in range(dim)]
+
+    identity = [[TrigPoly.const(int(i == j)) for j in range(dim)] for i in range(dim)]
+    N = [[TrigPoly.zero()] * dim for _ in range(dim)]
+    for i in range(dim - 1):
+        p = TrigPoly.zero()
+        for _ in range(rng.randint(1, 2)):
+            mono = TrigPoly.const(rng.choice((-1, 1, 2)))
+            for _ in range(rng.randint(1, 2)):
+                mono = mono * TrigPoly.var(rng.randint(i + 2, dim))
+            p = p + mono
+        for j in range(i + 1, dim):
+            N[i][j] = p.diff(j + 1)
+    J = [[identity[i][j] + N[i][j] for j in range(dim)] for i in range(dim)]
+    inverse = None
+    if supply_inverse:
+        j_inv, power = identity, identity
+        for k in range(1, dim):
+            power = mat_mul(power, N)
+            sign = -1 if k % 2 else 1
+            j_inv = [[j_inv[a][b] + power[a][b].scale(sign) for b in range(dim)]
+                     for a in range(dim)]
+        inverse = [[_poly_text(e) for e in row] for row in mat_mul(j_inv, transpose(j_inv))]
+    g = mat_mul(transpose(J), J)
+    return _metric_text([[_poly_text(e) for e in row] for row in g], inverse)
+
+
+def _oracle_metrics():
+    """Seeded metrics of every lc-metric family, dims 2-4."""
+    rng = random.Random(2005)
+    texts = []
+    for dim in (2, 2, 3, 3, 3, 4, 4, 4):
+        texts.append(_product_surfaces(rng, dim))
+    texts += [_warped_sphere(rng) for _ in range(4)]
+    texts += [_polynomial_metric(rng, dim) for dim in (2, 2, 3, 3, 3, 4, 4)]
+    for dim in (2, 2, 3, 3, 4, 4):
+        texts.append(_flat_change(rng, dim, supply_inverse=True))
+        texts.append(_flat_change(rng, dim, supply_inverse=False))
+    return texts
+
+
+ORACLE_METRICS = _oracle_metrics()
+
+
+def _assert_kernel_equals_reference(metric):
+    """Same power and same numerator for every Gamma and R entry."""
+    n = metric.dim
+    G, R = _reference_riemann(metric)
+    gamma = christoffel(metric).symbols
+    kernel_R = riemann_components(metric)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                f, r = gamma[i][j][k], G[i][j][k]
+                assert (f.power, f.num) == (r.power, r.num)
+                for l in range(n):
+                    f, r = kernel_R[i][j][k][l], R[i][j][k][l]
+                    assert (f.power, f.num) == (r.power, r.num)
+
+
+@pytest.mark.parametrize("index", range(len(ORACLE_METRICS)))
+def test_kernel_equals_the_reference_formula(index):
+    _assert_kernel_equals_reference(parse_metric(ORACLE_METRICS[index]))
+
+
+@pytest.mark.parametrize("name", ["sphere_torus.metric", "round_sphere3.metric"])
+def test_kernel_equals_the_reference_formula_on_shipped_files(data_path, name):
+    _assert_kernel_equals_reference(riemann.load_metric(data_path(name)))
+
+
+def test_oracle_covers_every_family():
+    metrics = [parse_metric(text) for text in ORACLE_METRICS]
+    assert len(metrics) >= 30
+    assert {m.dim for m in metrics} == {2, 3, 4}
+    assert {m.inverse_supplied for m in metrics} == {False, True}
+    assert any(m.det_poly().atoms() - {("x", i, None) for i in range(1, 5)} for m in metrics)
+    assert any(any(m.entry(i, j) != scalar.ZERO for i in range(1, m.dim + 1)
+                   for j in range(1, m.dim + 1) if i != j) for m in metrics)
+
+
+def test_kernels_multiply_few_polynomials(monkeypatch, data_path):
+    # sums over one power of det(g), zero factors skipped: 5 and 25 products
+    # here, where lifting every term to a common power takes 1962 and 9930
+    metric = riemann.load_metric(data_path("sphere_torus.metric"))
+    calls = []
+    multiply = TrigPoly.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return multiply(self, other)
+
+    monkeypatch.setattr(TrigPoly, "__mul__", counted)
+    gamma = christoffel(metric)
+    assert len(calls) <= 50
+    del calls[:]
+    R = riemann_components(metric)
+    assert len(calls) <= 200
+    fractions = [f for a in gamma.symbols for b in a for f in b]
+    fractions += [f for a in R for b in a for c in b for f in c]
+    for f in fractions:
+        assert f.aligned_num(f.power) is f.num
+
+
+# sympy as an independent oracle: its own inverse of g, its own
+# derivatives, and a rational-function zero test
+
+def _sympy_cases():
+    rng = random.Random(511242)
+    cases = [_polynomial_metric(rng, dim) for dim in (2, 3, 3)]
+    for dim, supplied in ((2, True), (3, True), (2, False), (3, False)):
+        text = _flat_change(rng, dim, supplied)
+        while "x" not in "".join(text.splitlines()[1:dim + 1]):  # skip constant g
+            text = _flat_change(rng, dim, supplied)
+        cases.append(text)
+    return cases
+
+
+SYMPY_CASES = _sympy_cases()
+
+
+@pytest.mark.parametrize("index", range(len(SYMPY_CASES)))
+def test_kernel_agrees_with_sympy(index):
+    text = SYMPY_CASES[index]
+    sympy = pytest.importorskip("sympy")
+    metric = parse_metric(text)
+    n = metric.dim
+    x = sympy.symbols(f"x1:{n + 1}")
+    names = {f"x{i + 1}": x[i] for i in range(n)}
+
+    def to_sympy(e):
+        return sympy.sympify(scalar.render(e).replace("^", "**"), locals=names)
+
+    det = to_sympy(metric.det_poly().to_expr())
+
+    def value(f):
+        return to_sympy(f.num.to_expr()) / det**f.power
+
+    g = sympy.Matrix(n, n, lambda i, j: to_sympy(metric.entry(i + 1, j + 1)))
+    g_inv = g.inv()
+    G = [[[sympy.cancel(sum(
+        g_inv[i, l] * (g[l, j].diff(x[k]) + g[l, k].diff(x[j]) - g[j, k].diff(x[l]))
+        for l in range(n)) / 2) for k in range(n)] for j in range(n)] for i in range(n)]
+    gamma = christoffel(metric)
+    R = riemann_components(metric)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                assert sympy.cancel(value(gamma.symbols[i][j][k]) - G[i][j][k]) == 0
+                for l in range(n):
+                    expected = G[i][j][l].diff(x[k]) - G[i][j][k].diff(x[l]) + sum(
+                        G[h][j][l] * G[i][h][k] - G[h][j][k] * G[i][h][l] for h in range(n))
+                    assert sympy.cancel(value(R[i][j][k][l]) - expected) == 0
+
+
+# ------------------------------------------------------------------
 # trig polynomials
 # ------------------------------------------------------------------
 
@@ -72,7 +366,7 @@ def test_det_fraction_quotient_rule():
     det = TrigPoly.from_expr(SIN2)
     f = DetFraction(TrigPoly.from_expr(scalar.cos(x2) * scalar.sin(x2)), 1, det)
     # d/dx2 of cot = -1/sin^2 = -det^(p-1)/det^p
-    d = f.diff(2)
+    d = _diff(f, 2)
     expected = -det.power(d.power - 1)
     assert (d.num - expected).is_zero()
 
@@ -160,7 +454,7 @@ def test_sphere_torus_symbols():
         scalar.mul(num, SIN2) - scalar.mul(den, scalar.sin(x2), scalar.cos(x2))
     )
     # symmetry in the lower pair
-    assert (gamma.entry(1, 1, 2) - gamma.entry(1, 2, 1)).is_zero()
+    assert _sub(gamma.entry(1, 1, 2), gamma.entry(1, 2, 1)).is_zero()
     # everything else vanishes
     nonzero = {
         (i, j, k)
@@ -211,8 +505,8 @@ def test_bianchi_and_antisymmetry_on_random_diagonal_metrics():
             for j in range(n):
                 for k in range(n):
                     for l in range(n):
-                        assert (R[i][j][k][l] + R[i][j][l][k]).is_zero()
-                        cyclic = R[i][j][k][l] + R[i][k][l][j] + R[i][l][j][k]
+                        assert _add(R[i][j][k][l], R[i][j][l][k]).is_zero()
+                        cyclic = _add(_add(R[i][j][k][l], R[i][k][l][j]), R[i][l][j][k])
                         assert cyclic.is_zero()
 
 
