@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import sys
 
 from . import chern_simons, depth, forms, knflat, ncomplex, riemann, scalar, textfile
@@ -19,9 +18,7 @@ class InputError(Exception):
     pass
 
 
-@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ndga",
         description="exact constructions around N-differential graded algebras",
