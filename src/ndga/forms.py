@@ -20,6 +20,7 @@ TrigPoly.to_expr.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
 
@@ -88,10 +89,7 @@ def entries_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != len(b):
         raise FormError("matrix shape mismatch")
     columns = list(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, column)), _ZERO) for column in columns)
-        for row in a
-    )
+    return tuple(tuple(TrigPoly.dot(zip(row, column)) for column in columns) for row in a)
 
 
 def entries_kron(a: Matrix, b: Matrix) -> Matrix:
@@ -409,9 +407,17 @@ def is_n_flat(conn: Connection, n: int) -> bool:
 def minimal_order_from_curvature(F: MatrixForm, omega_form: MatrixForm, max_n: int):
     """Least n <= max_n that n_flat_from_curvature accepts, or None.
     Flatness of order n implies flatness of every higher order, so the
-    scan is exact."""
+    scan is exact.  F^K takes one more wedge at each even n = 2K.  At odd n
+    the test F^K ^ dx_i = 0 for all i is read from F^K: distinct A not
+    holding i give distinct A u {i}, so it holds exactly when every
+    component of F^K below the base dimension is zero."""
     for n in range(2, max_n + 1):
-        if n_flat_from_curvature(F, omega_form, n):
+        if n % 2 == 0:
+            power = F if n == 2 else wedge(power, F)
+            if power.is_zero():
+                return n
+        elif all(entries_is_zero(m) for index, m in power._components.items()
+                 if len(index) < F.base_dim) and wedge(power, omega_form).is_zero():
             return n
     return None
 
@@ -539,12 +545,8 @@ def _pairing_total(components: Mapping, index_set: Iterable[int], fiber_dim: int
     total = zero_entries(fiber_dim, fiber_dim)
     for pairing in ordered_pairings(elements):
         for order in permutations(range(k)):
-            product = identity_entries(fiber_dim)
-            for position in order:
-                a, b = pairing.pairs[position]
-                product = entries_mul(
-                    product, component_lookup(components, a, b, fiber_dim)
-                )
+            factors = [component_lookup(components, *pairing.pairs[p], fiber_dim) for p in order]
+            product = reduce(entries_mul, factors) if factors else identity_entries(fiber_dim)
             if pairing.sign < 0:
                 product = entries_neg(product)
             total = entries_add(total, product)

@@ -97,11 +97,11 @@ def exact_divide(num: TrigPoly, den: TrigPoly) -> Optional[TrigPoly]:
         t_mono = tuple(
             sorted((atoms[i], d) for i, d in enumerate(diff) if d)
         )
-        t_coeff = remainder[lead_mono] / lead_den_coeff
-        quotient[t_mono] = quotient.get(t_mono, Fraction(0)) + t_coeff
+        t_coeff = Fraction(remainder[lead_mono]) / lead_den_coeff
+        quotient[t_mono] = quotient.get(t_mono, 0) + t_coeff
         product = TrigPoly({t_mono: t_coeff}) * den
         for mono, coeff in product.terms.items():
-            value = remainder.get(mono, Fraction(0)) - coeff
+            value = remainder.get(mono, 0) - coeff
             if value:
                 remainder[mono] = value
             else:

@@ -25,6 +25,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Union
 
 Number = Union[int, Fraction, float]
@@ -544,8 +545,18 @@ def _evaluate(e: Expr, point: Point) -> Number:
 # tuple of (atom, exponent) pairs.  Every sin-exponent is kept at most one
 # by rewriting sin^2 u = 1 - cos^2 u, so Pythagorean identities in a single
 # argument reduce to the zero polynomial.
+# Coefficients are ints when integral, else Fractions: equal values compare
+# and hash alike, and a coefficient divides only as a Fraction.  Every product
+# runs through one multiply-accumulate kernel, _mul_into, whose monomial
+# products come from a memo of at most 8192 entries.
 
 Mono = tuple
+
+
+def _coeff(value):
+    """An exact rational as an int when it is integral, else as a Fraction."""
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _poly(terms: dict) -> "TrigPoly":
@@ -555,7 +566,7 @@ def _poly(terms: dict) -> "TrigPoly":
     return p
 
 
-def _add_term(terms: dict, mono: Mono, coeff: Fraction) -> None:
+def _add_term(terms: dict, mono: Mono, coeff) -> None:
     """terms[mono] += coeff for a nonzero coeff, dropping a sum that is 0."""
     if mono not in terms:
         terms[mono] = coeff
@@ -588,6 +599,43 @@ def _add_reduced(terms: dict, exponents: dict, coeff) -> None:
     _add_term(terms, tuple(sorted(exponents.items())), coeff)
 
 
+@functools.lru_cache(maxsize=8192)
+def _mono_product(m1: Mono, m2: Mono):
+    """m1 * m2, or its exponents as a read-only mapping when a sin exponent
+    reaches 2 and _add_reduced must run."""
+    if not m1 or not m2:
+        return m1 or m2
+    merged = dict(m1)
+    reduce = False
+    for atom, exp in m2:
+        total = merged.get(atom, 0) + exp
+        merged[atom] = total
+        if total >= 2 and atom[0] == "sin":
+            reduce = True
+    return MappingProxyType(merged) if reduce else tuple(sorted(merged.items()))
+
+
+def _mul_into(terms: dict, a: dict, b: dict) -> None:
+    """terms += a * b for two term dicts: the ring's one multiply-accumulate."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            coeff = c1 * c2
+            mono = _mono_product(m1, m2)
+            if type(mono) is MappingProxyType:
+                _add_reduced(terms, mono, coeff)
+                continue
+            # _add_term, inlined in the innermost loop of the ring
+            value = terms.get(mono)
+            if value is None:
+                terms[mono] = coeff
+            else:
+                value += coeff
+                if value:
+                    terms[mono] = value
+                else:
+                    del terms[mono]
+
+
 class TrigPoly:
     """Polynomial over coordinate and sin/cos atoms, kept canonical with
     every sin-exponent at most one and no zero coefficient.  Operations
@@ -597,13 +645,13 @@ class TrigPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self.terms = {m: _coeff(c) for m, c in terms.items() if c != 0}
 
     # construction ---------------------------------------------------
 
     @staticmethod
     def const(value) -> "TrigPoly":
-        value = Fraction(value)
+        value = _coeff(value)
         return _poly({(): value} if value else {})
 
     @staticmethod
@@ -612,11 +660,11 @@ class TrigPoly:
 
     @staticmethod
     def one() -> "TrigPoly":
-        return _poly({(): Fraction(1)})
+        return _poly({(): 1})
 
     @staticmethod
     def atom(atom) -> "TrigPoly":
-        return _poly({((atom, 1),): Fraction(1)})
+        return _poly({((atom, 1),): 1})
 
     @staticmethod
     def var(index: int) -> "TrigPoly":
@@ -642,7 +690,7 @@ class TrigPoly:
         return self + -other
 
     def scale(self, value) -> "TrigPoly":
-        value = Fraction(value)
+        value = _coeff(value)
         if not value:
             return TrigPoly.zero()
         return _poly({m: value * c for m, c in self.terms.items()})
@@ -651,23 +699,14 @@ class TrigPoly:
         return _poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "TrigPoly") -> "TrigPoly":
+        return TrigPoly.dot(((self, other),))
+
+    @staticmethod
+    def dot(pairs) -> "TrigPoly":
+        """The sum of a * b over the (a, b) pairs, accumulated in one dict."""
         terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if not m1 or not m2:
-                    _add_term(terms, m1 or m2, c1 * c2)
-                    continue
-                merged = dict(m1)
-                reduce = False
-                for atom, exp in m2:
-                    total = merged.get(atom, 0) + exp
-                    merged[atom] = total
-                    if total >= 2 and atom[0] == "sin":
-                        reduce = True
-                if reduce:
-                    _add_reduced(terms, merged, c1 * c2)
-                else:
-                    _add_term(terms, tuple(sorted(merged.items())), c1 * c2)
+        for a, b in pairs:
+            _mul_into(terms, a.terms, b.terms)
         return _poly(terms)
 
     def power(self, k: int) -> "TrigPoly":
@@ -726,8 +765,7 @@ class TrigPoly:
                     outer = TrigPoly.atom(("cos", key, payload)).scale(coeff * exp)
                 else:
                     outer = TrigPoly.atom(("sin", key, payload)).scale(-coeff * exp)
-                for m, c in (_poly({rest: Fraction(1)}) * outer * inner).terms.items():
-                    _add_term(terms, m, c)
+                _mul_into(terms, {rest: 1}, (outer * inner).terms)
         return _poly(terms)
 
     # conversion --------------------------------------------------------
@@ -875,7 +913,7 @@ def _poly_is_zero(poly: TrigPoly, seed: int) -> bool:
     # the test is scale-invariant; dividing by the largest coefficient keeps
     # huge rationals inside the float range
     largest = max(abs(c) for c in poly.terms.values())
-    weighted = [(mono, float(c / largest)) for mono, c in poly.terms.items()]
+    weighted = [(mono, float(Fraction(c) / largest)) for mono, c in poly.terms.items()]
     rng = random.Random(seed)
     names = sorted(poly.variables())
     for _ in range(ZERO_SAMPLES):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from ndga import scalar
+from ndga import forms, scalar
 
 settings.register_profile(
     "deterministic",
@@ -68,3 +68,17 @@ polynomial_expressions = st.recursive(
     _combine_poly,
     max_leaves=10,
 )
+
+
+# ------------------------------------------------------------------
+# flatness-scan oracle
+# ------------------------------------------------------------------
+
+def least_accepted_order(F, omega_form, max_n):
+    """The least n <= max_n that forms.n_flat_from_curvature accepts, each
+    order decided from scratch: the oracle of the incremental scan in
+    forms.minimal_order_from_curvature."""
+    return next(
+        (n for n in range(2, max_n + 1) if forms.n_flat_from_curvature(F, omega_form, n)),
+        None,
+    )

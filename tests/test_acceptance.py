@@ -15,6 +15,8 @@ from ndga import chern_simons as cs
 from ndga import depth, forms, knflat, linalg, ncomplex, riemann, scalar
 from ndga.scalar import ZERO, var
 
+from conftest import least_accepted_order
+
 
 def report(number, slug, ok):
     print(f"ACCEPT {number:02d} {slug}: {'PASS' if ok else 'FAIL'}")
@@ -189,6 +191,18 @@ def test_c08_operator_order_agreement():
         ok = ok and brute == certified and brute is not None
     report(8, "operator-vs-certificate-order", ok)
     assert ok
+
+
+def test_flatness_scan_matches_the_order_oracle_on_seeded_connections():
+    # the c07 and c08 connections: the incremental scan of
+    # minimal_flatness_order against n_flat_from_curvature order by order
+    for seed, count in ((20260101, 20), (77001, 10)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            conn = seeded_polynomial_connection(rng)
+            F = forms.curvature(conn)
+            assert forms.minimal_order_from_curvature(F, conn.form, 8) == \
+                least_accepted_order(F, conn.form, 8)
 
 
 def test_c09_tensor_order_bound(data_path):

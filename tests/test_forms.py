@@ -16,6 +16,8 @@ from ndga.forms import (
 )
 from ndga.scalar import ZERO, TrigPoly, var
 
+from conftest import least_accepted_order
+
 x1, x2 = var(1), var(2)
 
 E11 = ((1, 0), (0, 0))
@@ -232,6 +234,56 @@ def test_polynomial_forms_never_sample(monkeypatch):
     conn = random_polynomial_connection(random.Random(2024))
     monkeypatch.setattr(scalar, "evaluate", no_sampling)
     assert brute_force_flatness_order(conn, 8) == minimal_flatness_order(conn, 8)
+
+
+def _scan_connections():
+    """Seeded, structured and trig connections of this file, the rotation
+    connection first."""
+    connections = [rotation_connection(), triangular_connection(),
+                   connection_from_coefficients(4, {})]
+    for seed in (5, 31, 77, 2024):
+        rng = random.Random(seed)
+        connections += [random_polynomial_connection(rng) for _ in range(3)]
+    connections.append(connection_from_coefficients(2, {
+        1: ((scalar.parse("sin(x2)"), ZERO), (x1, scalar.parse("cos(x1 + x2)"))),
+        2: ((ZERO, scalar.parse("x1*sin(x2)^2")), (ZERO, x2)),
+    }))
+    connections.append(connection_from_coefficients(6, {
+        1: ((x2, ZERO), (ZERO, x1)),
+        2: ((scalar.mul(x1, x2), x1), (ZERO, x2)),
+    }))
+    return connections
+
+
+def test_flatness_scan_matches_the_order_oracle():
+    for conn in _scan_connections():
+        F = curvature(conn)
+        for max_n in (3, 8):
+            assert forms.minimal_order_from_curvature(F, conn.form, max_n) == \
+                least_accepted_order(F, conn.form, max_n)
+
+
+def test_flatness_scan_takes_at_most_one_wedge_per_order(monkeypatch):
+    # F^K grows by one wedge at each even order and F^K ^ dx_i is read from
+    # F^K, so an odd order costs at most the wedge with omega
+    cases = [(curvature(conn), conn.form) for conn in _scan_connections()]
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    original = forms.wedge
+    monkeypatch.setattr(forms, "wedge", counting)
+    for F, omega_form in cases:
+        del calls[:]
+        order = forms.minimal_order_from_curvature(F, omega_form, 8)
+        assert len(calls) <= (8 if order is None else order) - 2
+    # the rotation connection, order 4 on a 4-dimensional base: F ^ dx3 != 0
+    # is read from F, then F ^ F is the one wedge
+    del calls[:]
+    assert forms.minimal_order_from_curvature(*cases[0], 8) == 4
+    assert len(calls) == 1
 
 
 def test_scale_takes_any_scalar():

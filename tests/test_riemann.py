@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from ndga import riemann, scalar
+from ndga import forms, riemann, scalar
 from ndga.riemann import (
     DetFraction, GrammarError, Metric, MetricError, MetricFileError, TrigPoly,
     christoffel, exact_divide, levi_civita_n_flat, minimal_lc_flatness_order,
     parse_metric, riemann_components, riemann_form,
 )
 from ndga.scalar import var
+
+from conftest import least_accepted_order
 
 x1, x2 = var(1), var(2)
 SIN2 = scalar.pow_(scalar.sin(x2), 2)
@@ -520,6 +522,16 @@ def test_sphere_torus_flatness():
     assert not levi_civita_n_flat(g, 3)
     assert levi_civita_n_flat(g, 4)
     assert minimal_lc_flatness_order(g) == 4
+
+
+def test_flatness_scan_matches_the_order_oracle_on_cleared_forms(data_path):
+    metrics = [parse_metric(text) for text in ORACLE_METRICS]
+    metrics += [riemann.load_metric(data_path(name))
+                for name in ("sphere_torus.metric", "round_sphere3.metric")]
+    for metric in metrics:
+        S, tau = riemann._cleared_forms(metric)
+        assert forms.minimal_order_from_curvature(S, tau, 8) == \
+            least_accepted_order(S, tau, 8)
 
 
 def test_flat_metric_is_two_flat():

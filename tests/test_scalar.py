@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ndga import scalar
 from ndga.scalar import (
@@ -380,3 +380,98 @@ NORMAL_FORMS = [
 @pytest.mark.parametrize("text, expected", NORMAL_FORMS)
 def test_normal_form_order(text, expected):
     assert render(normalize(parse(text))) == expected
+
+
+# ------------------------------------------------------------------
+# polynomial coefficients and the monomial product
+# ------------------------------------------------------------------
+
+def test_integer_and_fraction_coefficients_give_one_value():
+    # coefficients are ints when integral; a Fraction holding the same
+    # rational is the same polynomial
+    text = "3*x1^2*sin(x2) - 2*x1*cos(x2) + 5"
+    built = TrigPoly.from_expr(parse(text))
+    assert all(type(c) is int for c in built.terms.values())
+    as_fractions = scalar._poly({m: Fraction(c) for m, c in built.terms.items()})
+    assert built == as_fractions
+    assert hash(built) == hash(as_fractions)
+    assert render(built.to_expr()) == render(as_fractions.to_expr()) == render(normalize(parse(text)))
+    assert repr(built) == repr(as_fractions)
+    assert built * as_fractions == built * built
+    assert TrigPoly.const(Fraction(4, 2)).terms == {(): 2}
+    assert type(TrigPoly.const(Fraction(4, 2)).terms[()]) is int
+    assert type(built.scale(Fraction(1, 2)).terms[()]) is Fraction
+
+
+def test_exact_divide_keeps_fractions_exact():
+    from ndga.riemann import exact_divide
+
+    quotient = exact_divide(TrigPoly.var(1), TrigPoly.const(2))
+    [coeff] = quotient.terms.values()
+    assert type(coeff) is Fraction and coeff == Fraction(1, 2)
+    assert exact_divide(TrigPoly.var(1).scale(6), TrigPoly.const(3)).terms == {
+        ((("x", 1, None), 1),): 2
+    }
+
+
+def test_brute_force_on_integer_data_keeps_integer_coefficients(data_path, monkeypatch):
+    from ndga import forms
+
+    conn = forms.load_connection(data_path("generic_c08.conn"))
+    reached = [conn.form] + forms.probe_forms(conn)
+    original = forms.nabla_apply
+
+    def recording(connection, alpha):
+        result = original(connection, alpha)
+        reached.append(result)
+        return result
+
+    monkeypatch.setattr(forms, "nabla_apply", recording)
+    assert forms.brute_force_flatness_order(conn, 8) is not None
+    assert len(reached) > 100
+    types = {type(c) for form in reached for m in form._components.values()
+             for row in m for e in row for c in e.terms.values()}
+    assert types == {int}
+
+
+MONOMIAL_ATOMS = [
+    next(iter(TrigPoly.from_expr(parse(text)).atoms()))
+    for text in ("x1", "x2", "sin(x1)", "cos(x1)", "sin(x1 + x2)", "cos(x1 + x2)")
+]
+
+monomials = st.lists(
+    st.integers(min_value=0, max_value=3), min_size=len(MONOMIAL_ATOMS),
+    max_size=len(MONOMIAL_ATOMS),
+).map(lambda exps: tuple(sorted(
+    # a canonical monomial holds each sin atom at most once
+    (atom, min(exp, 1) if atom[0] == "sin" else exp)
+    for atom, exp in zip(MONOMIAL_ATOMS, exps) if exp
+)))
+
+
+SIN_X1 = ((MONOMIAL_ATOMS[2], 1),)
+
+
+@given(monomials, monomials)
+@example(SIN_X1, SIN_X1)
+@example(SIN_X1 + ((MONOMIAL_ATOMS[0], 2),), ((MONOMIAL_ATOMS[3], 1),) + SIN_X1)
+def test_monomial_product_agrees_with_the_plain_merge(m1, m2):
+    exponents = dict(m1)
+    for atom, exp in m2:
+        exponents[atom] = exponents.get(atom, 0) + exp
+    reduce = any(atom[0] == "sin" and exp >= 2 for atom, exp in exponents.items())
+    for _ in range(2):  # the first call may fill the memo, the second reads it
+        product = scalar._mono_product(m1, m2)
+        if reduce:
+            assert dict(product) == exponents
+            with pytest.raises(TypeError):
+                product[MONOMIAL_ATOMS[0]] = 1
+        else:
+            assert product == tuple(sorted(exponents.items()))
+    assert scalar._mono_product(m1, ()) == m1 and scalar._mono_product((), m2) == m2
+
+
+def test_monomial_product_memo_is_bounded():
+    info = scalar._mono_product.cache_info()
+    assert info.maxsize is not None and 0 < info.maxsize <= 65536
+    assert info.currsize <= info.maxsize
