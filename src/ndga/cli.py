@@ -106,7 +106,7 @@ def _riemann_report(metric, max_n) -> list:
                 fraction = gamma.entry(i, j, k)
                 if fraction.is_zero():
                     continue
-                value = fraction.as_expr()
+                value = fraction.as_poly()
                 if value is not None:
                     text = scalar.render(value)
                 else:

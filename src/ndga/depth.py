@@ -1,7 +1,7 @@
 """Differential forms of bounded depth.
 
 For a profile (N_1, ..., N_k) with every N_i >= 2, the algebra is generated
-over the scalar expressions by higher differentials d^a x_i of degree a,
+over the scalar ring by higher differentials d^a x_i of degree a,
 1 <= a <= N_i - 1, subject to: any two generators of the same variable
 multiply to zero, and generators of distinct variables commute up to the
 sign (-1)^(a b) of their degrees.  The differential raises depth by one and
@@ -27,7 +27,7 @@ from itertools import product
 from typing import Dict, Iterable, Mapping, Tuple
 
 from . import linalg, ncomplex, scalar
-from .scalar import Expr, ZERO
+from .scalar import TrigPoly
 
 Profile = Tuple[int, ...]
 DepthIndex = Tuple[Tuple[int, int], ...]  # ((position, depth), ...) by position
@@ -87,26 +87,28 @@ def merge_sign(left: DepthIndex, right: DepthIndex):
 
 class DepthForm:
     """Finite sum of coefficient * basis monomial, coefficients in the
-    scalar expression algebra.  Immutable by convention."""
+    scalar ring (TrigPoly; an int or Fraction is taken as a constant).
+    Coefficients are canonical, so a form with polynomial coefficients is
+    zero exactly when it holds no term.  Immutable by convention."""
 
     __slots__ = ("profile", "_terms")
 
     def __init__(self, profile, terms: Mapping[DepthIndex, object]):
         self.profile = check_profile(profile)
-        collected: Dict[DepthIndex, Expr] = {}
+        collected: Dict[DepthIndex, TrigPoly] = {}
         for index, coefficient in terms.items():
             index = tuple(tuple(pair) for pair in index)
             validate_index(index, self.profile)
-            value = scalar.normalize(scalar.as_expr(coefficient))
-            if value != ZERO:
+            value = scalar.as_poly(coefficient)
+            if value.terms:
                 collected[index] = value
         self._terms = collected
 
     def terms(self):
         return sorted(self._terms.items())
 
-    def coefficient(self, index) -> Expr:
-        return self._terms.get(tuple(tuple(p) for p in index), ZERO)
+    def coefficient(self, index) -> TrigPoly:
+        return self._terms.get(tuple(tuple(p) for p in index), TrigPoly.zero())
 
     def degrees(self):
         return sorted({index_degree(i) for i in self._terms})
@@ -115,6 +117,9 @@ class DepthForm:
         return not self._terms
 
     def is_zero(self) -> bool:
+        """No term, or only coefficients that scalar.is_zero finds zero:
+        exact on polynomials, sampled on identities across related trig
+        arguments such as sin(2u) = 2 sin(u) cos(u)."""
         return all(scalar.is_zero(c) for c in self._terms.values())
 
     def __eq__(self, other):
@@ -136,17 +141,15 @@ class DepthForm:
         self._check(other)
         terms = dict(self._terms)
         for index, coefficient in other._terms.items():
-            terms[index] = scalar.add(terms.get(index, ZERO), coefficient)
+            terms[index] = terms[index] + coefficient if index in terms else coefficient
         return DepthForm(self.profile, terms)
 
     def __sub__(self, other: "DepthForm") -> "DepthForm":
         return self + other.scale(-1)
 
     def scale(self, value) -> "DepthForm":
-        return DepthForm(
-            self.profile,
-            {i: scalar.mul(value, c) for i, c in self._terms.items()},
-        )
+        value = scalar.as_poly(value)
+        return DepthForm(self.profile, {i: value * c for i, c in self._terms.items()})
 
     def __neg__(self) -> "DepthForm":
         return self.scale(-1)
@@ -164,7 +167,7 @@ def function(profile, coefficient) -> DepthForm:
 
 
 def generator(profile, position: int, depth: int = 1) -> DepthForm:
-    return DepthForm(profile, {((position, depth),): scalar.ONE})
+    return DepthForm(profile, {((position, depth),): 1})
 
 
 def monomial(profile, coefficient, depths: Mapping[int, int]) -> DepthForm:
@@ -176,16 +179,14 @@ def multiply(a: DepthForm, b: DepthForm) -> DepthForm:
     """Bilinear product; monomials with a shared variable vanish, disjoint
     ones merge with the depth-product sign."""
     a._check(b)
-    terms: Dict[DepthIndex, Expr] = {}
+    pairs: Dict[DepthIndex, list] = {}
     for ia, ca in a._terms.items():
         for ib, cb in b._terms.items():
             merged = merge_sign(ia, ib)
-            if merged is None:
-                continue
-            sign, index = merged
-            piece = scalar.mul(sign, ca, cb)
-            terms[index] = scalar.add(terms.get(index, ZERO), piece)
-    return DepthForm(a.profile, terms)
+            if merged is not None:
+                sign, index = merged
+                pairs.setdefault(index, []).append((ca if sign > 0 else -ca, cb))
+    return DepthForm(a.profile, {index: TrigPoly.dot(p) for index, p in pairs.items()})
 
 
 def differential(a: DepthForm) -> DepthForm:
@@ -193,30 +194,28 @@ def differential(a: DepthForm) -> DepthForm:
     + sum_{s in D(I)} (-1)^(depth before s) c dx^(I + e_s),
     with raises beyond the depth bound dropped."""
     profile = a.profile
-    terms: Dict[DepthIndex, Expr] = {}
+    terms: Dict[DepthIndex, TrigPoly] = {}
 
-    def put(index: DepthIndex, coefficient: Expr):
-        if coefficient != ZERO:
-            terms[index] = scalar.add(terms.get(index, ZERO), coefficient)
+    def put(index: DepthIndex, sign: int, coefficient: TrigPoly):
+        value = coefficient if sign > 0 else -coefficient
+        terms[index] = terms[index] + value if index in terms else value
 
     for index, coefficient in a._terms.items():
         for s in range(1, len(profile) + 1):
-            partial = scalar.diff(coefficient, s)
-            if partial == ZERO:
-                continue
             merged = merge_sign(((s, 1),), index)
             if merged is None:
                 continue
             sign, new_index = merged
-            put(new_index, scalar.mul(sign, partial))
+            partial = coefficient.diff(s)
+            if partial.terms:
+                put(new_index, sign, partial)
         prefix = 0
         for position, depth in index:
             if depth + 1 <= profile[position - 1] - 1:
                 raised = tuple(
                     (p, d + 1 if p == position else d) for p, d in index
                 )
-                sign = -1 if prefix % 2 else 1
-                put(raised, scalar.mul(sign, coefficient))
+                put(raised, -1 if prefix % 2 else 1, coefficient)
             prefix += depth
     return DepthForm(profile, terms)
 
@@ -250,9 +249,9 @@ def probe_set(profile) -> list:
     k = len(profile)
     probes = []
     for exponents in product(range(3), repeat=k):
-        coefficient = scalar.mul(
-            *[scalar.pow_(scalar.var(i + 1), e) for i, e in enumerate(exponents)]
-        ) if any(exponents) else scalar.ONE
+        coefficient = TrigPoly.one()
+        for i, e in enumerate(exponents):
+            coefficient = coefficient * TrigPoly.var(i + 1).power(e)
         for index in all_indices(profile):
             probes.append(DepthForm(profile, {index: coefficient}))
     return probes
@@ -322,12 +321,12 @@ class AffineMap:
     def dim(self) -> int:
         return len(self.matrix)
 
-    def component(self, i: int) -> Expr:
-        """The scalar expression for coordinate i of A x + b."""
-        pieces = [scalar.Rat(self.offset[i - 1])]
+    def component(self, i: int) -> TrigPoly:
+        """The polynomial of coordinate i of A x + b."""
+        total = TrigPoly.const(self.offset[i - 1])
         for j in range(1, self.dim + 1):
-            pieces.append(scalar.mul(scalar.Rat(self.matrix[i - 1][j - 1]), scalar.var(j)))
-        return scalar.add(*pieces)
+            total = total + TrigPoly.var(j).scale(self.matrix[i - 1][j - 1])
+        return total
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """The map x -> self(inner(x))."""
@@ -367,12 +366,11 @@ def affine_pullback(f: AffineMap, a: DepthForm) -> DepthForm:
     substitution = {i: f.component(i) for i in range(1, f.dim + 1)}
     out = zero(profile)
     for index, coefficient in a._terms.items():
-        pulled = function(profile, scalar.substitute(coefficient, substitution))
+        pulled = function(profile, coefficient.substitute(substitution))
         for position, depth in index:
             row = f.matrix[position - 1]
             spread = DepthForm(
-                profile,
-                {((j + 1, depth),): scalar.Rat(row[j]) for j in range(f.dim) if row[j] != 0},
+                profile, {((j + 1, depth),): row[j] for j in range(f.dim) if row[j] != 0}
             )
             pulled = multiply(pulled, spread)
         out = out + pulled
@@ -441,13 +439,12 @@ def _parse_monomial(text: str, profile: Profile) -> DepthForm:
             generators.append((position, depth))
         else:
             scalar_parts.append(piece)
+    coefficient = TrigPoly.one()
     if scalar_parts:
         try:
-            coefficient = scalar.parse("*".join(scalar_parts))
-        except scalar.ParseError as err:
+            coefficient = scalar.expand("*".join(scalar_parts))
+        except scalar.ScalarError as err:
             raise DepthFormError(f"bad coefficient in {text!r}: {err}")
-    else:
-        coefficient = scalar.ONE
     form = function(profile, coefficient)
     for position, depth in generators:
         form = multiply(form, generator(profile, position, depth))
@@ -469,11 +466,11 @@ def render_form(form: DepthForm) -> str:
     pieces = []
     for index, coefficient in form.terms():
         body = render_index(index)
-        if coefficient == scalar.ONE:
+        if coefficient == TrigPoly.one():
             text = body
         else:
             coeff_text = scalar.render(coefficient)
-            if isinstance(coefficient, (scalar.Sum,)):
+            if len(coefficient.terms) > 1:
                 coeff_text = f"({coeff_text})"
             text = coeff_text if not index else f"{coeff_text}*{body}"
         pieces.append(text)

@@ -7,14 +7,11 @@ exterior derivative, connections d + omega, curvature, N-flatness
 certificates via ordered-pairing expansions of curvature powers, and
 tensor products of connections.
 
-Matrix entries are scalar.TrigPoly values, the package's one expanded
-ring.  An entry given as an expression is expanded once, when its form is
-built; after that wedge, d, nabla, curvature and the certificates run on
-polynomial arithmetic alone, and a structurally zero entry is an empty
-polynomial.  Expressions appear only at the edges: matrix_of and the
-accessors MatrixForm.component(), components() and
-Connection.coefficient() return entries as scalar expressions, through
-TrigPoly.to_expr.
+Matrix entries are scalar.TrigPoly values, the package's one scalar
+ring; an int or Fraction entry is taken as a constant.  Wedge, d, nabla,
+curvature and the certificates run on polynomial arithmetic alone, a
+structurally zero entry is an empty polynomial, and every accessor returns
+polynomial entries.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from . import scalar, textfile
 from .scalar import TrigPoly
 
 MultiIndex = tuple  # strictly increasing tuple of coordinate indices
-Matrix = tuple      # tuple of tuple of TrigPoly (of Expr at the accessors)
+Matrix = tuple      # tuple of tuple of TrigPoly
 
 # entries are never mutated, so every zero and unit entry is one object
 _ZERO = TrigPoly.zero()
@@ -43,24 +40,8 @@ class FormError(Exception):
 # matrices of polynomial entries
 # ------------------------------------------------------------------
 
-def _poly_entry(e) -> TrigPoly:
-    """A TrigPoly value, an expression or a rational as an expanded
-    polynomial."""
-    return e if isinstance(e, TrigPoly) else TrigPoly.from_expr(scalar.as_expr(e))
-
-
 def _poly_entries(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(tuple(_poly_entry(e) for e in row) for row in rows)
-
-
-def _expr_entries(a: Matrix) -> Matrix:
-    return tuple(tuple(e.to_expr() for e in row) for row in a)
-
-
-def matrix_of(rows: Iterable[Iterable]) -> Matrix:
-    """Entries as canonical scalar expressions: expanded, then converted
-    back with TrigPoly.to_expr, as the accessors of MatrixForm return them."""
-    return _expr_entries(_poly_entries(rows))
+    return tuple(tuple(scalar.as_poly(e) for e in row) for row in rows)
 
 
 def zero_entries(rows: int, cols: int) -> Matrix:
@@ -76,8 +57,8 @@ def entries_add(a: Matrix, b: Matrix) -> Matrix:
 
 
 def entries_scale(c, a: Matrix) -> Matrix:
-    """c times a for a scalar c: a rational, an expression or a TrigPoly."""
-    factor = _poly_entry(c)
+    """c times a for a scalar c: a rational or a TrigPoly."""
+    factor = scalar.as_poly(c)
     return tuple(tuple(factor * x for x in row) for row in a)
 
 
@@ -168,12 +149,12 @@ class MatrixForm:
     # -- inspection ------------------------------------------------
 
     def components(self):
-        """Sorted (multi-index, matrix of Expr) pairs of the nonzero part."""
-        return [(index, _expr_entries(m)) for index, m in sorted(self._components.items())]
+        """Sorted (multi-index, matrix) pairs of the nonzero part."""
+        return sorted(self._components.items())
 
     def component(self, index) -> Matrix:
-        """The matrix of Expr at a multi-index."""
-        return _expr_entries(self._components.get(tuple(index), zero_entries(*self.shape)))
+        """The matrix at a multi-index."""
+        return self._components.get(tuple(index), zero_entries(*self.shape))
 
     def degrees(self):
         return sorted({len(i) for i in self._components})
@@ -231,8 +212,7 @@ class MatrixForm:
         return self + -other
 
     def scale(self, c) -> "MatrixForm":
-        """c times the form for a scalar c: a rational, an expression or a
-        TrigPoly."""
+        """c times the form for a scalar c: a rational or a TrigPoly."""
         return _form(
             self.base_dim,
             self.shape,
@@ -344,7 +324,7 @@ class Connection:
         return self.form.shape[0]
 
     def coefficient(self, i: int) -> Matrix:
-        """omega_i as a matrix of Expr."""
+        """omega_i as a matrix."""
         return self.form.component((i,))
 
 
@@ -532,14 +512,13 @@ def pairing_sum(components: Mapping, index_set: Iterable[int], fiber_dim: int) -
     """Signed sum over pairings, over every ordering of each pairing's
     pairs, of the ordered matrix products of paired components.  This is
     exactly the dx^A coefficient of the corresponding power of
-    sum_{i<j} F_ij dx^i ^ dx^j.  Components may hold expressions; the sum
-    is returned as a matrix of Expr."""
+    sum_{i<j} F_ij dx^i ^ dx^j.  Entries may be rationals."""
     polys = {index: _poly_entries(m) for index, m in components.items()}
-    return _expr_entries(_pairing_total(polys, index_set, fiber_dim))
+    return _pairing_total(polys, index_set, fiber_dim)
 
 
 def _pairing_total(components: Mapping, index_set: Iterable[int], fiber_dim: int) -> Matrix:
-    """pairing_sum over polynomial components, as a polynomial matrix."""
+    """pairing_sum over polynomial components."""
     elements = sorted(index_set)
     k = len(elements) // 2
     total = zero_entries(fiber_dim, fiber_dim)

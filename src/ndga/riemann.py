@@ -1,21 +1,19 @@
 """Levi-Civita connection and curvature of a coordinate metric.
 
-Christoffel symbols of g = (g_ij) involve the inverse metric, whose
-entries are quotients; the division-free scalar grammar cannot hold them.
-This module therefore computes internally with exact quotients num/det^k.
-Numerators are scalar.TrigPoly values, the package's one expanded form:
+Metric entries are scalar.TrigPoly values, the package's one scalar ring:
 polynomials over coordinates, sin(u) and cos(u) with sin^2 = 1 - cos^2
-applied, the same reduction that decides scalar.is_zero.  The denominator
-is always a power of det(g), produced by cofactor inversion.  The kernels
-work on numerators over one shared power: the inverse numerators sit over
-det^p (p = 0 for a supplied inverse, 1 for cofactors), so every
+applied.  Canonical entries make the symmetry check an equality test.
+Christoffel symbols involve the inverse metric, whose entries are
+quotients that the ring cannot hold, so this module computes with exact
+quotients num/det^k: the numerators are TrigPoly values and the
+denominator is a power of det(g), produced by cofactor inversion.  The
+kernels work on numerators over one shared power: the inverse numerators
+sit over det^p (p = 0 for a supplied inverse, 1 for cofactors), so every
 Christoffel symbol sits over det^p and every curvature entry over det^2p,
 and no sum lifts a term to a common denominator.  Curvature entries are
 exact polynomial quotients, handed to forms as TrigPoly entries; flatness
 certificates clear denominators instead, which leaves every verdict
-unchanged because det(g) vanishes nowhere on the metric's domain.  Both
-forms are built from the numerators directly, with no detour through
-expressions.
+unchanged because det(g) vanishes nowhere on the metric's domain.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import forms, scalar, textfile
 from .forms import MatrixForm
-from .scalar import Expr, Mono, TrigPoly
+from .scalar import Mono, TrigPoly
 
 
 class MetricError(Exception):
@@ -42,7 +40,7 @@ class GrammarError(MetricError):
 # ------------------------------------------------------------------
 
 def _sin_atoms(poly: TrigPoly) -> list:
-    return sorted(a for a in poly.atoms() if a[0] == "sin")
+    return sorted(a for a in poly.atoms() if a[0] == scalar.SIN)
 
 
 def _split_by_atom(poly: TrigPoly, atom) -> Tuple[TrigPoly, TrigPoly]:
@@ -134,14 +132,9 @@ class DetFraction:
                 return None
         return value
 
-    def as_expr(self) -> Optional[Expr]:
-        """as_poly() as a scalar expression."""
-        value = self.as_poly()
-        return None if value is None else value.to_expr()
-
-    def as_pair(self) -> Tuple[Expr, Expr]:
-        """(numerator, denominator) as scalar expressions."""
-        return self.num.to_expr(), self.det.power(self.power).to_expr()
+    def as_pair(self) -> Tuple[TrigPoly, TrigPoly]:
+        """(numerator, denominator) as polynomials."""
+        return self.num, self.det.power(self.power)
 
     def aligned_num(self, power: int) -> TrigPoly:
         if power < self.power:
@@ -188,11 +181,11 @@ def _symbolic_adjugate(entries: List[List[TrigPoly]]) -> List[List[TrigPoly]]:
 class Metric:
     """Symmetric coordinate metric with an exact inverse.
 
-    The inverse is either supplied (entries in the scalar grammar,
-    certified by the zero test on the polynomial entries of g g^-1 - I) or
-    derived by cofactor inversion, in which case the inverse entries are
-    quotients adj/det and the adjugate identity g adj = det I is certified
-    exactly."""
+    Entries are TrigPoly values, or ints and Fractions taken as constants.
+    The inverse is either supplied (certified by the zero test on the
+    entries of g g^-1 - I) or derived by cofactor inversion, in which case
+    the inverse entries are quotients adj/det and the adjugate identity
+    g adj = det I is certified exactly."""
 
     def __init__(self, entries, inverse=None):
         rows = [list(r) for r in entries]
@@ -200,9 +193,7 @@ class Metric:
         if any(len(r) != n for r in rows):
             raise MetricError("metric matrix must be square")
         self.dim = n
-        self.g = tuple(
-            tuple(scalar.normalize(scalar.as_expr(e)) for e in row) for row in rows
-        )
+        self.g = tuple(tuple(scalar.as_poly(e) for e in row) for row in rows)
         for i in range(n):
             for j in range(i + 1, n):
                 if self.g[i][j] != self.g[j][i]:
@@ -210,19 +201,19 @@ class Metric:
                         f"metric is not symmetric at ({i + 1},{j + 1}): "
                         f"{scalar.render(self.g[i][j])} vs {scalar.render(self.g[j][i])}"
                     )
-        self._g_poly = [[TrigPoly.from_expr(self.g[i][j]) for j in range(n)] for i in range(n)]
-        self._det = _symbolic_det(self._g_poly)
+        g = self.g
+        self._det = _symbolic_det(g)
         if self._det.is_zero():
             raise MetricError("metric is degenerate: det(g) = 0 identically")
         if inverse is not None:
-            inv_rows = [[TrigPoly.from_expr(scalar.as_expr(e)) for e in row] for row in inverse]
+            inv_rows = [[scalar.as_poly(e) for e in row] for row in inverse]
             if len(inv_rows) != n or any(len(r) != n for r in inv_rows):
                 raise MetricError("inverse matrix must match the metric's shape")
             for i in range(n):
                 for j in range(n):
                     total = TrigPoly.const(-1 if i == j else 0)
                     for k in range(n):
-                        total = total + self._g_poly[i][k] * inv_rows[k][j]
+                        total = total + g[i][k] * inv_rows[k][j]
                     if not scalar.is_zero(total):
                         raise MetricError(
                             f"supplied inverse fails g g^-1 = I at ({i + 1},{j + 1})"
@@ -232,12 +223,12 @@ class Metric:
             ]
             self.inverse_supplied = True
         else:
-            adj = _symbolic_adjugate(self._g_poly)
+            adj = _symbolic_adjugate(g)
             for i in range(n):
                 for j in range(n):
                     total = TrigPoly.zero()
                     for k in range(n):
-                        total = total + self._g_poly[i][k] * adj[k][j]
+                        total = total + g[i][k] * adj[k][j]
                     expected = self._det if i == j else TrigPoly.zero()
                     if not (total - expected).is_zero():
                         raise MetricError("cofactor inversion failed its certificate")
@@ -246,14 +237,11 @@ class Metric:
             ]
             self.inverse_supplied = False
 
-    def entry(self, i: int, j: int) -> Expr:
+    def entry(self, i: int, j: int) -> TrigPoly:
         return self.g[i - 1][j - 1]
 
     def inverse_fraction(self, i: int, j: int) -> DetFraction:
         return self._inverse[i - 1][j - 1]
-
-    def inverse_expr(self, i: int, j: int) -> Optional[Expr]:
-        return self._inverse[i - 1][j - 1].as_expr()
 
     def det_poly(self) -> TrigPoly:
         return self._det
@@ -274,16 +262,13 @@ class Christoffel:
     def entry(self, i: int, j: int, k: int) -> DetFraction:
         return self.symbols[i - 1][j - 1][k - 1]
 
-    def entry_expr(self, i: int, j: int, k: int) -> Optional[Expr]:
-        return self.entry(i, j, k).as_expr()
-
 
 def christoffel(metric: Metric) -> Christoffel:
     """Gamma^i_jk = sum_l g^il [jk,l] with the first-kind brackets
     [jk,l] = 1/2 (d_k g_lj + d_j g_lk - d_l g_jk), every symbol over the
     one power of det(g) that the inverse numerators share."""
     n, det = metric.dim, metric.det_poly()
-    g = metric._g_poly
+    g = metric.g
     dg = [[[g[a][b].diff(c + 1) for b in range(n)] for a in range(n)] for c in range(n)]
     power = max(f.power for row in metric._inverse for f in row)
     inverse = [[f.aligned_num(power) for f in row] for row in metric._inverse]

@@ -4,7 +4,8 @@ Blank lines and lines whose first non-blank character is '#' are skipped;
 every other line is read stripped, under its physical line number, and each
 error names that number as `line N: ...`.  Headers are `keyword <int>`
 pairs, and matrix rows hold ';'-separated expressions of the scalar
-grammar, each of which must expand to at most scalar.MAX_TERMS terms.
+grammar, each read as its expanded polynomial (scalar.TrigPoly) and held
+to scalar.MAX_TERMS terms before it is expanded.
 Input quoted back in an error is clipped to QUOTE_CHARS characters, so a
 hostile line still gives a short message.
 """
@@ -88,7 +89,7 @@ class Lines:
         return values[0] if len(values) == 1 else tuple(values)
 
     def matrix(self, size: int) -> tuple:
-        """The next `size` content lines as rows of `size` expressions."""
+        """The next `size` content lines as rows of `size` polynomials."""
         rows = []
         for _ in range(size):
             content = self.next()
@@ -100,12 +101,10 @@ class Lines:
             row = []
             for cell in cells:
                 try:
-                    # normalized and size-checked here, so that a merged
-                    # exponent above scalar.MAX_EXPONENT or an expansion
-                    # above scalar.MAX_TERMS is reported at its line
-                    entry = scalar.normalize(scalar.parse(cell))
-                    scalar.check_expansion(entry)
-                    row.append(entry)
+                    # expanded here, so that a merged exponent above
+                    # scalar.MAX_EXPONENT or an expansion above
+                    # scalar.MAX_TERMS is reported at its line
+                    row.append(scalar.expand(cell))
                 except scalar.ScalarError as err:
                     raise self.error(f"bad expression {quote(cell)}: {err}")
             rows.append(tuple(row))

@@ -35,7 +35,7 @@ small_rationals = st.builds(
     st.integers(min_value=1, max_value=4),
 )
 
-coordinates = st.integers(min_value=1, max_value=3).map(scalar.var)
+coordinates = st.integers(min_value=1, max_value=3).map(scalar.Var)
 
 
 def _combine(children):
@@ -68,6 +68,32 @@ polynomial_expressions = st.recursive(
     _combine_poly,
     max_leaves=10,
 )
+
+
+# ------------------------------------------------------------------
+# sympy as a test-only oracle
+# ------------------------------------------------------------------
+
+def sympy_of_text(text):
+    """A rendered scalar, read by sympy."""
+    sympy = pytest.importorskip("sympy")
+    return sympy.sympify(text.replace("^", "**"))
+
+
+def sympy_reduced(e):
+    """e expanded with every sin^k u, k >= 2, rewritten through
+    sin^2 u = 1 - cos^2 u, so that a difference TrigPoly reduces to zero
+    reduces to zero here too."""
+    sympy = pytest.importorskip("sympy")
+    e = sympy.expand(e)
+    while True:
+        powers = [p for p in e.atoms(sympy.Pow)
+                  if isinstance(p.base, sympy.sin) and p.exp.is_Integer and p.exp >= 2]
+        if not powers:
+            return e
+        e = sympy.expand(e.xreplace({
+            p: p.base ** (p.exp - 2) * (1 - sympy.cos(p.base.args[0]) ** 2) for p in powers
+        }))
 
 
 # ------------------------------------------------------------------

@@ -13,7 +13,10 @@ import pytest
 
 from ndga import chern_simons as cs
 from ndga import depth, forms, knflat, linalg, ncomplex, riemann, scalar
-from ndga.scalar import ZERO, var
+from ndga.scalar import TrigPoly
+
+var = TrigPoly.var
+ZERO, ONE = TrigPoly.zero(), TrigPoly.one()
 
 from conftest import least_accepted_order
 
@@ -28,8 +31,8 @@ def seeded_polynomial_connection(rng, base_dim=4, fiber_dim=2):
         for _ in range(2):
             c = rng.randint(-2, 2)
             if c:
-                terms.append(scalar.mul(c, var(rng.randint(1, base_dim))))
-        return scalar.add(*terms) if terms else ZERO
+                terms.append(c * var(rng.randint(1, base_dim)))
+        return sum(terms, ZERO)
 
     coefficients = {
         i: tuple(tuple(poly() for _ in range(fiber_dim)) for _ in range(fiber_dim))
@@ -116,7 +119,7 @@ def test_c04_rotation_connection(data_path):
     conn = forms.load_connection(data_path("rotation.conn"))
     F = forms.curvature(conn)
     coefficient = F.component((1, 2))[0][0]
-    magnitude_ok = scalar.is_zero(scalar.mul(coefficient, coefficient) - scalar.rational(4))
+    magnitude_ok = scalar.is_zero(coefficient * coefficient - 4)
     square = forms.wedge_power(F, 2)
     square_ok = all(
         scalar.is_zero(e) for _, m in square.components() for row in m for e in row
@@ -133,7 +136,7 @@ def test_c05_triangular_connection(data_path):
     F = forms.curvature(conn)
     exact = F == E12
     order = forms.minimal_flatness_order(conn, 8)
-    section = forms.MatrixForm(4, (2, 1), {(1,): ((scalar.ONE,), (ZERO,))})
+    section = forms.MatrixForm(4, (2, 1), {(1,): ((ONE,), (ZERO,))})
     kernel = forms.nabla_power(conn, section, 2).is_zero()
     ok = exact and order == 4 and kernel
     report(5, "triangular-connection", ok)
@@ -145,10 +148,10 @@ def test_c06_product_metric(data_path):
     form = riemann.riemann_form(g)
     components = form.components()
     single_block = [index for index, _ in components] == [(1, 2)]
-    sin2 = scalar.pow_(scalar.sin(var(2)), 2)
+    sin2 = scalar.expand("sin(x2)^2")
     expected = [
-        [ZERO, scalar.ONE, ZERO, ZERO],
-        [scalar.negate(sin2), ZERO, ZERO, ZERO],
+        [ZERO, ONE, ZERO, ZERO],
+        [-sin2, ZERO, ZERO, ZERO],
         [ZERO] * 4,
         [ZERO] * 4,
     ]
@@ -224,9 +227,9 @@ def test_c09_tensor_order_bound(data_path):
     # F_t^2 ^ dx5 != 0.  On a 4-dimensional base F_t^2 would be a top form
     # and the product only 5-flat.
     a = forms.connection_from_coefficients(
-        5, {1: ((var(2),),), 2: ((scalar.negate(var(1)),),)})
+        5, {1: ((var(2),),), 2: ((-var(1),),)})
     b = forms.connection_from_coefficients(
-        5, {3: ((var(4),),), 4: ((scalar.negate(var(3)),),)})
+        5, {3: ((var(4),),), 4: ((-var(3),),)})
     factor_orders = [order(c, 8) for c in (a, b)
                      for order in (forms.minimal_flatness_order,
                                    forms.brute_force_flatness_order)]
@@ -268,10 +271,9 @@ def test_c11_depth_algebra_laws():
         for position in range(1, len(profile) + 1):
             if rng.random() < 0.7:
                 depths[position] = rng.randint(1, profile[position - 1] - 1)
-        coefficient = scalar.mul(
-            rng.choice([1, 2, -1, Fr(1, 2)]),
-            *[scalar.pow_(var(i + 1), rng.randint(0, 2)) for i in range(len(profile))],
-        )
+        coefficient = TrigPoly.const(rng.choice([1, 2, -1, Fr(1, 2)]))
+        for i in range(len(profile)):
+            coefficient = coefficient * var(i + 1) ** rng.randint(0, 2)
         return depth.monomial(profile, coefficient, depths)
 
     ok = True

@@ -3,13 +3,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ndga import forms, knflat, scalar
+from ndga import forms, knflat
 from ndga.knflat import (
     admissible_vertices, apply_expansion, c_coefficient, delta_power,
     enumerate_paths, infinitesimal_expansion, infinitesimal_from_full,
     instantiate_word, nabla_power_expansion, oracle_expansion, render_element,
     successors, vertices_by_delta_power,
 )
+from ndga.scalar import TrigPoly
+
+var = TrigPoly.var
 
 
 # ------------------------------------------------------------------
@@ -218,7 +221,7 @@ def test_infinitesimal_equals_filtered_full():
 def _random_connection(rng, base_dim=4, fiber_dim=2):
     def poly():
         c = rng.randint(-2, 2)
-        return scalar.mul(c, scalar.var(rng.randint(1, base_dim))) if c else scalar.ZERO
+        return c * var(rng.randint(1, base_dim)) if c else TrigPoly.zero()
 
     coefficients = {
         i: tuple(tuple(poly() for _ in range(fiber_dim)) for _ in range(fiber_dim))
@@ -237,7 +240,7 @@ def test_expansion_reproduces_covariant_powers():
     rng = random.Random(6)
     conn = _random_connection(rng)
     alpha = forms.MatrixForm(4, (2, 1), {
-        (): ((scalar.var(1),), (scalar.mul(scalar.var(2), scalar.var(3)),)),
+        (): ((var(1),), (var(2) * var(3),)),
     })
     for n in (2, 3):
         expansion = nabla_power_expansion(n, 6)
@@ -246,17 +249,14 @@ def test_expansion_reproduces_covariant_powers():
 
 def test_zero_connection_reduces_to_d_powers():
     conn = forms.connection_from_coefficients(3, {})
-    alpha = forms.MatrixForm(3, (1, 1), {(): ((scalar.mul(scalar.var(1), scalar.var(2)),),)})
+    alpha = forms.MatrixForm(3, (1, 1), {(): ((var(1) * var(2),),)})
     expansion = nabla_power_expansion(2, 4)
     direct = forms.exterior_d(forms.exterior_d(alpha))
     assert (apply_expansion(expansion, conn, alpha) - direct).is_zero()
 
 
 def test_rotation_connection_fourth_power_annihilates_probes():
-    x1, x2 = scalar.var(1), scalar.var(2)
-    conn = forms.connection_from_coefficients(
-        4, {1: ((x2,),), 2: ((scalar.negate(x1),),)}
-    )
+    conn = forms.connection_from_coefficients(4, {1: ((var(2),),), 2: ((-var(1),),)})
     expansion = nabla_power_expansion(4, 6)
     for probe in forms.probe_forms(conn):
         assert apply_expansion(expansion, conn, probe).is_zero()

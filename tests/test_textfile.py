@@ -5,7 +5,8 @@ from ndga import forms, ncomplex, riemann, textfile
 
 def metric_key(metric):
     n = metric.dim
-    inverse = tuple(metric.inverse_expr(i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+    inverse = tuple(metric.inverse_fraction(i, j).as_poly()
+                    for i in range(1, n + 1) for j in range(1, n + 1))
     return metric.g, metric.inverse_supplied, inverse
 
 
