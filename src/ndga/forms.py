@@ -187,7 +187,7 @@ class MatrixForm:
         bits = []
         for index, entries in self.components():
             label = "".join(f"dx{i}" for i in index) or "1"
-            bits.append(f"{label}: {[[str(e) for e in row] for row in entries]}")
+            bits.append(f"{label}: {[[scalar.render(e) for e in row] for row in entries]}")
         return "MatrixForm(" + "; ".join(bits) + ")"
 
     # -- algebra ---------------------------------------------------

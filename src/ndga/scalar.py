@@ -316,9 +316,7 @@ class TrigPoly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "TrigPoly":
-        if type(other) is not TrigPoly:
-            other = as_poly(other)
-        return self + -other
+        return self + -as_poly(other)
 
     def __rsub__(self, other) -> "TrigPoly":
         return as_poly(other) + -self
@@ -351,8 +349,6 @@ class TrigPoly:
 
     def power(self, k: int) -> "TrigPoly":
         return functools.reduce(TrigPoly.__mul__, [self] * k) if k > 0 else TrigPoly.one()
-
-    __pow__ = power
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -392,10 +388,8 @@ class TrigPoly:
                 inner = payload.poly.diff(index)
                 if not inner.terms:
                     continue
-                if tag == SIN:
-                    outer = TrigPoly.atom((COS, payload)).scale(coeff * exp)
-                else:
-                    outer = TrigPoly.atom((SIN, payload)).scale(-coeff * exp)
+                partner, sign = (COS, 1) if tag == SIN else (SIN, -1)
+                outer = TrigPoly.atom((partner, payload)).scale(sign * coeff * exp)
                 _mul_into(terms, {rest: 1}, (outer * inner).terms)
         return _poly(terms)
 
@@ -414,9 +408,6 @@ class TrigPoly:
                 value = value * images[atom].power(exp)
             pieces.append(value)
         return _sum(pieces)
-
-    def __str__(self):
-        return render(self)
 
     def __repr__(self):
         return f"TrigPoly({render(self)})"
@@ -483,59 +474,76 @@ def expand(text: str) -> TrigPoly:
 
 
 # Exponents alone do not bound an expansion: (x1+1)^100*(x2+1)^100*(x3+1)^100
-# holds 101^3 terms.  The bound of a node is the smaller of two counts: the
-# sum (for sums) or product (for products and powers) of the bounds of its
-# children, and the number of monomials of its degree or less in its atoms.
-# Arguments of sin and cos are checked too, since differentiation expands
-# them.  The bound covers the input; arithmetic on accepted entries, such
-# as products of curvature entries, is not bounded.
+# holds 101^3 terms.  A node's free expansion, the one without the sin^2
+# rewrite, is bounded by the sum (for sums) or product (for products and
+# powers) of the bounds of its children and by the number of monomials of
+# its degree or less in its atoms.  The rewrite turns a monomial holding
+# sin^e u into e div 2 + 1 terms, so the expansion is bounded by the free
+# bound times e div 2 + 1 for each sin atom of degree e, and by the number
+# of monomials of its degree or less with no sin exponent above one, over
+# its atoms and their cos partners.  Atoms are keyed as in the ring, and
+# arguments of sin and cos are checked too, since differentiation expands
+# them.  The bound covers the input; arithmetic on accepted entries, such as
+# products of curvature entries, is not bounded.
 
 def check_expansion(e: Expr):
-    """(bound on the number of terms, degree, atoms) of the expansion of
-    the parse tree e.  Raises ScalarError unless every subtree, trig
-    arguments included, expands to at most MAX_TERMS terms and every power
-    of a non-constant power merges to at most MAX_EXPONENT."""
-    if isinstance(e, Rat):
-        return 1, 0, frozenset()
-    if isinstance(e, (Sin, Cos)):
-        check_expansion(e.argument)
-        return 1, 1, frozenset([e])
-    if isinstance(e, Var):
-        return 1, 1, frozenset([e])
+    """(terms, free terms, degree, degrees): bounds on the number of terms
+    of the expansion of the parse tree e and of its free expansion, on its
+    total degree and on its degree in each atom, found without expanding e
+    beyond its trig arguments.  Raises ScalarError unless every subtree,
+    trig arguments included, expands to at most MAX_TERMS terms and every
+    power of a non-constant power merges to at most MAX_EXPONENT."""
+    if not isinstance(e, (Sum, Product, Power)):
+        if isinstance(e, (Sin, Cos)):
+            check_expansion(e.argument)
+        degrees = {atom: 1 for mono in normalize(e).terms for atom, _ in mono}
+        return 1, 1, len(degrees), degrees
     over = MAX_TERMS + 1
     if isinstance(e, Power):
-        base, degree, atoms = check_expansion(e.base)
+        _, base, degree, degrees = check_expansion(e.base)
         if degree:
             _check_merged_exponent(e)
-        bound = 1
-        if base > 1:
-            for _ in range(e.exponent):
-                bound = min(bound * base, over)
+        free = min(base ** min(e.exponent, over.bit_length()), over)
         degree *= e.exponent
+        degrees = {atom: d * e.exponent for atom, d in degrees.items()}
     else:
-        parts = [check_expansion(child) for child in
-                 (e.terms if isinstance(e, Sum) else e.factors)]
-        atoms = frozenset().union(*(part[2] for part in parts))
-        if isinstance(e, Sum):
-            bound = min(sum(part[0] for part in parts), over)
-            degree = max(part[1] for part in parts)
-        else:
-            bound = 1
-            for part in parts:
-                bound = min(bound * part[0], over)
-            degree = sum(part[1] for part in parts)
-    # the number of monomials of degree <= degree in len(atoms) atoms,
-    # C(len(atoms) + degree, degree), built up until it passes MAX_TERMS
-    k = min(len(atoms), degree)
-    monomials = 1
-    for i in range(1, k + 1):
-        if monomials >= bound:
-            break
-        monomials = monomials * (len(atoms) + degree - k + i) // i
-    bound = min(bound, monomials)
-    if bound > MAX_TERMS:
+        add = isinstance(e, Sum)
+        free, degree, degrees = int(not add), 0, {}
+        for _, part_free, part_degree, part_degrees in map(
+                check_expansion, e.terms if add else e.factors):
+            free = min(free + part_free if add else free * part_free, over)
+            degree = max(degree, part_degree) if add else degree + part_degree
+            for atom, d in part_degrees.items():
+                old = degrees.get(atom, 0)
+                degrees[atom] = max(old, d) if add else old + d
+    free = terms = min(free, _monomials(len(degrees), degree, free))
+    sines, others = 0, len(degrees)
+    for (tag, payload), d in degrees.items():
+        if tag == SIN:
+            terms = min(terms * (d // 2 + 1), over)
+            sines += 1
+            others += (COS, payload) not in degrees
+    # reduced monomials: t sines to the first power times a monomial of
+    # degree <= degree - t in the other atoms
+    count = 0
+    for t in range(min(sines, degree) + 1):
+        if count < terms:
+            count += math.comb(sines, t) * _monomials(others - sines, degree - t, terms)
+    terms = min(terms, count)
+    if terms > MAX_TERMS:
         raise ScalarError(f"expands to more than {MAX_TERMS} terms")
-    return bound, degree, atoms
+    return terms, free, degree, degrees
+
+
+def _monomials(atoms: int, degree: int, cap: int) -> int:
+    """C(atoms + degree, degree), the number of monomials of degree <=
+    degree in that many atoms, or a number >= cap once it passes cap."""
+    k, count = min(atoms, degree), 1
+    for i in range(1, k + 1):
+        if count >= cap:
+            break
+        count = count * (atoms + degree - k + i) // i
+    return count
 
 
 # ------------------------------------------------------------------
@@ -691,19 +699,16 @@ def is_zero(p: TrigPoly, seed: int | None = None) -> bool:
 #         | 'cos(' expr ')' | '(' expr ')'
 # rational := integer ('/' positive-integer)?
 #
-# The optional leading sign lets data files hold entries such as "-x1".
-# Whitespace is insignificant.  Parentheses, sin( and cos( nest at most
-# MAX_NESTING deep, inside the interpreter's recursion limit.  An integer
-# literal has at most MAX_DIGITS digits, below the interpreter's 4300-digit
-# limit on int conversion.  A written exponent, and the exponent a power of
-# a non-constant power merges (the exponents multiply), is at most
-# MAX_EXPONENT: it is the degree of what the expansion builds, and
-# (x2 + 1)^MAX_EXPONENT already holds 513 terms, while constants past the
-# float range such as 10^400 stay writable.  Input is also held to
-# MAX_TERMS by check_expansion.  A power of a constant that surely has more
-# than MAX_CONSTANT_DIGITS digits, the limit on int-to-string conversion,
-# is refused before it is computed: ((10^512)^512)^64 would otherwise build
-# a number of 16.8 million digits that could not be rendered.
+# The optional leading sign lets data files hold entries such as "-x1";
+# whitespace is insignificant.  Parentheses, sin( and cos( nest at most
+# MAX_NESTING deep, inside the recursion limit.  An integer literal has at
+# most MAX_DIGITS digits, below the 4300-digit limit on int conversion.  A
+# written exponent, and the one a power of a non-constant power merges, is
+# at most MAX_EXPONENT: (x2 + 1)^512 already holds 513 terms, while
+# constants such as 10^400 stay writable.  Input is also held to MAX_TERMS
+# by check_expansion.  A power of a constant surely past MAX_CONSTANT_DIGITS
+# digits, the limit on int-to-string conversion, is refused before it is
+# computed: ((10^512)^512)^64 has 16.8 million digits.
 
 MAX_NESTING = 100
 MAX_DIGITS = 1000
@@ -716,9 +721,7 @@ _MINUS_ONE = Rat(Fraction(-1))
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
+        self.text, self.pos, self.depth = text, 0, 0
 
     def error(self, message: str):
         raise ParseError(message, self.pos)

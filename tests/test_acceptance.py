@@ -273,7 +273,7 @@ def test_c11_depth_algebra_laws():
                 depths[position] = rng.randint(1, profile[position - 1] - 1)
         coefficient = TrigPoly.const(rng.choice([1, 2, -1, Fr(1, 2)]))
         for i in range(len(profile)):
-            coefficient = coefficient * var(i + 1) ** rng.randint(0, 2)
+            coefficient = coefficient * var(i + 1).power(rng.randint(0, 2))
         return depth.monomial(profile, coefficient, depths)
 
     ok = True

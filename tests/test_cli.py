@@ -189,6 +189,18 @@ def test_depth_diff():
     assert text.strip() == "x1*d2x1"
 
 
+def test_depth_diff_refuses_a_wide_trig_coefficient():
+    # sin(u)^512 expands to 257 terms under sin^2 u = 1 - cos^2 u, so this
+    # coefficient would hold 257^3 terms
+    start = time.perf_counter()
+    proc = run_module("depth-forms", "--profile", "2,2,2", "diff",
+                      "sin(x1)^512*sin(x2)^512*sin(x3)^512*dx1")
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "expands to more than 1000 terms" in proc.stderr
+
+
 def test_depth_bad_profile():
     code, _ = run(["depth-forms", "--profile", "1", "nilpotency"])
     assert code == 1
@@ -320,6 +332,10 @@ HOSTILE_ENTRIES = {
                           "base 3\nfiber 1\nomega 1\n(x1+1)^100*(x2+1)^100*(x3+1)^100\n"
                           "omega 2\n0\nomega 3\n0\n",
                           "line 4: ", "expands to more than 1000 terms"),
+    "trig_power.conn": (["flatness"],
+                        "base 3\nfiber 1\nomega 1\nsin(x1)^512*sin(x2)^512*sin(x3)^512\n"
+                        "omega 2\n0\nomega 3\n0\n",
+                        "line 4: ", "expands to more than 1000 terms"),
     "long_integer.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n" + "7" * 5000 + "*x1\n",
                           "line 4: ", "integer longer than 1000 digits"),
     "constant_power.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n((10^512)^512)^64\n",

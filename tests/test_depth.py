@@ -60,7 +60,7 @@ def _random_monomial(rng, profile):
     exponents = [rng.randint(0, 2) for _ in profile]
     coefficient = TrigPoly.const(rng.choice([1, 2, -1, Fraction(1, 2)]))
     for i, e in enumerate(exponents):
-        coefficient = coefficient * var(i + 1) ** e
+        coefficient = coefficient * var(i + 1).power(e)
     return monomial(profile, coefficient, depths)
 
 
@@ -205,7 +205,7 @@ def test_scaling_pullback_on_one_variable():
     f = AffineMap(((2,),), (0,))
     profile = (3,)
     assert affine_pullback(f, generator(profile, 1, 2)) == generator(profile, 1, 2).scale(2)
-    a = function(profile, var(1) ** 2)
+    a = function(profile, var(1).power(2))
     lhs = differential(affine_pullback(f, a))
     rhs = affine_pullback(f, differential(a))
     assert (lhs - rhs).is_zero()
@@ -345,7 +345,7 @@ def test_parse_monomial_syntax():
 def test_parse_with_coefficients():
     form = parse_form("2*x1^2*dx1 - sin(x2)*dx2", (2, 2))
     expected = DepthForm((2, 2), {
-        ((1, 1),): 2 * x1 ** 2,
+        ((1, 1),): 2 * x1.power(2),
         ((2, 1),): -scalar.expand("sin(x2)"),
     })
     assert form == expected

@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from ndga import scalar
 from ndga.scalar import (
-    EvalError, ParseError, Power, Rat, ScalarError, Sin, TrigPoly, Var,
+    EvalError, ParseError, Power, Product, Rat, ScalarError, Sin, Sum, TrigPoly, Var,
     evaluate, is_zero, normalize, parse, render,
 )
 
@@ -71,7 +71,7 @@ def test_parse_bounds_exponents_and_digits():
     # like factors add theirs, unbounded: the bound is on input, not on
     # arithmetic, and expansion size is bounded by check_expansion
     high = poly(f"x1^{top}")
-    assert high * high == x1 ** (2 * top)
+    assert high * high == x1.power(2 * top)
     assert len(poly(f"(x2+1)^{top}*(x2+1)^{top}").terms) == 2 * top + 1
     digits = scalar.MAX_DIGITS
     assert parse("9" * digits) == Rat(Fraction(10**digits - 1))
@@ -98,12 +98,27 @@ def test_check_expansion_bounds_terms_without_expanding():
     for text in ("(x2+1)^512", "x1^300*x1^300", "(x1+x2+1)^43", "sin(x1)^500 + x3"):
         scalar.check_expansion(parse(text))
     for text in ("(x1+1)^100*(x2+1)^100*(x3+1)^100", "(x1+x2+1)^44",
-                 "(x1+1)^500*(x1+1)^501", "cos(x1) + sin((x1+x2+x3+1)^40)"):
+                 "(x1+1)^500*(x1+1)^501", "cos(x1) + sin((x1+x2+x3+1)^40)",
+                 "sin(x1)^512*sin(x2)^512*sin(x3)^512", "(sin(x1)*sin(x1))^512*sin(x2)^4"):
         with pytest.raises(ScalarError, match=f"more than {scalar.MAX_TERMS} terms"):
             scalar.check_expansion(parse(text))
 
 
+def test_check_expansion_counts_the_sin_square_rewrite():
+    # sin^2 u = 1 - cos^2 u turns sin(u)^e into e div 2 + 1 terms, and
+    # sin(x1+1), sin(1+x1) are one atom; (sin(x1)+1)^100 is bounded by the
+    # 201 monomials sin(x1)^a*cos(x1)^b with a <= 1, a + b <= 100
+    for text, terms, bound in [("sin(x1)^2", 2, 2), ("sin(x1)^512", 257, 257),
+                               ("(sin(x1)*sin(x1))^512", 513, 513),
+                               ("sin(x1+1)*sin(1+x1)", 2, 2), ("(sin(x1)+1)^100", 101, 201)]:
+        assert len(poly(text).terms) == terms
+        assert scalar.check_expansion(parse(text))[0] == bound
+
+
 @given(expressions)
+@example(Power(Sin(Var(1)), 2))
+@example(Product((Sin(Var(1)), Sin(Var(1)))))
+@example(Product((Sin(Sum((Var(1), Rat(Fraction(1))))), Sin(Sum((Rat(Fraction(1)), Var(1)))))))
 def test_check_expansion_never_undercounts(e):
     size = len(normalize(e).terms)
     scalar.check_expansion(e)
