@@ -27,10 +27,15 @@ def zero_matrix(rows: int, cols: int) -> FracMatrix:
     return tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
 
 
-def mat_mul(a: FracMatrix, b: FracMatrix) -> FracMatrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} @ {len(b)}x{len(b[0]) if b else 0}")
-    cols = len(b[0]) if b else 0
+def mat_mul(a: FracMatrix, b: FracMatrix, cols: int | None = None) -> FracMatrix:
+    """a b.  A matrix with no rows does not record its width, so when b has
+    none its width must be given as cols."""
+    if b:
+        cols = len(b[0])
+    elif cols is None:
+        raise ValueError("b has no rows: pass its width as cols")
+    if a and len(a[0]) != len(b):
+        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} @ {len(b)}x{cols}")
     return tuple(
         tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(cols))
         for i in range(len(a))

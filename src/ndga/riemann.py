@@ -6,14 +6,14 @@ applied.  Canonical entries make the symmetry check an equality test.
 Christoffel symbols involve the inverse metric, whose entries are
 quotients that the ring cannot hold, so this module computes with exact
 quotients num/det^k: the numerators are TrigPoly values and the
-denominator is a power of det(g), produced by cofactor inversion.  The
-kernels work on numerators over one shared power: the inverse numerators
-sit over det^p (p = 0 for a supplied inverse, 1 for cofactors), so every
-Christoffel symbol sits over det^p and every curvature entry over det^2p,
-and no sum lifts a term to a common denominator.  Curvature entries are
-exact polynomial quotients, handed to forms as TrigPoly entries; flatness
-certificates clear denominators instead, which leaves every verdict
-unchanged because det(g) vanishes nowhere on the metric's domain.
+denominator is a power of det(g).  A metric holds its inverse as
+numerators over one power det^p: the supplied rows with p = 0, or the
+adjugate (cofactor inversion) with p = 1.  So every Christoffel symbol
+sits over det^p and every curvature entry over det^2p, and no sum lifts a
+term to a common denominator.  Curvature entries are exact polynomial
+quotients, handed to forms as TrigPoly entries; flatness certificates use
+the numerators instead, which leaves every verdict unchanged because
+det(g) vanishes nowhere on the metric's domain.
 """
 
 from __future__ import annotations
@@ -136,13 +136,6 @@ class DetFraction:
         """(numerator, denominator) as polynomials."""
         return self.num, self.det.power(self.power)
 
-    def aligned_num(self, power: int) -> TrigPoly:
-        if power < self.power:
-            raise MetricError("cannot align to a smaller power")
-        if power == self.power:
-            return self.num
-        return self.num * self.det.power(power - self.power)
-
 
 # ------------------------------------------------------------------
 # metrics
@@ -182,10 +175,10 @@ class Metric:
     """Symmetric coordinate metric with an exact inverse.
 
     Entries are TrigPoly values, or ints and Fractions taken as constants.
-    The inverse is either supplied (certified by the zero test on the
-    entries of g g^-1 - I) or derived by cofactor inversion, in which case
-    the inverse entries are quotients adj/det and the adjugate identity
-    g adj = det I is certified exactly."""
+    The inverse is held as numerators N over det(g)^p: the supplied rows
+    with inverse_power p = 0, or the adjugate with p = 1.  One certificate
+    checks g N = det^p I with the zero test; for the adjugate the residue
+    is the zero polynomial, so the check is exact."""
 
     def __init__(self, entries, inverse=None):
         rows = [list(r) for r in entries]
@@ -193,55 +186,40 @@ class Metric:
         if any(len(r) != n for r in rows):
             raise MetricError("metric matrix must be square")
         self.dim = n
-        self.g = tuple(tuple(scalar.as_poly(e) for e in row) for row in rows)
+        self.g = g = tuple(tuple(scalar.as_poly(e) for e in row) for row in rows)
         for i in range(n):
             for j in range(i + 1, n):
-                if self.g[i][j] != self.g[j][i]:
+                if g[i][j] != g[j][i]:
                     raise MetricError(
                         f"metric is not symmetric at ({i + 1},{j + 1}): "
-                        f"{scalar.render(self.g[i][j])} vs {scalar.render(self.g[j][i])}"
+                        f"{scalar.render(g[i][j])} vs {scalar.render(g[j][i])}"
                     )
-        g = self.g
         self._det = _symbolic_det(g)
         if self._det.is_zero():
             raise MetricError("metric is degenerate: det(g) = 0 identically")
-        if inverse is not None:
-            inv_rows = [[scalar.as_poly(e) for e in row] for row in inverse]
-            if len(inv_rows) != n or any(len(r) != n for r in inv_rows):
-                raise MetricError("inverse matrix must match the metric's shape")
-            for i in range(n):
-                for j in range(n):
-                    total = TrigPoly.const(-1 if i == j else 0)
-                    for k in range(n):
-                        total = total + g[i][k] * inv_rows[k][j]
-                    if not scalar.is_zero(total):
-                        raise MetricError(
-                            f"supplied inverse fails g g^-1 = I at ({i + 1},{j + 1})"
-                        )
-            self._inverse = [
-                [DetFraction(inv_rows[i][j], 0, self._det) for j in range(n)] for i in range(n)
-            ]
-            self.inverse_supplied = True
+        if inverse is None:
+            numerators, self.inverse_power = _symbolic_adjugate(g), 1
         else:
-            adj = _symbolic_adjugate(g)
-            for i in range(n):
-                for j in range(n):
-                    total = TrigPoly.zero()
-                    for k in range(n):
-                        total = total + g[i][k] * adj[k][j]
-                    expected = self._det if i == j else TrigPoly.zero()
-                    if not (total - expected).is_zero():
-                        raise MetricError("cofactor inversion failed its certificate")
-            self._inverse = [
-                [DetFraction(adj[i][j], 1, self._det) for j in range(n)] for i in range(n)
-            ]
-            self.inverse_supplied = False
+            numerators = [[scalar.as_poly(e) for e in row] for row in inverse]
+            if len(numerators) != n or any(len(r) != n for r in numerators):
+                raise MetricError("inverse matrix must match the metric's shape")
+            self.inverse_power = 0
+        scale = self._det.power(self.inverse_power)
+        for i in range(n):
+            for j in range(n):
+                total = TrigPoly.dot((g[i][k], numerators[k][j]) for k in range(n))
+                if not scalar.is_zero(total - scale if i == j else total):
+                    raise MetricError(
+                        "cofactor inversion failed its certificate" if inverse is None
+                        else f"supplied inverse fails g g^-1 = I at ({i + 1},{j + 1})"
+                    )
+        self.inverse_numerators = tuple(tuple(row) for row in numerators)
 
     def entry(self, i: int, j: int) -> TrigPoly:
         return self.g[i - 1][j - 1]
 
     def inverse_fraction(self, i: int, j: int) -> DetFraction:
-        return self._inverse[i - 1][j - 1]
+        return DetFraction(self.inverse_numerators[i - 1][j - 1], self.inverse_power, self._det)
 
     def det_poly(self) -> TrigPoly:
         return self._det
@@ -254,9 +232,8 @@ class Metric:
 @dataclass(frozen=True)
 class Christoffel:
     """Symbols G[i][j][k] = Gamma^i_jk, symmetric in (j, k), as exact
-    quotients over powers of det(g)."""
+    quotients over det(g)^p, p the metric's inverse power."""
 
-    metric: Metric
     symbols: tuple
 
     def entry(self, i: int, j: int, k: int) -> DetFraction:
@@ -267,11 +244,9 @@ def christoffel(metric: Metric) -> Christoffel:
     """Gamma^i_jk = sum_l g^il [jk,l] with the first-kind brackets
     [jk,l] = 1/2 (d_k g_lj + d_j g_lk - d_l g_jk), every symbol over the
     one power of det(g) that the inverse numerators share."""
-    n, det = metric.dim, metric.det_poly()
-    g = metric.g
+    n, det, power = metric.dim, metric.det_poly(), metric.inverse_power
+    g, inverse = metric.g, metric.inverse_numerators
     dg = [[[g[a][b].diff(c + 1) for b in range(n)] for a in range(n)] for c in range(n)]
-    power = max(f.power for row in metric._inverse for f in row)
-    inverse = [[f.aligned_num(power) for f in row] for row in metric._inverse]
     half = Fraction(1, 2)
     symbols = [[[None] * n for _ in range(n)] for _ in range(n)]
     for j in range(n):
@@ -288,7 +263,7 @@ def christoffel(metric: Metric) -> Christoffel:
             for k in range(j + 1, n):
                 if symbols[i][j][k].num != symbols[i][k][j].num:
                     raise MetricError("Christoffel symbols are not symmetric")
-    return Christoffel(metric, tuple(tuple(tuple(row) for row in s) for s in symbols))
+    return Christoffel(tuple(tuple(tuple(row) for row in s) for s in symbols))
 
 
 def riemann_components(metric: Metric) -> list:
@@ -300,7 +275,7 @@ def riemann_components(metric: Metric) -> list:
     n = metric.dim
     det = metric.det_poly()
     symbols = christoffel(metric).symbols
-    power = symbols[0][0][0].power
+    power = metric.inverse_power
     G = [[[f.num for f in row] for row in s] for s in symbols]
     d_det = [det.diff(k + 1) for k in range(n)]
     derivatives: Dict[tuple, TrigPoly] = {}
@@ -334,63 +309,51 @@ def riemann_components(metric: Metric) -> list:
     return R
 
 
+def _curvature_numerators(metric: Metric) -> MatrixForm:
+    """The End(TM)-valued curvature 2-form of numerators over det^2p:
+    component dx^k ^ dx^l (k < l) carries the matrix (num R^i_jkl)_ij."""
+    n = metric.dim
+    R = riemann_components(metric)
+    return MatrixForm(n, (n, n), {
+        (k + 1, l + 1): tuple(tuple(R[i][j][k][l].num for j in range(n)) for i in range(n))
+        for k in range(n) for l in range(k + 1, n)
+    })
+
+
 def riemann_form(metric: Metric) -> MatrixForm:
     """Curvature as an End(TM)-valued 2-form: component dx^k ^ dx^l (k < l)
     carries the matrix (R^i_jkl)_ij.  Raises GrammarError when an entry is
     not polynomial over the atoms."""
-    n = metric.dim
-    R = riemann_components(metric)
+    power, det = 2 * metric.inverse_power, metric.det_poly()
     components = {}
-    for k in range(n):
-        for l in range(k + 1, n):
-            entries = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    value = R[i][j][k][l].as_poly()
-                    if value is None:
-                        raise GrammarError(
-                            f"curvature entry R^{i + 1}_{j + 1}{k + 1}{l + 1} "
-                            "is not expressible in the scalar grammar"
-                        )
-                    row.append(value)
-                entries.append(tuple(row))
-            components[(k + 1, l + 1)] = tuple(entries)
-    return MatrixForm(n, (n, n), components)
+    for (k, l), entries in _curvature_numerators(metric).components():
+        rows = []
+        for i, row in enumerate(entries, 1):
+            quotients = []
+            for j, num in enumerate(row, 1):
+                value = DetFraction(num, power, det).as_poly() if num.terms else num
+                if value is None:
+                    raise GrammarError(
+                        f"curvature entry R^{i}_{j}{k}{l} "
+                        "is not expressible in the scalar grammar"
+                    )
+                quotients.append(value)
+            rows.append(tuple(quotients))
+        components[(k, l)] = tuple(rows)
+    return MatrixForm(metric.dim, (metric.dim, metric.dim), components)
 
 
 def _cleared_forms(metric: Metric) -> Tuple[MatrixForm, MatrixForm]:
-    """Denominator-cleared curvature and connection forms: det^P R and
-    det^Q Gamma have polynomial entries and the same vanishing behavior."""
+    """Denominator-cleared curvature and connection forms: the numerators
+    of R over det^2p and of Gamma over det^p are polynomial and vanish
+    where R and Gamma do."""
     n = metric.dim
-    R = riemann_components(metric)
-    gamma = christoffel(metric)
-    r_power = max(
-        (R[i][j][k][l].power for i in range(n) for j in range(n)
-         for k in range(n) for l in range(n)),
-        default=0,
-    )
-    g_power = max(
-        (gamma.symbols[i][j][k].power for i in range(n) for j in range(n) for k in range(n)),
-        default=0,
-    )
-    curvature_components = {}
-    for k in range(n):
-        for l in range(k + 1, n):
-            entries = tuple(
-                tuple(R[i][j][k][l].aligned_num(r_power) for j in range(n))
-                for i in range(n)
-            )
-            curvature_components[(k + 1, l + 1)] = entries
-    connection_components = {}
-    for k in range(n):
-        entries = tuple(
-            tuple(gamma.symbols[i][j][k].aligned_num(g_power) for j in range(n))
-            for i in range(n)
-        )
-        connection_components[(k + 1,)] = entries
-    S = MatrixForm(n, (n, n), curvature_components)
-    tau = MatrixForm(n, (n, n), connection_components)
+    S = _curvature_numerators(metric)
+    symbols = christoffel(metric).symbols
+    tau = MatrixForm(n, (n, n), {
+        (k + 1,): tuple(tuple(symbols[i][j][k].num for j in range(n)) for i in range(n))
+        for k in range(n)
+    })
     return S, tau
 
 
@@ -420,7 +383,12 @@ MetricFileError = textfile.InputFileError
 # largest dimension a metric file may declare: cofactor inversion costs
 # n! n^2 products, and the riemann report on an identity metric takes
 # 0.05 s at dimension 6, 0.26 s at 7 and 2.0 s at 8 (in process, best of 3,
-# 2-vCPU machine); a fraction-free determinant would lift the bound
+# 2-vCPU machine).  A Bareiss-Jordan det and adjugate over exact_divide
+# agrees with the cofactors and takes 2.4 ms against 2.2 s on the dim-8
+# identity, but is slower at dims 2-4: per metric 0.16 against 0.02 ms
+# (dim 2), 0.48 against 0.16 (dim 3), 1.14 against 0.77 (dim 4), 28 against
+# 0.8 ms on diag(1+x1^2, 2+sin(x1), 1+x3^2, 2+sin(x3)).  It needs a faster
+# exact division before it can lift this bound.
 MAX_DIM = 6
 
 

@@ -30,6 +30,8 @@ CASES = [
     ("flatness_trig_pair", ["flatness", "@trig_pair.conn"]),
     ("riemann_sphere_torus", ["riemann", "@sphere_torus.metric"]),
     ("riemann_round_sphere3", ["riemann", "@round_sphere3.metric"]),
+    ("riemann_supplied_inverse", ["riemann", "@supplied_inverse.metric"]),
+    ("riemann_quotient", ["riemann", "@quotient.metric"]),
     ("knflat_expand", ["knflat", "expand", "--N", "5", "--K", "3"]),
     ("knflat_expand_infinitesimal",
      ["knflat", "expand", "--N", "5", "--K", "3", "--infinitesimal"]),
@@ -52,6 +54,7 @@ ERROR_CASES = [
     ("error_swapped_headers", ["flatness", "bad/swapped_headers.conn"], 1),
     ("error_asymmetric_metric", ["riemann", "bad/asymmetric.metric"], 1),
     ("error_short_row_metric", ["riemann", "bad/short_row.metric"], 1),
+    ("error_wrong_inverse", ["riemann", "bad/wrong_inverse.metric"], 1),
     ("error_missing_rows", ["ncomplex", "cohomology", "bad/missing_rows.ncx"], 1),
     ("error_missing_file", ["flatness", "bad/missing.conn"], 1),
 ]

@@ -458,6 +458,18 @@ def test_power_at_keeps_its_shape_through_a_zero_dimensional_degree():
     assert c.power_at(1, 1) == ((),)
 
 
+def test_mat_mul_through_a_zero_dimensional_space_keeps_the_width():
+    # a 1x0 times a 0x1 matrix is the 1x1 zero; a matrix with no rows does
+    # not record its width, so it is passed as cols
+    assert linalg.mat_mul(((),), (), cols=1) == linalg.zero_matrix(1, 1)
+    assert linalg.mat_mul(((), ()), (), cols=3) == linalg.zero_matrix(2, 3)
+    assert linalg.mat_mul((), (), cols=2) == ()
+    with pytest.raises(ValueError, match="cols"):
+        linalg.mat_mul(((),), ())
+    with pytest.raises(ValueError, match="shape mismatch"):
+        linalg.mat_mul(((1,),), (), cols=1)
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ComplexFileError, match="line 1"):
         parse_complex("deg 0 dim 1\n")

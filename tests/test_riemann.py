@@ -236,7 +236,7 @@ def test_oracle_covers_every_family():
     metrics = [parse_metric(text) for text in ORACLE_METRICS]
     assert len(metrics) >= 30
     assert {m.dim for m in metrics} == {2, 3, 4}
-    assert {m.inverse_supplied for m in metrics} == {False, True}
+    assert {m.inverse_power for m in metrics} == {0, 1}
     assert any(m.det_poly().atoms() - {(scalar.VAR, i) for i in range(1, 5)} for m in metrics)
     assert any(any(m.entry(i, j) != ZERO for i in range(1, m.dim + 1)
                    for j in range(1, m.dim + 1) if i != j) for m in metrics)
@@ -268,10 +268,8 @@ def test_kernels_multiply_few_polynomials(monkeypatch, data_path):
     del calls[:]
     R = riemann_components(metric)
     assert len(calls) <= 200
-    fractions = [f for a in gamma.symbols for b in a for f in b]
-    fractions += [f for a in R for b in a for c in b for f in c]
-    for f in fractions:
-        assert f.aligned_num(f.power) is f.num
+    assert {f.power for a in gamma.symbols for b in a for f in b} == {metric.inverse_power}
+    assert {f.power for a in R for b in a for c in b for f in c} == {2 * metric.inverse_power}
 
 
 # sympy as an independent oracle: its own inverse of g, its own
@@ -578,10 +576,28 @@ def test_unexpanded_entries_give_the_report_of_their_expansion(tmp_path):
     assert "Gamma^" in reports[0]
 
 
+def test_supplied_inverse_and_cofactors_give_one_report(data_path, tmp_path):
+    # det(g) = 1, so the adjugate is the inverse: the numerators over det^0
+    # and over det^1 must print the same report
+    supplied = data_path("supplied_inverse.metric")
+    with open(supplied) as handle:
+        text = handle.read()
+    cofactor = tmp_path / "cofactor.metric"
+    cofactor.write_text(text[:text.index("\ninverse")])
+    reports = []
+    for path, power in ((supplied, 0), (str(cofactor), 1)):
+        assert riemann.load_metric(path).inverse_power == power
+        out = io.StringIO()
+        assert cli.main(["riemann", path], out=out) == 0
+        reports.append(out.getvalue())
+    assert reports[0] == reports[1]
+    assert "R[dx1^dx2]:" in reports[0]
+
+
 def test_parse_metric_with_inverse_block():
     text = "dim 2\n2;0\n0;4\ninverse\n1/2;0\n0;1/4\n"
     g = parse_metric(text)
-    assert g.inverse_supplied
+    assert g.inverse_power == 0
 
 
 def test_parse_metric_errors():

@@ -7,7 +7,7 @@ def metric_key(metric):
     n = metric.dim
     inverse = tuple(metric.inverse_fraction(i, j).as_poly()
                     for i in range(1, n + 1) for j in range(1, n + 1))
-    return metric.g, metric.inverse_supplied, inverse
+    return metric.g, metric.inverse_power, inverse
 
 
 # (format, parser, key of the parsed object, plain file, a bad line and the
