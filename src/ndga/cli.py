@@ -23,7 +23,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ndga",
         description="exact constructions around N-differential graded algebras",
     )
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=int, default=scalar.DEFAULT_ZERO_SEED,
                         help="seed for the randomized zero test on trigonometric expressions")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -218,33 +218,33 @@ def _run_ncomplex(args, out) -> int:
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.seed is not None:
+    with scalar.work_budget():
+        parser = _build_parser()
+        args = parser.parse_args(argv)
         scalar.set_zero_seed(args.seed)
-    try:
-        if args.command == "cs-lagrangian":
-            if not 1 <= args.K <= 6:
-                parser.error("K must satisfy 1 <= K <= 6")
-            return _run_cs(args, out)
-        if args.command == "flatness":
-            if args.max_n < 2:
-                parser.error("--max-N must be at least 2")
-            return _run_flatness(args, out)
-        if args.command == "riemann":
-            if args.max_n < 2:
-                parser.error("--max-N must be at least 2")
-            return _run_riemann(args, out)
-        if args.command == "knflat":
-            return _run_knflat(args, parser, out)
-        if args.command == "depth-forms":
-            return _run_depth(args, out)
-        if args.command == "ncomplex":
-            return _run_ncomplex(args, out)
-        parser.error(f"unknown command {args.command!r}")
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        try:
+            if args.command == "cs-lagrangian":
+                if not 1 <= args.K <= 6:
+                    parser.error("K must satisfy 1 <= K <= 6")
+                return _run_cs(args, out)
+            if args.command == "flatness":
+                if args.max_n < 2:
+                    parser.error("--max-N must be at least 2")
+                return _run_flatness(args, out)
+            if args.command == "riemann":
+                if args.max_n < 2:
+                    parser.error("--max-N must be at least 2")
+                return _run_riemann(args, out)
+            if args.command == "knflat":
+                return _run_knflat(args, parser, out)
+            if args.command == "depth-forms":
+                return _run_depth(args, out)
+            if args.command == "ncomplex":
+                return _run_ncomplex(args, out)
+            parser.error(f"unknown command {args.command!r}")
+        except InputError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
     return 2
 
 

@@ -87,6 +87,7 @@ def exact_divide(num: TrigPoly, den: TrigPoly) -> Optional[TrigPoly]:
     remainder = dict(num.terms)
     quotient: Dict[Mono, Fraction] = {}
     while remainder:
+        scalar._charge(len(remainder))
         lead_mono = max(remainder, key=vector)
         lead_vec = vector(lead_mono)
         diff = [a - b for a, b in zip(lead_vec, lead_den_vec)]
@@ -388,7 +389,9 @@ MetricFileError = textfile.InputFileError
 # identity, but is slower at dims 2-4: per metric 0.16 against 0.02 ms
 # (dim 2), 0.48 against 0.16 (dim 3), 1.14 against 0.77 (dim 4), 28 against
 # 0.8 ms on diag(1+x1^2, 2+sin(x1), 1+x3^2, 2+sin(x3)).  It needs a faster
-# exact division before it can lift this bound.
+# exact division before it can lift this bound.  scalar.WORK_BUDGET does not
+# replace it: cofactors over zero entries make no term products, so the
+# n! recursion on an identity metric is charged almost nothing.
 MAX_DIM = 6
 
 

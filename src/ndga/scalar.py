@@ -7,17 +7,19 @@ polynomial is canonical, so == decides equality in the ring, and forms,
 depth forms, metrics and curvature all compute on it.
 
 Expressions exist only as parse trees: parse reads the grammar below into
-Rat, Var, Sum, Product, Power, Sin and Cos nodes, check_expansion bounds
-the size of a tree's expansion without expanding it, and normalize expands
-a tree, once, into its TrigPoly.  The module's two functools.lru_cache
-functions are normalize and sort_key, the key that orders monomials in
-rendered text and trig atoms by their arguments.  render writes a
-TrigPoly back in the grammar.  Values are immutable; every function here
-is pure.
+Rat, Var, Sum, Product, Power, Sin and Cos nodes, and normalize expands a
+tree, once, into its TrigPoly, refusing any step that holds more than
+MAX_TERMS terms.  The module's two functools.lru_cache functions are
+normalize and sort_key, the key that orders monomials in rendered text and
+trig atoms by their arguments.  render writes a TrigPoly back in the
+grammar.  Values are immutable, and every function here is pure, except
+that inside work_budget() the ring counts its term products and refuses
+work past WORK_BUDGET.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import random
@@ -234,8 +236,41 @@ def _mono_product(m1: Mono, m2: Mono):
     return MappingProxyType(merged) if reduce else tuple(sorted(merged.items()))
 
 
+# Input bounds hold each cell, not the arithmetic on the cells.  Inside
+# work_budget() the ring counts term products, len(a) * len(b) per _mul_into
+# call and one per remainder term riemann.exact_divide scans, and refuses
+# with ScalarError, before the work, a call that would pass WORK_BUDGET.
+# One term product costs 1-10 us.  Outside the scope work is unbounded.
+
+WORK_BUDGET = 400_000
+_work_left = math.inf
+
+
+def _charge(work: int) -> None:
+    """Spend work term products of the budget, or refuse them."""
+    global _work_left
+    if work > _work_left:
+        raise ScalarError(f"work above the budget of {WORK_BUDGET} term products")
+    _work_left -= work
+
+
+@contextlib.contextmanager
+def work_budget():
+    """Hold the ring's work inside the block to WORK_BUDGET term products.
+    normalize's cache is cleared on entry, so a cached expansion is never
+    free and a refusal does not depend on earlier calls."""
+    global _work_left
+    normalize.cache_clear()
+    _work_left = WORK_BUDGET
+    try:
+        yield
+    finally:
+        _work_left = math.inf
+
+
 def _mul_into(terms: dict, a: dict, b: dict) -> None:
     """terms += a * b for two term dicts: the ring's one multiply-accumulate."""
+    _charge(len(a) * len(b))
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             coeff = c1 * c2
@@ -427,18 +462,21 @@ def _trig(tag: int, argument: TrigPoly) -> TrigPoly:
 @functools.lru_cache(maxsize=65536)
 def normalize(e: Expr) -> TrigPoly:
     """The expansion of a parse tree, computed once per distinct tree.
-    Raises ScalarError on a power of a constant past MAX_CONSTANT_DIGITS
-    and on a power of a power past MAX_EXPONENT; check_expansion bounds
-    the size of the expansion."""
+    Raises ScalarError when a node, a partial product or a partial power
+    holds more than MAX_TERMS terms, on a power of a constant past
+    MAX_CONSTANT_DIGITS and on a power of a power past MAX_EXPONENT."""
     if isinstance(e, Rat):
         return TrigPoly.const(e.value)
     if isinstance(e, Var):
         return TrigPoly.var(e.index)
     if isinstance(e, Sum):
-        return _sum(map(normalize, e.terms))
+        total = _sum(map(normalize, e.terms))
+        _check_terms(len(total.terms))
+        return total
     if isinstance(e, Product):
-        return functools.reduce(TrigPoly.__mul__, map(normalize, e.factors))
+        return functools.reduce(_bounded_product, map(normalize, e.factors))
     if isinstance(e, Power):
+        _check_merged_exponent(e)
         base = normalize(e.base)
         if set(base.terms) <= {()}:
             # a numerator or denominator of b bits raised to the exponent has
@@ -448,102 +486,41 @@ def normalize(e: Expr) -> TrigPoly:
             if e.exponent * (bits - 1) > _MAX_CONSTANT_BITS:
                 raise ScalarError(f"constant power above {MAX_CONSTANT_DIGITS} digits")
             return TrigPoly.const(value ** e.exponent)
-        _check_merged_exponent(e)
-        return base.power(e.exponent)
+        return functools.reduce(_bounded_product, [base] * e.exponent, TrigPoly.one())
     if isinstance(e, (Sin, Cos)):
         return _trig(e._tag, normalize(e.argument))
     raise TypeError(type(e))
 
 
+def _check_terms(count: int) -> None:
+    if count > MAX_TERMS:
+        raise ScalarError(f"expands to more than {MAX_TERMS} terms")
+
+
+def _bounded_product(a: TrigPoly, b: TrigPoly) -> TrigPoly:
+    """a * b, refused when it holds more than MAX_TERMS terms: before it is
+    computed when a and b share no atom, as it then holds len(a) * len(b)."""
+    if len(a.terms) * len(b.terms) > MAX_TERMS and a.atoms().isdisjoint(b.atoms()):
+        _check_terms(len(a.terms) * len(b.terms))
+    product = a * b
+    _check_terms(len(product.terms))
+    return product
+
+
 def _check_merged_exponent(e: Power) -> None:
-    """Raise when a chain of powers of powers multiplies past MAX_EXPONENT."""
+    """Raise when a chain of powers of powers of a non-constant multiplies
+    past MAX_EXPONENT; checked before the chain is expanded."""
     merged, base = e.exponent, e.base
     while isinstance(base, Power):
         merged *= base.exponent
         base = base.base
-    if merged > MAX_EXPONENT:
+    if merged > MAX_EXPONENT and not set(normalize(base).terms) <= {()}:
         raise ScalarError(f"exponent {merged} is above {MAX_EXPONENT}")
 
 
 def expand(text: str) -> TrigPoly:
-    """The polynomial of an input expression: parsed, bound-checked by
-    check_expansion and expanded once."""
-    tree = parse(text)
-    check_expansion(tree)
-    return normalize(tree)
-
-
-# Exponents alone do not bound an expansion: (x1+1)^100*(x2+1)^100*(x3+1)^100
-# holds 101^3 terms.  A node's free expansion, the one without the sin^2
-# rewrite, is bounded by the sum (for sums) or product (for products and
-# powers) of the bounds of its children and by the number of monomials of
-# its degree or less in its atoms.  The rewrite turns a monomial holding
-# sin^e u into e div 2 + 1 terms, so the expansion is bounded by the free
-# bound times e div 2 + 1 for each sin atom of degree e, and by the number
-# of monomials of its degree or less with no sin exponent above one, over
-# its atoms and their cos partners.  Atoms are keyed as in the ring, and
-# arguments of sin and cos are checked too, since differentiation expands
-# them.  The bound covers the input; arithmetic on accepted entries, such as
-# products of curvature entries, is not bounded.
-
-def check_expansion(e: Expr):
-    """(terms, free terms, degree, degrees): bounds on the number of terms
-    of the expansion of the parse tree e and of its free expansion, on its
-    total degree and on its degree in each atom, found without expanding e
-    beyond its trig arguments.  Raises ScalarError unless every subtree,
-    trig arguments included, expands to at most MAX_TERMS terms and every
-    power of a non-constant power merges to at most MAX_EXPONENT."""
-    if not isinstance(e, (Sum, Product, Power)):
-        if isinstance(e, (Sin, Cos)):
-            check_expansion(e.argument)
-        degrees = {atom: 1 for mono in normalize(e).terms for atom, _ in mono}
-        return 1, 1, len(degrees), degrees
-    over = MAX_TERMS + 1
-    if isinstance(e, Power):
-        _, base, degree, degrees = check_expansion(e.base)
-        if degree:
-            _check_merged_exponent(e)
-        free = min(base ** min(e.exponent, over.bit_length()), over)
-        degree *= e.exponent
-        degrees = {atom: d * e.exponent for atom, d in degrees.items()}
-    else:
-        add = isinstance(e, Sum)
-        free, degree, degrees = int(not add), 0, {}
-        for _, part_free, part_degree, part_degrees in map(
-                check_expansion, e.terms if add else e.factors):
-            free = min(free + part_free if add else free * part_free, over)
-            degree = max(degree, part_degree) if add else degree + part_degree
-            for atom, d in part_degrees.items():
-                old = degrees.get(atom, 0)
-                degrees[atom] = max(old, d) if add else old + d
-    free = terms = min(free, _monomials(len(degrees), degree, free))
-    sines, others = 0, len(degrees)
-    for (tag, payload), d in degrees.items():
-        if tag == SIN:
-            terms = min(terms * (d // 2 + 1), over)
-            sines += 1
-            others += (COS, payload) not in degrees
-    # reduced monomials: t sines to the first power times a monomial of
-    # degree <= degree - t in the other atoms
-    count = 0
-    for t in range(min(sines, degree) + 1):
-        if count < terms:
-            count += math.comb(sines, t) * _monomials(others - sines, degree - t, terms)
-    terms = min(terms, count)
-    if terms > MAX_TERMS:
-        raise ScalarError(f"expands to more than {MAX_TERMS} terms")
-    return terms, free, degree, degrees
-
-
-def _monomials(atoms: int, degree: int, cap: int) -> int:
-    """C(atoms + degree, degree), the number of monomials of degree <=
-    degree in that many atoms, or a number >= cap once it passes cap."""
-    k, count = min(atoms, degree), 1
-    for i in range(1, k + 1):
-        if count >= cap:
-            break
-        count = count * (atoms + degree - k + i) // i
-    return count
+    """The polynomial of an input expression, parsed and expanded once."""
+    return normalize(parse(text))
 
 
 # ------------------------------------------------------------------
@@ -705,10 +682,11 @@ def is_zero(p: TrigPoly, seed: int | None = None) -> bool:
 # most MAX_DIGITS digits, below the 4300-digit limit on int conversion.  A
 # written exponent, and the one a power of a non-constant power merges, is
 # at most MAX_EXPONENT: (x2 + 1)^512 already holds 513 terms, while
-# constants such as 10^400 stay writable.  Input is also held to MAX_TERMS
-# by check_expansion.  A power of a constant surely past MAX_CONSTANT_DIGITS
-# digits, the limit on int-to-string conversion, is refused before it is
-# computed: ((10^512)^512)^64 has 16.8 million digits.
+# constants such as 10^400 stay writable.  normalize holds every node,
+# partial product and partial power of an expansion to MAX_TERMS terms.  A
+# power of a constant surely past MAX_CONSTANT_DIGITS digits, the limit on
+# int-to-string conversion, is refused before it is computed:
+# ((10^512)^512)^64 has 16.8 million digits.
 
 MAX_NESTING = 100
 MAX_DIGITS = 1000

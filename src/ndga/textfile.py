@@ -4,8 +4,8 @@ Blank lines and lines whose first non-blank character is '#' are skipped;
 every other line is read stripped, under its physical line number, and each
 error names that number as `line N: ...`.  Headers are `keyword <int>`
 pairs, and matrix rows hold ';'-separated expressions of the scalar
-grammar, each read as its expanded polynomial (scalar.TrigPoly) and held
-to scalar.MAX_TERMS terms before it is expanded.
+grammar, each read as its expanded polynomial (scalar.TrigPoly), which
+scalar.normalize holds to scalar.MAX_TERMS terms at every step.
 Input quoted back in an error is clipped to QUOTE_CHARS characters, so a
 hostile line still gives a short message.
 """
@@ -102,8 +102,9 @@ class Lines:
             for cell in cells:
                 try:
                     # expanded here, so that a merged exponent above
-                    # scalar.MAX_EXPONENT or an expansion above
-                    # scalar.MAX_TERMS is reported at its line
+                    # scalar.MAX_EXPONENT, an expansion above
+                    # scalar.MAX_TERMS or work past the budget of
+                    # scalar.work_budget is reported at its line
                     row.append(scalar.expand(cell))
                 except scalar.ScalarError as err:
                     raise self.error(f"bad expression {quote(cell)}: {err}")

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from ndga import cli, depth
+from ndga import cli, depth, scalar
 
 
 def run(argv):
@@ -278,6 +278,12 @@ def test_module_runs_a_subcommand(data_path):
     assert proc.stdout == "4-flat\n"
 
 
+def test_seed_does_not_leak_into_the_next_call(data_path):
+    run(["--seed", "5", "flatness", data_path("rotation.conn")])
+    run(["flatness", data_path("rotation.conn")])
+    assert scalar._zero_seed == scalar.DEFAULT_ZERO_SEED
+
+
 def test_usage_error_leaves_no_state_for_the_next_call(data_path, capsys):
     bad = ["knflat", "expand", "--N", "0", "--K", "4"]
     good = ["riemann", data_path("sphere_torus.metric")]
@@ -323,6 +329,8 @@ def test_deeply_nested_entry_is_an_input_error(tmp_path):
 # (command, file text, line and message of the error); each entry took a
 # minute or more, or ended in a traceback, before integers, exponents and
 # .ncx cells were bounded
+BUDGET = f"work above the budget of {scalar.WORK_BUDGET} term products"
+LONG_SUM = "+".join(f"(x1+{k})^512" for k in range(1, 21))
 HOSTILE_ENTRIES = {
     "power.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n(x2+1)^3000\n",
                    "line 4: ", "exponent above 512"),
@@ -336,6 +344,15 @@ HOSTILE_ENTRIES = {
                         "base 3\nfiber 1\nomega 1\nsin(x1)^512*sin(x2)^512*sin(x3)^512\n"
                         "omega 2\n0\nomega 3\n0\n",
                         "line 4: ", "expands to more than 1000 terms"),
+    # each cell is within MAX_TERMS; the det, or the curvature, multiplies
+    # two 990-term entries, and the one cell sums twenty 513-term powers
+    "wide_det.metric": (["riemann"], "dim 2\n(x1+x2+1)^43;0\n0;(x1+2*x2+3)^43\n",
+                        "", BUDGET),
+    "wide_curvature.conn": (["flatness"],
+                            "base 2\nfiber 1\nomega 1\n(x1+x2+1)^43\nomega 2\n(x1+2*x2+3)^43\n",
+                            "", BUDGET),
+    "long_sum.conn": (["flatness"], "base 1\nfiber 1\nomega 1\n" + LONG_SUM + "\n",
+                      "line 4: ", BUDGET),
     "long_integer.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n" + "7" * 5000 + "*x1\n",
                           "line 4: ", "integer longer than 1000 digits"),
     "constant_power.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n((10^512)^512)^64\n",
@@ -441,6 +458,29 @@ def test_hostile_complex_is_bounded(tmp_path, name):
     assert time.perf_counter() - start < 5
     assert proc.returncode in (0, 1)
     assert "Traceback" not in proc.stderr
+
+
+def test_budget_refusal_does_not_depend_on_earlier_calls(tmp_path, capsys):
+    # an expansion cached by a library call is charged again in the CLI:
+    # with (x1+1)^512 free, the second cell would fit in the budget
+    scalar.expand("(x1+1)^512")
+    for cell in (LONG_SUM, "(x1+1)^512+(x1+2)^512"):
+        path = tmp_path / "sum.conn"
+        path.write_text(f"base 1\nfiber 1\nomega 1\n{cell}\n")
+        results = []
+        for _ in range(2):
+            code, _ = run(["flatness", str(path)])
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0][0] == 1 and BUDGET in results[0][1]
+
+
+def test_diagonal_trig_metric_is_within_the_budget(tmp_path):
+    path = tmp_path / "diag.metric"
+    path.write_text("dim 4\n1+x1^2;0;0;0\n0;2+sin(x1);0;0\n0;0;1+x3^2;0\n0;0;0;2+sin(x3)\n")
+    code, text = run(["riemann", str(path)])
+    assert code == 0
+    assert text.splitlines()[-1] == "4-flat"
 
 
 def test_undecodable_file_is_an_input_error(tmp_path):

@@ -62,17 +62,18 @@ def test_parse_bounds_exponents_and_digits():
     assert poly("10^400") == TrigPoly.const(10**400)
     with pytest.raises(ParseError, match="exponent above"):
         parse(f"(x2+1)^{top + 1}")
-    # powers of powers multiply their exponents, in the expansion and in
-    # the bound check that runs before it on input
+    # powers of powers multiply their exponents, checked before the chain
+    # is expanded, in the library and on input
     with pytest.raises(ScalarError, match=f"exponent {2 * top} is above {top}"):
         normalize(parse(f"(x1^{top})^2"))
     with pytest.raises(ScalarError, match=f"exponent {2 * top} is above {top}"):
-        scalar.check_expansion(parse(f"(x1^{top})^2"))
-    # like factors add theirs, unbounded: the bound is on input, not on
-    # arithmetic, and expansion size is bounded by check_expansion
+        scalar.expand(f"(x1^{top})^2")
+    # like factors add theirs: the exponent and term bounds hold input, and
+    # TrigPoly arithmetic outside scalar.work_budget() is unbounded
     high = poly(f"x1^{top}")
     assert high * high == x1.power(2 * top)
-    assert len(poly(f"(x2+1)^{top}*(x2+1)^{top}").terms) == 2 * top + 1
+    base = poly(f"(x2+1)^{top}")
+    assert len((base * base).terms) == 2 * top + 1
     digits = scalar.MAX_DIGITS
     assert parse("9" * digits) == Rat(Fraction(10**digits - 1))
     assert parse("1/" + "9" * digits) == Rat(Fraction(1, 10**digits - 1))
@@ -94,39 +95,66 @@ def test_constant_powers_are_bounded_before_they_are_computed():
         render(TrigPoly.const(Fraction(1, 10**limit)))
 
 
-def test_check_expansion_bounds_terms_without_expanding():
+def test_expansion_is_bounded_in_terms():
     for text in ("(x2+1)^512", "x1^300*x1^300", "(x1+x2+1)^43", "sin(x1)^500 + x3"):
-        scalar.check_expansion(parse(text))
+        assert len(scalar.expand(text).terms) <= scalar.MAX_TERMS
     for text in ("(x1+1)^100*(x2+1)^100*(x3+1)^100", "(x1+x2+1)^44",
                  "(x1+1)^500*(x1+1)^501", "cos(x1) + sin((x1+x2+x3+1)^40)",
                  "sin(x1)^512*sin(x2)^512*sin(x3)^512", "(sin(x1)*sin(x1))^512*sin(x2)^4"):
         with pytest.raises(ScalarError, match=f"more than {scalar.MAX_TERMS} terms"):
-            scalar.check_expansion(parse(text))
+            scalar.expand(text)
 
 
-def test_check_expansion_counts_the_sin_square_rewrite():
+def test_expansion_counts_the_sin_square_rewrite():
     # sin^2 u = 1 - cos^2 u turns sin(u)^e into e div 2 + 1 terms, and
-    # sin(x1+1), sin(1+x1) are one atom; (sin(x1)+1)^100 is bounded by the
-    # 201 monomials sin(x1)^a*cos(x1)^b with a <= 1, a + b <= 100
-    for text, terms, bound in [("sin(x1)^2", 2, 2), ("sin(x1)^512", 257, 257),
-                               ("(sin(x1)*sin(x1))^512", 513, 513),
-                               ("sin(x1+1)*sin(1+x1)", 2, 2), ("(sin(x1)+1)^100", 101, 201)]:
+    # sin(x1+1), sin(1+x1) are one atom; each expansion is refused once
+    # MAX_TERMS is one below its size
+    for text, terms in [("sin(x1)^2", 2), ("sin(x1)^512", 257), ("(sin(x1)*sin(x1))^512", 513),
+                        ("sin(x1+1)*sin(1+x1)", 2), ("(sin(x1)+1)^100", 101)]:
         assert len(poly(text).terms) == terms
-        assert scalar.check_expansion(parse(text))[0] == bound
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scalar, "MAX_TERMS", terms - 1)
+            normalize.cache_clear()
+            with pytest.raises(ScalarError, match=f"more than {terms - 1} terms"):
+                scalar.expand(text)
+
+
+# cells accepted before expansion was bounded by the ring's own work; each
+# stays within one CLI call's budget
+@pytest.mark.parametrize("text", ["(x1+1)^400*(x1+1)^400", "(x2+1)^512",
+                                  "(sin(x1)*sin(x1))^512", "sin(x1)^500 + x3"])
+def test_large_cells_are_accepted_under_the_work_budget(text):
+    with scalar.work_budget():
+        assert len(scalar.expand(text).terms) <= scalar.MAX_TERMS
+
+
+def test_work_budget_refuses_before_the_work_and_ends_with_its_scope():
+    big = poly("(x1+x2+1)^43")
+    with scalar.work_budget():
+        with pytest.raises(ScalarError, match=f"budget of {scalar.WORK_BUDGET} term products"):
+            big * big
+    # each scope starts a fresh count: a square of 250,000 term products fits
+    # in each of two scopes; outside a scope the ring is unbounded
+    half = TrigPoly({(((scalar.VAR, 2), i),): 1 for i in range(1, 501)})
+    for _ in range(2):
+        with scalar.work_budget():
+            assert len((half * half).terms) == 999
+    scalar._charge(10 * scalar.WORK_BUDGET)
 
 
 @given(expressions)
 @example(Power(Sin(Var(1)), 2))
 @example(Product((Sin(Var(1)), Sin(Var(1)))))
 @example(Product((Sin(Sum((Var(1), Rat(Fraction(1))))), Sin(Sum((Rat(Fraction(1)), Var(1)))))))
-def test_check_expansion_never_undercounts(e):
+def test_expansion_never_exceeds_max_terms(e):
     size = len(normalize(e).terms)
-    scalar.check_expansion(e)
+    assert size <= scalar.MAX_TERMS
     if size > 1:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(scalar, "MAX_TERMS", size - 1)
-            with pytest.raises(ScalarError):
-                scalar.check_expansion(e)
+            normalize.cache_clear()
+            with pytest.raises(ScalarError, match=f"more than {size - 1} terms"):
+                normalize(e)
 
 
 def test_parse_rationals_and_signs():
