@@ -32,6 +32,8 @@ CASES = [
     ("riemann_round_sphere3", ["riemann", "@round_sphere3.metric"]),
     ("riemann_supplied_inverse", ["riemann", "@supplied_inverse.metric"]),
     ("riemann_quotient", ["riemann", "@quotient.metric"]),
+    ("riemann_diag_trig", ["riemann", "@diag_trig.metric"]),
+    ("riemann_warped_sphere3", ["riemann", "@warped_sphere3.metric"]),
     ("knflat_expand", ["knflat", "expand", "--N", "5", "--K", "3"]),
     ("knflat_expand_infinitesimal",
      ["knflat", "expand", "--N", "5", "--K", "3", "--infinitesimal"]),
