@@ -14,10 +14,16 @@ term to a common denominator.  Curvature entries are exact polynomial
 quotients, handed to forms as TrigPoly entries; flatness certificates use
 the numerators instead, which leaves every verdict unchanged because
 det(g) vanishes nowhere on the metric's domain.
+
+Each derived object is computed once and kept on the object it derives
+from: a Metric, immutable once built, keeps its Christoffel symbols, and
+those keep the curvature entries, as nested tuples.  Both live exactly as
+long as the metric, so nothing carries over from one metric to the next.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -225,6 +231,10 @@ class Metric:
     def det_poly(self) -> TrigPoly:
         return self._det
 
+    @functools.cached_property
+    def _christoffel(self) -> "Christoffel":
+        return _christoffel_symbols(self)
+
 
 # ------------------------------------------------------------------
 # Christoffel symbols and curvature
@@ -233,15 +243,27 @@ class Metric:
 @dataclass(frozen=True)
 class Christoffel:
     """Symbols G[i][j][k] = Gamma^i_jk, symmetric in (j, k), as exact
-    quotients over det(g)^p, p the metric's inverse power."""
+    quotients over det^power, power the metric's inverse power."""
 
     symbols: tuple
+    det: TrigPoly
+    power: int
 
     def entry(self, i: int, j: int, k: int) -> DetFraction:
         return self.symbols[i - 1][j - 1][k - 1]
 
+    @functools.cached_property
+    def _curvature(self) -> tuple:
+        return _riemann_entries(self)
+
 
 def christoffel(metric: Metric) -> Christoffel:
+    """The Christoffel symbols of the metric, built on first use and kept
+    on it."""
+    return metric._christoffel
+
+
+def _christoffel_symbols(metric: Metric) -> Christoffel:
     """Gamma^i_jk = sum_l g^il [jk,l] with the first-kind brackets
     [jk,l] = 1/2 (d_k g_lj + d_j g_lk - d_l g_jk), every symbol over the
     one power of det(g) that the inverse numerators share."""
@@ -264,20 +286,23 @@ def christoffel(metric: Metric) -> Christoffel:
             for k in range(j + 1, n):
                 if symbols[i][j][k].num != symbols[i][k][j].num:
                     raise MetricError("Christoffel symbols are not symmetric")
-    return Christoffel(tuple(tuple(tuple(row) for row in s) for s in symbols))
+    return Christoffel(tuple(tuple(tuple(row) for row in s) for s in symbols), det, power)
 
 
-def riemann_components(metric: Metric) -> list:
+def riemann_components(metric: Metric) -> tuple:
+    """The curvature R[i][j][k][l] of the metric as nested tuples of exact
+    quotients, built on first use and kept on its Christoffel symbols."""
+    return christoffel(metric)._curvature
+
+
+def _riemann_entries(gamma: Christoffel) -> tuple:
     """R[i][j][k][l] = d_k G^i_jl - d_l G^i_jk + G^i_hk G^h_jl - G^i_hl G^h_jk
     (0-based indices), as exact quotients.  The symbols sit over det^p with
     p = 0 (supplied inverse) or 1 (cofactor inverse), so by the quotient
     rule both d_k G and G G sit over det^(2p), and so does every entry.
     Only k < l is computed: R[..][l][k] is the negation, R[..][k][k] zero."""
-    n = metric.dim
-    det = metric.det_poly()
-    symbols = christoffel(metric).symbols
-    power = metric.inverse_power
-    G = [[[f.num for f in row] for row in s] for s in symbols]
+    n, det, power = len(gamma.symbols), gamma.det, gamma.power
+    G = [[[f.num for f in row] for row in s] for s in gamma.symbols]
     d_det = [det.diff(k + 1) for k in range(n)]
     derivatives: Dict[tuple, TrigPoly] = {}
 
@@ -307,7 +332,7 @@ def riemann_components(metric: Metric) -> list:
                             value = value - G[i][h][l] * G[h][j][k]
                     R[i][j][k][l] = DetFraction(value, 2 * power, det)
                     R[i][j][l][k] = DetFraction(-value, 2 * power, det)
-    return R
+    return tuple(tuple(tuple(tuple(row) for row in block) for block in s) for s in R)
 
 
 def _curvature_numerators(metric: Metric) -> MatrixForm:
@@ -389,9 +414,10 @@ MetricFileError = textfile.InputFileError
 # identity, but is slower at dims 2-4: per metric 0.16 against 0.02 ms
 # (dim 2), 0.48 against 0.16 (dim 3), 1.14 against 0.77 (dim 4), 28 against
 # 0.8 ms on diag(1+x1^2, 2+sin(x1), 1+x3^2, 2+sin(x3)).  It needs a faster
-# exact division before it can lift this bound.  scalar.WORK_BUDGET does not
-# replace it: cofactors over zero entries make no term products, so the
-# n! recursion on an identity metric is charged almost nothing.
+# exact division before it can lift this bound.  scalar.WORK_BUDGET, which
+# charges a product of zero entries as one term product, refuses the dim-8
+# and dim-9 identities only after 1.2 s of cofactor recursion, so it does
+# not replace the bound.
 MAX_DIM = 6
 
 

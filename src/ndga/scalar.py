@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Mapping
 
 # Seed for the randomized zero test on trigonometric expressions.  Exposed
@@ -137,7 +137,9 @@ for _node in (Rat, Var, Sin, Cos, Power, Product, Sum):
 # argument reduce to the zero polynomial.  Coefficients are ints when
 # integral, else Fractions: equal values compare and hash alike.  Every
 # product runs through one multiply-accumulate kernel, _mul_into, whose
-# monomial products come from a memo of at most 8192 entries.
+# monomial products come from a memo of at most 8192 entries.  Factors are
+# canonical, so a product's sin exponents are at most 2; the memo keeps a
+# product that reaches sin^2 with the rewrite expanded, once per pair.
 
 Mono = tuple
 VAR, SIN, COS = 1, 2, 3
@@ -199,46 +201,42 @@ def _sum(polys) -> "TrigPoly":
     return _poly(terms)
 
 
-def _add_reduced(terms: dict, exponents: dict, coeff) -> None:
-    """terms += coeff * prod(atom^exp), rewriting each sin^e u with e >= 2
-    as sin^(e mod 2) u * (1 - cos^2 u)^(e div 2)."""
-    for atom, exp in exponents.items():
-        if exp >= 2 and atom[0] == SIN:
-            half, odd = divmod(exp, 2)
-            cos_atom = (COS, atom[1])
-            cos_exp = exponents.get(cos_atom, 0)
-            rest = dict(exponents)
-            if odd:
-                rest[atom] = 1
-            else:
-                del rest[atom]
-            for j in range(half + 1):
-                if j:
-                    rest[cos_atom] = cos_exp + 2 * j
-                _add_reduced(terms, rest, coeff * ((-1) ** j * math.comb(half, j)))
-            return
-    _add_term(terms, tuple(sorted(exponents.items())), coeff)
+class _Rewritten(tuple):
+    """The (monomial, +1 or -1) terms of a product with sin^2 u rewritten."""
+    __slots__ = ()
 
 
 @functools.lru_cache(maxsize=8192)
 def _mono_product(m1: Mono, m2: Mono):
-    """m1 * m2, or its exponents as a read-only mapping when a sin exponent
-    reaches 2 and _add_reduced must run."""
+    """m1 * m2.  Both are canonical, so a sin exponent of the product is at
+    most 2; when one reaches 2, the product with each such sin^2 u replaced
+    by 1 - cos^2 u, expanded into _Rewritten terms."""
     if not m1 or not m2:
         return m1 or m2
     merged = dict(m1)
-    reduce = False
+    squares = []
     for atom, exp in m2:
         total = merged.get(atom, 0) + exp
         merged[atom] = total
-        if total >= 2 and atom[0] == SIN:
-            reduce = True
-    return MappingProxyType(merged) if reduce else tuple(sorted(merged.items()))
+        if total == 2 and atom[0] == SIN:
+            squares.append(atom)
+            del merged[atom]
+    if not squares:
+        return tuple(sorted(merged.items()))
+    terms = []
+    for choice in itertools.product((False, True), repeat=len(squares)):
+        exponents = dict(merged)
+        for atom in itertools.compress(squares, choice):
+            cos_atom = (COS, atom[1])
+            exponents[cos_atom] = exponents.get(cos_atom, 0) + 2
+        terms.append((tuple(sorted(exponents.items())), -1 if sum(choice) % 2 else 1))
+    return _Rewritten(terms)
 
 
 # Input bounds hold each cell, not the arithmetic on the cells.  Inside
 # work_budget() the ring counts term products, len(a) * len(b) per _mul_into
-# call and one per remainder term riemann.exact_divide scans, and refuses
+# call (one when a factor is zero, so work on zero entries is not free) and
+# one per remainder term riemann.exact_divide scans, and refuses
 # with ScalarError, before the work, a call that would pass WORK_BUDGET.
 # One term product costs 1-10 us.  Outside the scope work is unbounded.
 
@@ -270,13 +268,14 @@ def work_budget():
 
 def _mul_into(terms: dict, a: dict, b: dict) -> None:
     """terms += a * b for two term dicts: the ring's one multiply-accumulate."""
-    _charge(len(a) * len(b))
+    _charge(len(a) * len(b) or 1)
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             coeff = c1 * c2
             mono = _mono_product(m1, m2)
-            if type(mono) is MappingProxyType:
-                _add_reduced(terms, mono, coeff)
+            if type(mono) is _Rewritten:
+                for rewritten, sign in mono:
+                    _add_term(terms, rewritten, coeff if sign > 0 else -coeff)
                 continue
             # _add_term, inlined in the innermost loop of the ring
             value = terms.get(mono)

@@ -331,6 +331,18 @@ def test_deeply_nested_entry_is_an_input_error(tmp_path):
 # .ncx cells were bounded
 BUDGET = f"work above the budget of {scalar.WORK_BUDGET} term products"
 LONG_SUM = "+".join(f"(x1+{k})^512" for k in range(1, 21))
+
+
+def sparse_connection(fiber):
+    """A base-3 connection whose omega_i is a fiber x fiber matrix with x_i
+    in its first cell and zeros elsewhere."""
+    zeros = ";".join(["0"] * fiber)
+    lines = ["base 3", f"fiber {fiber}"]
+    for i in (1, 2, 3):
+        lines += [f"omega {i}", f"x{i}" + zeros[1:]] + [zeros] * (fiber - 1)
+    return "\n".join(lines) + "\n"
+
+
 HOSTILE_ENTRIES = {
     "power.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n(x2+1)^3000\n",
                    "line 4: ", "exponent above 512"),
@@ -353,6 +365,9 @@ HOSTILE_ENTRIES = {
                             "", BUDGET),
     "long_sum.conn": (["flatness"], "base 1\nfiber 1\nomega 1\n" + LONG_SUM + "\n",
                       "line 4: ", BUDGET),
+    # the dense fiber-by-fiber products of forms make millions of products
+    # of zero entries, each charged as one term product
+    "sparse_fiber.conn": (["flatness"], sparse_connection(120), "", BUDGET),
     "long_integer.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n" + "7" * 5000 + "*x1\n",
                           "line 4: ", "integer longer than 1000 digits"),
     "constant_power.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n((10^512)^512)^64\n",
@@ -473,6 +488,29 @@ def test_budget_refusal_does_not_depend_on_earlier_calls(tmp_path, capsys):
             results.append((code, capsys.readouterr().err))
         assert results[0] == results[1]
         assert results[0][0] == 1 and BUDGET in results[0][1]
+
+
+def test_a_riemann_call_leaves_nothing_to_the_next(tmp_path, monkeypatch, capsys):
+    # the Christoffel symbols and the curvature are kept on the metric a
+    # call builds, so a later call on the same file is charged in full
+    metric = tmp_path / "warped.metric"
+    metric.write_text("dim 3\n2;0;0\n0;2*cos(x1)^2;0\n0;0;2*cos(x1)^2*sin(x2)^2 + x3\n")
+    path = str(metric)
+    spent = []
+    charge = scalar._charge
+    monkeypatch.setattr(scalar, "_charge", lambda work: (spent.append(work), charge(work)))
+    code, report = run(["riemann", path])
+    cost = sum(spent)
+    assert code == 0
+    wide = tmp_path / "wide_det.metric"
+    wide.write_text(HOSTILE_ENTRIES["wide_det.metric"][1])
+    assert run(["riemann", str(wide)]) == (1, "")
+    assert capsys.readouterr().err == f"error: {wide}: {BUDGET}\n"
+    monkeypatch.setattr(scalar, "WORK_BUDGET", cost - 1)
+    assert run(["riemann", path]) == (1, "")
+    assert capsys.readouterr().err == f"error: {path}: work above the budget of {cost - 1} term products\n"
+    monkeypatch.setattr(scalar, "WORK_BUDGET", cost)
+    assert run(["riemann", path]) == (0, report)
 
 
 def test_diagonal_trig_metric_is_within_the_budget(tmp_path):

@@ -1,5 +1,7 @@
+import gc
 import io
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ from ndga.riemann import (
     christoffel, exact_divide, levi_civita_n_flat, minimal_lc_flatness_order,
     parse_metric, riemann_components, riemann_form,
 )
-from conftest import least_accepted_order
+from conftest import least_accepted_order, sympy_reduced
 
 x1, x2 = TrigPoly.var(1), TrigPoly.var(2)
 SIN, COS = scalar.expand("sin(x2)"), scalar.expand("cos(x2)")
@@ -273,7 +275,13 @@ def test_kernels_multiply_few_polynomials(monkeypatch, data_path):
 
 
 # sympy as an independent oracle: its own inverse of g, its own
-# derivatives, and a rational-function zero test
+# derivatives, and a zero test on the numerator of each difference with
+# sin^2 u = 1 - cos^2 u applied (conftest.sympy_reduced), so that trig
+# metrics are checked too
+
+DIAGONAL_TRIG = _metric_text([["1+x1^2", "0", "0", "0"], ["0", "2+sin(x1)", "0", "0"],
+                              ["0", "0", "1+x3^2", "0"], ["0", "0", "0", "2+sin(x3)"]])
+
 
 def _sympy_cases():
     rng = random.Random(511242)
@@ -283,7 +291,13 @@ def _sympy_cases():
         while "x" not in "".join(text.splitlines()[1:dim + 1]):  # skip constant g
             text = _flat_change(rng, dim, supplied)
         cases.append(text)
-    return cases
+    # lc-metric's trig families: sin/cos surface blocks, warped spheres
+    trig = []
+    while len(trig) < 4:
+        text = _product_surfaces(rng, 2 + len(trig) % 3)
+        if "sin" in text or "cos" in text:
+            trig.append(text)
+    return cases + trig + [_warped_sphere(rng), _warped_sphere(rng), DIAGONAL_TRIG]
 
 
 SYMPY_CASES = _sympy_cases()
@@ -303,12 +317,13 @@ def test_kernel_agrees_with_sympy(index):
 
     det = to_sympy(metric.det_poly())
 
-    def value(f):
-        return to_sympy(f.num) / det**f.power
+    def assert_equal(f, expected):
+        difference = sympy.together(to_sympy(f.num) / det**f.power - expected)
+        assert sympy_reduced(sympy.numer(difference)) == 0
 
     g = sympy.Matrix(n, n, lambda i, j: to_sympy(metric.entry(i + 1, j + 1)))
     g_inv = g.inv()
-    G = [[[sympy.cancel(sum(
+    G = [[[sympy.together(sum(
         g_inv[i, l] * (g[l, j].diff(x[k]) + g[l, k].diff(x[j]) - g[j, k].diff(x[l]))
         for l in range(n)) / 2) for k in range(n)] for j in range(n)] for i in range(n)]
     gamma = christoffel(metric)
@@ -316,11 +331,56 @@ def test_kernel_agrees_with_sympy(index):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                assert sympy.cancel(value(gamma.symbols[i][j][k]) - G[i][j][k]) == 0
-                for l in range(n):
+                assert_equal(gamma.symbols[i][j][k], G[i][j][k])
+                assert R[i][j][k][k].is_zero()
+                for l in range(k + 1, n):  # R is antisymmetric in (k, l)
+                    assert R[i][j][l][k].num == -R[i][j][k][l].num
                     expected = G[i][j][l].diff(x[k]) - G[i][j][k].diff(x[l]) + sum(
                         G[h][j][l] * G[i][h][k] - G[h][j][k] * G[i][h][l] for h in range(n))
-                    assert sympy.cancel(value(R[i][j][k][l]) - expected) == 0
+                    assert_equal(R[i][j][k][l], expected)
+
+
+def test_sympy_oracle_covers_the_trig_families():
+    metrics = [parse_metric(text) for text in SYMPY_CASES]
+    trig = [m for m in metrics if any(tag != scalar.VAR for tag, _ in m.det_poly().atoms())]
+    assert {m.dim for m in trig} == {2, 3, 4}
+    assert any("cos" in text for text in SYMPY_CASES) and DIAGONAL_TRIG in SYMPY_CASES
+
+
+# ------------------------------------------------------------------
+# each derived object computed once, and kept on what it derives from
+# ------------------------------------------------------------------
+
+def test_one_riemann_report_builds_gamma_and_curvature_once(monkeypatch, data_path):
+    calls = []
+    for name in ("christoffel", "_christoffel_symbols", "_riemann_entries"):
+        def counted(*args, name=name, original=getattr(riemann, name)):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(riemann, name, counted)
+    assert cli.main(["riemann", data_path("round_sphere3.metric")], out=io.StringIO()) == 0
+    # the report, riemann_form and the cleared forms each ask for Gamma
+    assert sorted(calls) == ["_christoffel_symbols", "_riemann_entries"] + ["christoffel"] * 4
+
+
+def test_cached_objects_belong_to_their_metric(data_path):
+    with open(data_path("round_sphere3.metric")) as handle:
+        text = handle.read()
+    first, second = parse_metric(text), parse_metric(text)
+    kept = []
+    for metric in (first, second):
+        gamma, R = christoffel(metric), riemann_components(metric)
+        assert christoffel(metric) is gamma and riemann_components(metric) is R
+        entries = [f for a in gamma.symbols for b in a for f in b]
+        entries += [f for a in R for b in a for c in b for f in c]
+        kept.append({id(x) for x in [gamma, R, *entries]})
+    assert christoffel(first) == christoffel(second)
+    assert not kept[0] & kept[1]
+    # the caches die with their metric
+    ref = weakref.ref(first)
+    del first
+    gc.collect()
+    assert ref() is None
 
 
 # ------------------------------------------------------------------
