@@ -1,9 +1,11 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from ndga import depth, linalg, scalar
+from ndga import depth, forms, linalg, scalar
 from ndga.depth import (
     AffineMap, DepthForm, DepthFormError, affine_pullback, chart_compatible,
     d_power, differential, function, generator, identity_map, merge_sign,
@@ -76,6 +78,16 @@ def test_associativity_on_random_monomials(profile):
 
 
 @pytest.mark.parametrize("profile", PROFILES)
+def test_graded_commutativity_on_random_monomials(profile):
+    # a law that reads no sign routine: a b = (-1)^(|a| |b|) b a
+    rng = random.Random(hash(profile) & 0xFFFFF)
+    for _ in range(30):
+        a, b = _random_monomial(rng, profile), _random_monomial(rng, profile)
+        sign = -1 if (a.degrees()[0] * b.degrees()[0]) % 2 else 1
+        assert multiply(a, b) == multiply(b, a).scale(sign)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
 def test_graded_leibniz_on_random_monomials(profile):
     rng = random.Random(hash(profile) & 0xFFF)
     for _ in range(30):
@@ -122,6 +134,55 @@ def test_one_variable_depth_chain():
     x5 = function(profile5, var(1))
     assert d_power(x5, 4) == monomial(profile5, 1, {1: 4})
     assert d_power(x5, 5).is_zero()
+
+
+# ------------------------------------------------------------------
+# the all-twos profile against the de Rham forms of ndga.forms
+# ------------------------------------------------------------------
+
+def _polynomials(k):
+    """Sums of up to three c * x_i * x_j * ... with i, j <= k."""
+    monomials = st.tuples(st.integers(min_value=-3, max_value=3),
+                          st.lists(st.integers(min_value=1, max_value=k), max_size=3))
+    return st.lists(monomials, max_size=3).map(lambda terms: functools.reduce(
+        TrigPoly.__add__,
+        (functools.reduce(TrigPoly.__mul__, map(var, vs), TrigPoly.const(c)) for c, vs in terms),
+        TrigPoly.zero()))
+
+
+def _scalar_forms(k):
+    """{multi-index: coefficient} over coordinates 1..k."""
+    indices = st.sets(st.integers(min_value=1, max_value=k)).map(lambda s: tuple(sorted(s)))
+    return st.dictionaries(indices, _polynomials(k), max_size=4)
+
+
+def _de_rham_pair(k, components):
+    """The same form on the all-twos profile and as a 1x1 form of ndga.forms:
+    the index (p, ...) is ((p, 1), ...)."""
+    return (DepthForm((2,) * k, {tuple((p, 1) for p in i): c for i, c in components.items()}),
+            forms.scalar_form(k, components))
+
+
+def _as_depth_form(form):
+    return DepthForm((2,) * form.base_dim,
+                     {tuple((p, 1) for p in i): m[0][0] for i, m in form.components()})
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda k: st.tuples(st.just(k), _scalar_forms(k))))
+def test_all_twos_differential_is_exterior_d(case):
+    k, components = case
+    a, alpha = _de_rham_pair(k, components)
+    assert differential(a) == _as_depth_form(forms.exterior_d(alpha))
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda k: st.tuples(st.just(k), _scalar_forms(k), _scalar_forms(k))))
+def test_all_twos_product_is_wedge(case):
+    k, left, right = case
+    a, alpha = _de_rham_pair(k, left)
+    b, beta = _de_rham_pair(k, right)
+    assert multiply(a, b) == _as_depth_form(forms.wedge(alpha, beta))
 
 
 # ------------------------------------------------------------------

@@ -342,11 +342,19 @@ def test_form_arithmetic_builds_no_expressions(monkeypatch):
 # expands them and rewrites sin^2 u as 1 - cos^2 u, the reduction that
 # makes TrigPoly canonical.
 
+def oracle_shuffle(left, right):
+    """(sign, merged index) of dx^left ^ dx^right, or None on a repeated
+    index; the sign is counted on the concatenation, not taken from forms."""
+    if set(left) & set(right):
+        return None
+    return _oracle_permutation_sign(left + right), tuple(sorted(left + right))
+
+
 def oracle_wedge(a, b):
     out = {}
     for ia, ma in a.items():
         for ib, mb in b.items():
-            merged = forms.merge_indices(ia, ib)
+            merged = oracle_shuffle(ia, ib)
             if merged is None:
                 continue
             sign, index = merged
@@ -366,7 +374,7 @@ def oracle_d(a, base_dim):
         for j in range(1, base_dim + 1):
             if j in index:
                 continue
-            sign, merged = forms.merge_indices((j,), index)
+            sign, merged = oracle_shuffle((j,), index)
             derived = [[sign * sympy.diff(e, sympy.Symbol(f"x{j}")) for e in row] for row in m]
             out[merged] = oracle_add(out.get(merged), derived)
     return out

@@ -43,6 +43,11 @@ CASES = [
     ("depth_table", ["depth-forms", "--profile", "3,2", "table"]),
     ("depth_diff", ["depth-forms", "--profile", "3,2", "diff",
                     "x1^2*x2*dx1 - 3*sin(x2)*d2x1 + x1*x2*dx2"]),
+    # odd and even depths side by side: d3x1 and dx3 anticommute, d2x2 commutes
+    ("depth_table_443", ["depth-forms", "--profile", "4,4,3", "table"]),
+    ("depth_diff_443", ["depth-forms", "--profile", "4,4,3", "diff",
+                        "x1*x3^2*d3x1 - 2*x2^2*x3*d2x2 + x1*x2*dx3"
+                        " + x3*dx1*d2x2 - x1*x2^2*d2x1*dx3"]),
     ("ncomplex_validate", ["ncomplex", "validate", "@chain_identity.ncx"]),
     ("ncomplex_cohomology", ["ncomplex", "cohomology", "@chain_identity.ncx"]),
     ("ncomplex_tensor",
