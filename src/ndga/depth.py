@@ -15,6 +15,11 @@ and b are both even) over the profile: (3, 2) -> 4, (4, 4, 4) -> 6 -> 8.
 That is the tensor bound sum(N_i) - len(profile) + 1 less 1 for each even
 N_i after the first even one.  nilpotency reads it off; minimal_nilpotency
 measures it by brute force on a probe set.
+
+The sign (-1)^(sum of d_i d_j over inverted pairs) is the shuffle sign of
+the odd-depth positions, from forms._shuffle_sign, which signs de Rham
+forms too; tests/test_depth.py checks the all-twos profile against
+forms.exterior_d and forms.wedge.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterable, Mapping, Tuple
 
-from . import linalg, ncomplex, scalar
+from . import forms, linalg, ncomplex, scalar
 from .scalar import TrigPoly
 
 Profile = Tuple[int, ...]
@@ -71,18 +76,9 @@ def index_degree(index: DepthIndex) -> int:
     return sum(depth for _, depth in index)
 
 
-def merge_sign(left: DepthIndex, right: DepthIndex):
-    """sgn for the product of two basis monomials: None when a variable
-    repeats, otherwise (-1)^(sum of depth products over inverted pairs)."""
-    if {p for p, _ in left} & {p for p, _ in right}:
-        return None
-    exponent = 0
-    for i, di in left:
-        for j, dj in right:
-            if i > j:
-                exponent += di * dj
-    sign = -1 if exponent % 2 else 1
-    return sign, tuple(sorted(left + right))
+def _positions(index: DepthIndex):
+    """The set of positions of an index, and the list of those of odd depth."""
+    return {p for p, _ in index}, [p for p, d in index if d % 2]
 
 
 class DepthForm:
@@ -177,47 +173,44 @@ def monomial(profile, coefficient, depths: Mapping[int, int]) -> DepthForm:
 
 def multiply(a: DepthForm, b: DepthForm) -> DepthForm:
     """Bilinear product; monomials with a shared variable vanish, disjoint
-    ones merge with the depth-product sign."""
+    ones merge with the shuffle sign of their odd-depth positions."""
     a._check(b)
+    right = [(ib, cb, *_positions(ib)) for ib, cb in b._terms.items()]
     pairs: Dict[DepthIndex, list] = {}
     for ia, ca in a._terms.items():
-        for ib, cb in b._terms.items():
-            merged = merge_sign(ia, ib)
-            if merged is not None:
-                sign, index = merged
-                pairs.setdefault(index, []).append((ca if sign > 0 else -ca, cb))
+        held, odd = _positions(ia)
+        for ib, cb, held_right, odd_right in right:
+            if held.isdisjoint(held_right):
+                signed = ca if forms._shuffle_sign(odd, odd_right) > 0 else -ca
+                pairs.setdefault(tuple(sorted(ia + ib)), []).append((signed, cb))
     return DepthForm(a.profile, {index: TrigPoly.dot(p) for index, p in pairs.items()})
 
 
 def differential(a: DepthForm) -> DepthForm:
     """d(c dx^I) = sum_s dc/dx_s dx_s ^ dx^I
     + sum_{s in D(I)} (-1)^(depth before s) c dx^(I + e_s),
-    with raises beyond the depth bound dropped."""
+    with raises beyond the depth bound dropped.  Both terms at s carry the
+    shuffle sign of s past the odd depths before it."""
     profile = a.profile
-    terms: Dict[DepthIndex, TrigPoly] = {}
-
-    def put(index: DepthIndex, sign: int, coefficient: TrigPoly):
-        value = coefficient if sign > 0 else -coefficient
-        terms[index] = terms[index] + value if index in terms else value
-
+    addends: Dict[DepthIndex, list] = {}
     for index, coefficient in a._terms.items():
-        for s in range(1, len(profile) + 1):
-            merged = merge_sign(((s, 1),), index)
-            if merged is None:
+        depths = dict(index)
+        odd = [p for p, d in index if d % 2]
+        for s, bound in enumerate(profile, start=1):
+            depth = depths.get(s)
+            if depth is None:
+                value = coefficient.diff(s)
+                if not value.terms:
+                    continue
+                new_index = tuple(sorted(index + ((s, 1),)))
+            elif depth + 1 < bound:
+                value = coefficient
+                new_index = tuple((p, d + 1 if p == s else d) for p, d in index)
+            else:
                 continue
-            sign, new_index = merged
-            partial = coefficient.diff(s)
-            if partial.terms:
-                put(new_index, sign, partial)
-        prefix = 0
-        for position, depth in index:
-            if depth + 1 <= profile[position - 1] - 1:
-                raised = tuple(
-                    (p, d + 1 if p == position else d) for p, d in index
-                )
-                put(raised, -1 if prefix % 2 else 1, coefficient)
-            prefix += depth
-    return DepthForm(profile, terms)
+            signed = value if forms._shuffle_sign((s,), odd) > 0 else -value
+            addends.setdefault(new_index, []).append(signed)
+    return DepthForm(profile, {i: TrigPoly.sum(v) for i, v in addends.items()})
 
 
 def d_power(a: DepthForm, m: int) -> DepthForm:
@@ -484,17 +477,13 @@ def sign_table(profile) -> list:
     count = sum(bound - 1 for bound in profile)
     if count > MAX_GENERATORS:
         raise DepthFormError(f"sign table of {count} generators is above {MAX_GENERATORS}")
-    generators = []
-    for position, bound in enumerate(profile, start=1):
-        for depth in range(1, bound):
-            generators.append((position, depth))
+    generators = [((position, depth),) for position, bound in enumerate(profile, start=1)
+                  for depth in range(1, bound)]
+    shapes = [(render_index(g), *_positions(g)) for g in generators]
     rows = []
-    for g1 in generators:
-        for g2 in generators:
-            merged = merge_sign((g1,), (g2,))
-            if merged is None:
-                value = "0"
-            else:
-                value = "+" if merged[0] > 0 else "-"
-            rows.append((render_index((g1,)), render_index((g2,)), value))
+    for label1, held1, odd1 in shapes:
+        for label2, held2, odd2 in shapes:
+            value = ("0" if not held1.isdisjoint(held2)
+                     else "+" if forms._shuffle_sign(odd1, odd2) > 0 else "-")
+            rows.append((label1, label2, value))
     return rows

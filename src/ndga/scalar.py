@@ -193,14 +193,6 @@ def _add_term(terms: dict, mono: Mono, coeff) -> None:
         del terms[mono]
 
 
-def _sum(polys) -> "TrigPoly":
-    terms: dict = {}
-    for p in polys:
-        for mono, coeff in p.terms.items():
-            _add_term(terms, mono, coeff)
-    return _poly(terms)
-
-
 class _Rewritten(tuple):
     """The (monomial, +1 or -1) terms of a product with sin^2 u rewritten."""
     __slots__ = ()
@@ -374,6 +366,25 @@ class TrigPoly:
     __rmul__ = __mul__
 
     @staticmethod
+    def sum(polys) -> "TrigPoly":
+        """The sum of the polynomials, accumulated in one dict; with one
+        nonzero addend, that addend."""
+        first = terms = None
+        for p in polys:
+            if not p.terms:
+                continue
+            if first is None:
+                first = p
+                continue
+            if terms is None:
+                terms = dict(first.terms)
+            for mono, coeff in p.terms.items():
+                _add_term(terms, mono, coeff)
+        if terms is None:
+            return TrigPoly.zero() if first is None else first
+        return _poly(terms)
+
+    @staticmethod
     def dot(pairs) -> "TrigPoly":
         """The sum of a * b over the (a, b) pairs, accumulated in one dict."""
         terms: dict = {}
@@ -441,7 +452,7 @@ class TrigPoly:
                                     else _trig(tag, payload.poly.substitute(assignment)))
                 value = value * images[atom].power(exp)
             pieces.append(value)
-        return _sum(pieces)
+        return TrigPoly.sum(pieces)
 
     def __repr__(self):
         return f"TrigPoly({render(self)})"
@@ -469,7 +480,7 @@ def normalize(e: Expr) -> TrigPoly:
     if isinstance(e, Var):
         return TrigPoly.var(e.index)
     if isinstance(e, Sum):
-        total = _sum(map(normalize, e.terms))
+        total = TrigPoly.sum(map(normalize, e.terms))
         _check_terms(len(total.terms))
         return total
     if isinstance(e, Product):

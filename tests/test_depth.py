@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from ndga import depth, forms, linalg, scalar
 from ndga.depth import (
     AffineMap, DepthForm, DepthFormError, affine_pullback, chart_compatible,
-    d_power, differential, function, generator, identity_map, merge_sign,
+    d_power, differential, function, generator, identity_map,
     minimal_nilpotency, monomial, multiply, nilpotency, nilpotency_bound, parse_form,
     render_form, sign_table, zero,
 )
@@ -49,9 +49,12 @@ def test_profile_mismatch():
 
 def test_merge_sign_formula():
     # positions inverted: sign = (-1)^(product of depths)
-    assert merge_sign(((2, 1),), ((1, 1),)) == (-1, ((1, 1), (2, 1)))
-    assert merge_sign(((2, 1),), ((1, 2),)) == (1, ((1, 2), (2, 1)))
-    assert merge_sign(((1, 1),), ((1, 2),)) is None
+    profile = (3, 2)
+    assert multiply(generator(profile, 2, 1), generator(profile, 1, 1)).terms() == \
+        [(((1, 1), (2, 1)), -ONE)]
+    assert multiply(generator(profile, 2, 1), generator(profile, 1, 2)).terms() == \
+        [(((1, 2), (2, 1)), ONE)]
+    assert multiply(generator(profile, 1, 1), generator(profile, 1, 2)).is_structurally_zero()
 
 
 def _random_monomial(rng, profile):
