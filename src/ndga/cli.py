@@ -157,7 +157,7 @@ def _parse_profile(text: str):
     try:
         profile = tuple(int(piece) for piece in text.split(","))
     except ValueError:
-        raise InputError(f"bad profile {text!r}; expected integers like 3,2")
+        raise InputError(f"bad profile {textfile.quote(text)}; expected integers like 3,2")
     try:
         return depth.check_profile(profile)
     except depth.DepthFormError as err:

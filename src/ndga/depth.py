@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterable, Mapping, Tuple
 
-from . import forms, linalg, ncomplex, scalar
+from . import forms, linalg, ncomplex, scalar, textfile
 from .scalar import TrigPoly
 
 Profile = Tuple[int, ...]
@@ -403,14 +403,16 @@ def _split_top_level(text: str, separators: str) -> list:
 
 
 def parse_form(text: str, profile) -> DepthForm:
-    """Parse sums of monomials like '2*dx1*d2x2 - x1^2*dx2'; factors
-    matching d<j>x<i> are generators, everything else goes through the
-    scalar grammar."""
+    """Parse sums of monomials like '-dx1*d2x2 + 2*x1^2*dx2', each with an
+    optional leading sign; factors matching d<j>x<i> are generators,
+    everything else goes through the scalar grammar."""
     profile = check_profile(profile)
     result = zero(profile)
     sign = 1
     for chunk, separator in _split_top_level(text, "+-"):
         chunk = chunk.strip()
+        if chunk.startswith("-"):
+            sign, chunk = -sign, chunk[1:].strip()
         if not chunk:
             raise DepthFormError("empty term")
         result = result + _parse_monomial(chunk, profile).scale(sign)
@@ -427,6 +429,9 @@ def _parse_monomial(text: str, profile: Profile) -> DepthForm:
             raise DepthFormError(f"empty factor in {text!r}")
         match = _GENERATOR.match(piece)
         if match:
+            if max(map(len, match.groups())) > scalar.MAX_DIGITS:
+                raise DepthFormError(f"bad generator {textfile.quote(piece)}: "
+                                     f"integer longer than {scalar.MAX_DIGITS} digits")
             depth = int(match.group(1)) if match.group(1) else 1
             position = int(match.group(2))
             generators.append((position, depth))

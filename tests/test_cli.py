@@ -409,6 +409,10 @@ HOSTILE_ARGUMENTS = {
                                   2, "ndga: error: "),
     "depth_large_table": (["depth-forms", "--profile", "1000,1000", "table"], 1,
                           "error: sign table of 1998 generators is above 200"),
+    "depth_long_generator": (["depth-forms", "--profile", "3,2", "diff", "dx" + "7" * 5000], 1,
+                             "error: bad generator 'dx777"),
+    "depth_long_profile": (["depth-forms", "--profile", "3," + "7" * 5000, "nilpotency"], 1,
+                           "error: bad profile '3,777"),
 }
 
 
@@ -423,6 +427,7 @@ def test_hostile_argument_is_a_quick_error(name):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert lines[-1].startswith(message)
+    assert len(lines[-1]) < 200
     assert sum("error:" in line for line in lines) == 1
 
 

@@ -426,6 +426,25 @@ def test_render_round_trip():
     assert parse_form(render_form(form), profile) == form
 
 
+def test_parse_leading_sign_on_generators():
+    # a sign before a monomial of generators alone, as before one with a
+    # scalar factor such as -x1*dx1
+    profile = (3, 2)
+    dx1, dx2, d2x1 = generator(profile, 1), generator(profile, 2), generator(profile, 1, 2)
+    assert parse_form("-dx1", profile) == dx1.scale(-1)
+    assert parse_form("x1 + -dx2", profile) == function(profile, x1) - dx2
+    assert parse_form("- d2x1*dx2", profile) == multiply(d2x1, dx2).scale(-1)
+    assert parse_form("x1 - -dx2", profile) == function(profile, x1) + dx2
+
+
+@pytest.mark.parametrize("text", ["dx" + "7" * 5000, "d" + "7" * 5000 + "x1"],
+                         ids=["position", "depth"])
+def test_parse_refuses_a_generator_number_past_the_digit_limit(text):
+    with pytest.raises(DepthFormError) as refused:
+        parse_form(text, (3, 2))
+    assert len(str(refused.value)) < 200
+
+
 def test_sign_table_entries():
     rows = dict(((g1, g2), v) for g1, g2, v in sign_table((2, 2)))
     assert rows[("dx1", "dx1")] == "0"
