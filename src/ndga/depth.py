@@ -459,20 +459,20 @@ def render_index(index: DepthIndex) -> str:
 
 
 def render_form(form: DepthForm) -> str:
-    if form.is_structurally_zero():
-        return "0"
+    """Text that parse_form reads back as the form; as in scalar.render, a
+    later term that starts with '-' is written as a subtraction."""
     pieces = []
     for index, coefficient in form.terms():
-        body = render_index(index)
-        if coefficient == TrigPoly.one():
-            text = body
-        else:
-            coeff_text = scalar.render(coefficient)
-            if len(coefficient.terms) > 1:
-                coeff_text = f"({coeff_text})"
-            text = coeff_text if not index else f"{coeff_text}*{body}"
+        text = scalar.render(coefficient)
+        if len(coefficient.terms) > 1:
+            text = f"({text})"
+        if index:
+            body = render_index(index)
+            text = {"1": body, "-1": "-" + body}.get(text, f"{text}*{body}")
+        if pieces:
+            text = f" - {text[1:]}" if text.startswith("-") else f" + {text}"
         pieces.append(text)
-    return " + ".join(pieces)
+    return "".join(pieces) or "0"
 
 
 def sign_table(profile) -> list:

@@ -206,6 +206,12 @@ def test_depth_bad_profile():
     assert code == 1
 
 
+def test_depth_diff_of_a_negated_generator():
+    assert run(["depth-forms", "--profile", "3,2", "diff", "--", "-dx1"]) == (0, "-d2x1\n")
+    assert run(["depth-forms", "--profile", "3,2", "diff", "x1*x2 + -dx1"]) == \
+        (0, "x2*dx1 - d2x1 + x1*dx2\n")
+
+
 # ------------------------------------------------------------------
 # ncomplex
 # ------------------------------------------------------------------

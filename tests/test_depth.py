@@ -445,6 +445,29 @@ def test_parse_refuses_a_generator_number_past_the_digit_limit(text):
     assert len(str(refused.value)) < 200
 
 
+def test_render_writes_subtractions():
+    profile = (2, 2)
+    assert render_form(parse_form("-dx1 - x2*dx2", profile)) == "-dx1 - x2*dx2"
+    assert render_form(parse_form("-x1", profile)) == "-x1"
+    assert render_form(parse_form("x1 - 1/2*dx1*dx2", profile)) == "x1 - 1/2*dx1*dx2"
+    assert render_form(parse_form("-(x1 - x2)*dx1", profile)) == "(-x1 + x2)*dx1"
+
+
+_COEFFICIENTS = [scalar.expand(text) for text in (
+    "1", "-1", "2", "-3", "1/2", "-2/3", "x1", "-x2", "x1 - x2", "-2*x1*x2",
+    "-x1^2 - 1", "sin(x1)", "-cos(x2 - x1)", "-1/2*sin(2*x1)*x2")]
+
+
+@given(st.sampled_from(PROFILES).flatmap(lambda profile: st.tuples(
+    st.just(profile),
+    st.dictionaries(st.sampled_from(depth.all_indices(profile)),
+                    st.sampled_from(_COEFFICIENTS), max_size=5))))
+def test_parse_inverts_render(case):
+    profile, terms = case
+    form = DepthForm(profile, terms)
+    assert parse_form(render_form(form), profile) == form
+
+
 def test_sign_table_entries():
     rows = dict(((g1, g2), v) for g1, g2, v in sign_table((2, 2)))
     assert rows[("dx1", "dx1")] == "0"
