@@ -14,6 +14,7 @@ All coefficients are exact rationals.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
@@ -66,16 +67,18 @@ def multiply(a: FreeElement, b: FreeElement) -> FreeElement:
     return out
 
 
+def _curvature_power(k: int) -> FreeElement:
+    """The fully expanded word sum of (da + a a)^k."""
+    binomial = {("da",): Fraction(1), ("a", "a"): Fraction(1)}
+    return functools.reduce(multiply, [binomial] * k, {(): Fraction(1)})
+
+
 def expand_power(k: int) -> FreeElement:
     """The fully expanded word sum of a (da + a a)^k; every word has total
     degree 2k + 1."""
     if k < 1:
         raise FreeAlgebraError("k must be at least 1")
-    binomial = {("da",): Fraction(1), ("a", "a"): Fraction(1)}
-    power: FreeElement = {(): Fraction(1)}
-    for _ in range(k):
-        power = multiply(power, binomial)
-    return multiply({("a",): Fraction(1)}, power)
+    return multiply({("a",): Fraction(1)}, _curvature_power(k))
 
 
 def sharp_inverse(element: FreeElement) -> FreeElement:
@@ -237,12 +240,7 @@ def formal_variation(k: int) -> VariationReport:
         raise FreeAlgebraError("formal variation supported for k in {1, 2, 3}")
     lagrangian = strict_lagrangian(k)
     variation = cyclic_normal_form(variation_linear_part(lagrangian))
-
-    binomial = {("da",): Fraction(1), ("a", "a"): Fraction(1)}
-    power: FreeElement = {(): Fraction(1)}
-    for _ in range(k):
-        power = multiply(power, binomial)
-    target = cyclic_normal_form(multiply({("h",): Fraction(1)}, power))
+    target = cyclic_normal_form(multiply({("h",): Fraction(1)}, _curvature_power(k)))
 
     relations = []
     for word in _h_linear_words(2 * k):

@@ -158,24 +158,18 @@ def _parse_profile(text: str):
         profile = tuple(int(piece) for piece in text.split(","))
     except ValueError:
         raise InputError(f"bad profile {textfile.quote(text)}; expected integers like 3,2")
-    try:
-        return depth.check_profile(profile)
-    except depth.DepthFormError as err:
-        raise InputError(str(err))
+    return depth.check_profile(profile)
 
 
 def _run_depth(args, out) -> int:
     profile = _parse_profile(args.profile)
-    try:
-        if args.depth_command == "nilpotency":
-            lines = [str(depth.nilpotency(profile))]
-        elif args.depth_command == "table":
-            lines = [f"{g1} * {g2} = {value}" for g1, g2, value in depth.sign_table(profile)]
-        else:
-            form = depth.parse_form(args.expression, profile)
-            lines = [depth.render_form(depth.differential(form))]
-    except (depth.DepthFormError, scalar.ScalarError) as err:
-        raise InputError(str(err))
+    if args.depth_command == "nilpotency":
+        lines = [str(depth.nilpotency(profile))]
+    elif args.depth_command == "table":
+        lines = [f"{g1} * {g2} = {value}" for g1, g2, value in depth.sign_table(profile)]
+    else:
+        form = depth.parse_form(args.expression, profile)
+        lines = [depth.render_form(depth.differential(form))]
     for line in lines:
         print(line, file=out)
     return 0
@@ -207,10 +201,7 @@ def _run_ncomplex(args, out) -> int:
             print(f"total[m={m}] = {total}", file=out)
         return 0
     c1, c2 = load(args.file1), load(args.file2)
-    try:
-        measured = ncomplex.tensor_nilpotency(c1, c2)
-    except ncomplex.ComplexError as err:
-        raise InputError(str(err))
+    measured = ncomplex.tensor_nilpotency(c1, c2)
     bound = c1.order + c2.order - 1
     print(f"tensor nilpotency {measured} (bound {bound}, koszul sign on)", file=out)
     return 0
@@ -242,7 +233,8 @@ def main(argv=None, out=None) -> int:
             if args.command == "ncomplex":
                 return _run_ncomplex(args, out)
             parser.error(f"unknown command {args.command!r}")
-        except InputError as err:
+        except (InputError, depth.DepthFormError, scalar.ScalarError,
+                ncomplex.ComplexError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 1
     return 2

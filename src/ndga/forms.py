@@ -27,7 +27,7 @@ from functools import reduce
 from itertools import chain, combinations, permutations
 from typing import Iterable, Mapping
 
-from . import scalar, textfile
+from . import linalg, scalar, textfile
 from .scalar import TrigPoly
 
 MultiIndex = tuple  # strictly increasing tuple of coordinate indices
@@ -56,10 +56,6 @@ def zero_entries(rows: int, cols: int) -> Matrix:
 
 def identity_entries(n: int) -> Matrix:
     return tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
-
-
-def entries_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def entries_scale(c, a: Matrix) -> Matrix:
@@ -96,14 +92,6 @@ def _entries_sum(matrices: list) -> Matrix:
     if len(matrices) == 1:
         return matrices[0]
     return tuple(tuple(map(TrigPoly.sum, zip(*rows))) for rows in zip(*matrices))
-
-
-def entries_kron(a: Matrix, b: Matrix) -> Matrix:
-    rows = []
-    for ra in a:
-        for rb in b:
-            rows.append(tuple(x * y for x in ra for y in rb))
-    return tuple(rows)
 
 
 def entries_is_zero(a: Matrix) -> bool:
@@ -225,7 +213,7 @@ class MatrixForm:
         comp = dict(self._components)
         for index, entries in other._components.items():
             if index in comp:
-                comp[index] = entries_add(comp[index], entries)
+                comp[index] = _entries_sum([comp[index], entries])
             else:
                 comp[index] = entries
         return _form(self.base_dim, self.shape, comp)
@@ -346,8 +334,9 @@ def connection_from_coefficients(base_dim: int, coefficients: Mapping[int, Matri
 
 
 def curvature(conn: Connection) -> MatrixForm:
-    """F = d(omega) + omega ^ omega."""
-    return exterior_d(conn.form) + wedge(conn.form, conn.form)
+    """F = nabla(omega) = d(omega) + omega ^ omega: the covariant
+    derivative applied to the connection form itself."""
+    return nabla_apply(conn, conn.form)
 
 
 def nabla_apply(conn: Connection, alpha: MatrixForm) -> MatrixForm:
@@ -574,9 +563,9 @@ def tensor_connection(c1: Connection, c2: Connection) -> Connection:
     zero1, zero2 = zero_entries(m1, m1), zero_entries(m2, m2)
     comps = {}
     for i in range(1, c1.base_dim + 1):
-        left = entries_kron(c1.form._components.get((i,), zero1), id2)
-        right = entries_kron(id1, c2.form._components.get((i,), zero2))
-        comps[(i,)] = entries_add(left, right)
+        left = linalg.kronecker(c1.form._components.get((i,), zero1), id2)
+        right = linalg.kronecker(id1, c2.form._components.get((i,), zero2))
+        comps[(i,)] = _entries_sum([left, right])
     return Connection(_form(c1.base_dim, (m1 * m2, m1 * m2), comps))
 
 

@@ -17,8 +17,9 @@ of (delta + omega)^N over the same words cross-checks every coefficient.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from . import forms
 from .forms import Connection, MatrixForm
@@ -167,16 +168,13 @@ def nabla_power_expansion(n: int, k: int) -> List[Tuple[int, FreeDeltaElement]]:
 # independent oracle: normal ordering in the free algebra
 # ------------------------------------------------------------------
 
-def _push_delta(p: int, a: int, _memo={}) -> Dict[Tuple[int, int], int]:
+@functools.cache
+def _push_delta(p: int, a: int) -> Dict[Tuple[int, int], int]:
     """Normal-order delta^p w^(a): outcomes {(order, trailing deltas):
     coeff} under the rewrite delta w^(a) = w^(a+1) + (-1)^(a+1) w^(a) delta,
-    where deg w^(a) = a + 1."""
+    where deg w^(a) = a + 1.  Callers must not mutate the cached result."""
     if p == 0:
         return {(a, 0): 1}
-    key = (p, a)
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
     out: Dict[Tuple[int, int], int] = {}
     for (order, trailing), coeff in _push_delta(p - 1, a + 1).items():
         out[(order, trailing)] = out.get((order, trailing), 0) + coeff
@@ -184,9 +182,7 @@ def _push_delta(p: int, a: int, _memo={}) -> Dict[Tuple[int, int], int]:
     for (order, trailing), coeff in _push_delta(p - 1, a).items():
         k2 = (order, trailing + 1)
         out[k2] = out.get(k2, 0) + sign * coeff
-    out = {k2: c for k2, c in out.items() if c}
-    _memo[key] = out
-    return out
+    return {k2: c for k2, c in out.items() if c}
 
 
 def oracle_expansion(n: int, k: int) -> List[Tuple[int, FreeDeltaElement]]:
@@ -258,38 +254,33 @@ def infinitesimal_from_full(n: int, k: int) -> List[Tuple[int, FreeDeltaElement]
 # instantiation on concrete connections
 # ------------------------------------------------------------------
 
-DeltaOperator = Callable[[MatrixForm], MatrixForm]
-
-
-def instantiate_word(s: Vertex, conn: Connection,
-                     delta: DeltaOperator = forms.exterior_d) -> MatrixForm:
-    """Replace the vertex word by the wedge product of delta-derivatives of
-    the connection form: w^(s) -> delta^(s_1)(omega) ^ ... ^ delta^(s_n)(omega)."""
+def instantiate_word(s: Vertex, conn: Connection) -> MatrixForm:
+    """Replace the vertex word by the wedge product of exterior derivatives
+    of the connection form: w^(s) -> d^(s_1)(omega) ^ ... ^ d^(s_n)(omega)."""
     result = forms.identity_form(conn.base_dim, conn.fiber_dim)
     for order in s:
         factor = conn.form
         for _ in range(order):
-            factor = delta(factor)
+            factor = forms.exterior_d(factor)
         result = forms.wedge(result, factor)
     return result
 
 
 def apply_expansion(expansion: List[Tuple[int, FreeDeltaElement]], conn: Connection,
-                    alpha: MatrixForm, delta: DeltaOperator = forms.exterior_d,
-                    include_delta_power: bool = True) -> MatrixForm:
-    """Apply sum_j c_j delta^j (+ delta^n) to a vector-valued form."""
+                    alpha: MatrixForm) -> MatrixForm:
+    """Apply (d + omega)^n, expanded as sum_j c_j d^j + d^n with n the
+    length of the expansion, to a vector-valued form alpha, reading delta
+    as the exterior derivative d.  Equals forms.nabla_power(conn, alpha, n)."""
     n = len(expansion)
     result = forms.zero_form(alpha.base_dim, alpha.shape)
     powers = [alpha]
     for _ in range(n):
-        powers.append(delta(powers[-1]))
+        powers.append(forms.exterior_d(powers[-1]))
     for j, element in expansion:
         for s, coeff in element.items():
-            term = forms.wedge(instantiate_word(s, conn, delta), powers[j])
+            term = forms.wedge(instantiate_word(s, conn), powers[j])
             result = result + term.scale(coeff)
-    if include_delta_power:
-        result = result + powers[n]
-    return result
+    return result + powers[n]
 
 
 # ------------------------------------------------------------------

@@ -172,14 +172,14 @@ def total_diagonals(c: FiniteNComplex) -> List[int]:
 # tensor product
 # ------------------------------------------------------------------
 
-def tensor_complex(c1: FiniteNComplex, c2: FiniteNComplex, order: int | None = None) -> FiniteNComplex:
+def tensor_complex(c1: FiniteNComplex, c2: FiniteNComplex) -> FiniteNComplex:
     """Tensor product with differential d1 (x) Id + (-1)^deg1 Id (x) d2
-    (Koszul sign on the second summand).  Blocks within each total degree
-    are ordered by the first factor's degree."""
+    (Koszul sign on the second summand), of order N + M - 1 for factors of
+    orders N and M: the bound of koszul_nilpotency.  Blocks within each
+    total degree are ordered by the first factor's degree."""
     lo = c1.lo + c2.lo
     hi = c1.hi + c2.hi
-    if order is None:
-        order = c1.order + c2.order - 1
+    order = c1.order + c2.order - 1
 
     def blocks(total: int) -> List[Tuple[int, int]]:
         return [
@@ -205,23 +205,17 @@ def tensor_complex(c1: FiniteNComplex, c2: FiniteNComplex, order: int | None = N
         matrix = [[Fraction(0)] * cols for _ in range(rows)]
         col_offset = 0
         for i, j in source:
-            block_cols = c1.dim(i) * c2.dim(j)
-            # d1 (x) Id lands in block (i+1, j)
-            if (i + 1, j) in target_offsets:
-                piece = linalg.kronecker(c1.map_at(i), linalg.identity(c2.dim(j)))
-                r0 = target_offsets[(i + 1, j)]
-                for r, row in enumerate(piece):
-                    for s, value in enumerate(row):
-                        matrix[r0 + r][col_offset + s] += value
-            # (-1)^i Id (x) d2 lands in block (i, j+1)
-            if (i, j + 1) in target_offsets:
-                piece = linalg.kronecker(linalg.identity(c1.dim(i)), c2.map_at(j))
-                sign = Fraction(-1 if i % 2 else 1)
-                r0 = target_offsets[(i, j + 1)]
-                for r, row in enumerate(piece):
-                    for s, value in enumerate(row):
-                        matrix[r0 + r][col_offset + s] += sign * value
-            col_offset += block_cols
+            # the two Koszul terms: d1 (x) Id lands in block (i+1, j) and
+            # (-1)^i Id (x) d2 in block (i, j+1)
+            koszul = (((i + 1, j), 1, c1.map_at(i), linalg.identity(c2.dim(j))),
+                      ((i, j + 1), -1 if i % 2 else 1, linalg.identity(c1.dim(i)), c2.map_at(j)))
+            for block, sign, left, right in koszul:
+                if block in target_offsets:
+                    r0 = target_offsets[block]
+                    for r, row in enumerate(linalg.kronecker(left, right)):
+                        for s, value in enumerate(row):
+                            matrix[r0 + r][col_offset + s] += sign * value
+            col_offset += c1.dim(i) * c2.dim(j)
         maps.append(tuple(tuple(row) for row in matrix))
     return FiniteNComplex(order, lo, tuple(dims), tuple(maps))
 

@@ -645,10 +645,10 @@ def evaluate(p: TrigPoly, point: Mapping[int, object]):
 # sum_m |c_m m(p)| over the monomials m; the bound is relative, so small
 # coefficients do not pass for zero.
 
-def is_zero(p: TrigPoly, seed: int | None = None) -> bool:
+def is_zero(p: TrigPoly) -> bool:
     """True iff p is identically zero.  Exact for polynomials and for trig
-    polynomials that reduce to zero; otherwise probabilistic (seeded
-    sampling)."""
+    polynomials that reduce to zero; otherwise probabilistic, sampled from
+    the seed of set_zero_seed."""
     if not p.terms:
         return True
     atoms = p.atoms()
@@ -658,7 +658,7 @@ def is_zero(p: TrigPoly, seed: int | None = None) -> bool:
     # huge rationals inside the float range
     largest = max(abs(c) for c in p.terms.values())
     weighted = [(mono, float(Fraction(c) / largest)) for mono, c in p.terms.items()]
-    rng = random.Random(_zero_seed if seed is None else seed)
+    rng = random.Random(_zero_seed)
     names = sorted(p.variables())
     for _ in range(ZERO_SAMPLES):
         point = {i: rng.uniform(-1.0, 1.0) for i in names}

@@ -60,3 +60,70 @@ def test_unreferenced_private_name_is_found():
     sources = {"a": "def _loop(n):\n    return _loop(n)\n\nclass _Used:\n    pass\n",
                "b": "import a\nx = a._Used()\n"}
     assert unreferenced_private_names(sources) == ["a._loop"]
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CALLER_DIRS = ("src", "tests", "perfbench")
+
+
+def defaults_no_caller_sets(definitions, callers):
+    """Parameters with a default, as module.function.parameter, of the
+    functions and methods in {module: source} `definitions` that no call in
+    the sources `callers` passes, by position or by keyword.  Calls are
+    matched by the called name, and a call of a class counts for its
+    __init__; a call that unpacks * or ** arguments passes everything."""
+    calls = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for module, source in definitions.items():
+        tree = ast.parse(source)
+        owners = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            owner = owners.get(id(fn))
+            names = [fn.name] + ([owner] if fn.name == "__init__" else [])
+            bound = owner is not None and not any(
+                getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            positional = fn.args.posonlyargs + fn.args.args
+            first_default = len(positional) - len(fn.args.defaults)
+            params = [(arg.arg, i - bound) for i, arg in enumerate(positional) if i >= first_default]
+            params += [(arg.arg, None) for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                       if default is not None]
+            sites = [call for name in names for call in calls.get(name, [])]
+            for param, position in params:
+                if not any(
+                    any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg in (None, param) for k in call.keywords)
+                    or (position is not None and len(call.args) > position)
+                    for call in sites
+                ):
+                    label = ".".join(filter(None, (module, owner, fn.name, param)))
+                    unset.append(label)
+    return sorted(unset)
+
+
+def test_every_default_parameter_is_set_by_a_caller():
+    definitions, callers = {}, []
+    for folder in CALLER_DIRS:
+        for directory, _, files in os.walk(os.path.join(ROOT, folder)):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(directory, name), encoding="utf-8") as handle:
+                        callers.append(handle.read())
+                    if directory == SRC:
+                        definitions[name[:-3]] = callers[-1]
+    assert defaults_no_caller_sets(definitions, callers) == []
+
+
+def test_default_no_caller_sets_is_found():
+    definitions = {"a": "def f(x, y=1, *, z=2):\n    return x\n\n"
+                        "class C:\n    def __init__(self, k=0):\n        pass\n\n"
+                        "    def m(self, v=None, w=3):\n        pass\n"}
+    callers = [definitions["a"], "import a\na.f(1, 2)\na.C(5)\na.C().m(w=4)\n"]
+    assert defaults_no_caller_sets(definitions, callers) == ["a.C.m.v", "a.f.z"]
