@@ -4,21 +4,22 @@ Metric entries are scalar.TrigPoly values, the package's one scalar ring:
 polynomials over coordinates, sin(u) and cos(u) with sin^2 = 1 - cos^2
 applied.  Canonical entries make the symmetry check an equality test.
 Christoffel symbols involve the inverse metric, whose entries are
-quotients that the ring cannot hold, so this module computes with exact
-quotients num/det^k: the numerators are TrigPoly values and the
-denominator is a power of det(g).  A metric holds its inverse as
+quotients that the ring cannot hold, so this module computes with
+numerators over powers of det(g) and divides, with scalar.exact_divide,
+only where a quotient is printed.  A metric holds its inverse as
 numerators over one power det^p: the supplied rows with p = 0, or the
 adjugate (cofactor inversion) with p = 1.  So every Christoffel symbol
 sits over det^p and every curvature entry over det^2p, and no sum lifts a
-term to a common denominator.  Curvature entries are exact polynomial
-quotients, handed to forms as TrigPoly entries; flatness certificates use
-the numerators instead, which leaves every verdict unchanged because
-det(g) vanishes nowhere on the metric's domain.
+term to a common denominator.  Flatness certificates run on the
+numerators, the connection form tau and the curvature form S, which
+leaves every verdict unchanged because det(g) vanishes nowhere on the
+metric's domain.
 
-Each derived object is computed once and kept on the object it derives
-from: a Metric, immutable once built, keeps its Christoffel symbols, and
-those keep the curvature entries, as nested tuples.  Both live exactly as
-long as the metric, so nothing carries over from one metric to the next.
+Each derived object is computed once and kept in one shape on the object
+it derives from: a Metric, immutable once built, keeps its Christoffel
+symbols, one numerator per unordered pair of lower indices, and those
+keep tau and S, computed for k < l only.  Both live exactly as long as
+the metric, so nothing carries over from one metric to the next.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import forms, scalar, textfile
 from .forms import MatrixForm
-from .scalar import Mono, TrigPoly
+from .scalar import TrigPoly
 
 
 class MetricError(Exception):
@@ -39,79 +40,6 @@ class MetricError(Exception):
 
 class GrammarError(MetricError):
     """A requested value has no representation in the scalar grammar."""
-
-
-# ------------------------------------------------------------------
-# exact division
-# ------------------------------------------------------------------
-
-def _sin_atoms(poly: TrigPoly) -> list:
-    return sorted(a for a in poly.atoms() if a[0] == scalar.SIN)
-
-
-def _split_by_atom(poly: TrigPoly, atom) -> Tuple[TrigPoly, TrigPoly]:
-    """poly = even + atom * rest, assuming the atom's exponent is <= 1
-    everywhere (true canonically for sin atoms)."""
-    without: Dict[Mono, Fraction] = {}
-    with_atom: Dict[Mono, Fraction] = {}
-    for mono, coeff in poly.terms.items():
-        entry = dict(mono)
-        if atom in entry:
-            entry.pop(atom)
-            with_atom[tuple(sorted(entry.items()))] = coeff
-        else:
-            without[mono] = coeff
-    return TrigPoly(without), TrigPoly(with_atom)
-
-
-def exact_divide(num: TrigPoly, den: TrigPoly) -> Optional[TrigPoly]:
-    """num / den when the quotient is again a polynomial, else None.
-    sin-bearing denominators are first rationalized by conjugation."""
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    for atom in _sin_atoms(den):
-        p, q = _split_by_atom(den, atom)
-        if q.is_zero():
-            continue
-        conjugate = p - TrigPoly.atom(atom) * q
-        num = num * conjugate
-        den = den * conjugate
-        if den.is_zero():
-            return None
-    atoms = sorted(num.atoms() | den.atoms())
-    index = {a: i for i, a in enumerate(atoms)}
-
-    def vector(mono) -> tuple:
-        v = [0] * len(atoms)
-        for atom, exp in mono:
-            v[index[atom]] = exp
-        return tuple(v)
-
-    den_items = sorted(den.terms.items(), key=lambda t: vector(t[0]))
-    lead_den_mono, lead_den_coeff = den_items[-1]
-    lead_den_vec = vector(lead_den_mono)
-    remainder = dict(num.terms)
-    quotient: Dict[Mono, Fraction] = {}
-    while remainder:
-        scalar._charge(len(remainder))
-        lead_mono = max(remainder, key=vector)
-        lead_vec = vector(lead_mono)
-        diff = [a - b for a, b in zip(lead_vec, lead_den_vec)]
-        if any(d < 0 for d in diff):
-            return None
-        t_mono = tuple(
-            sorted((atoms[i], d) for i, d in enumerate(diff) if d)
-        )
-        t_coeff = Fraction(remainder[lead_mono]) / lead_den_coeff
-        quotient[t_mono] = quotient.get(t_mono, 0) + t_coeff
-        product = TrigPoly({t_mono: t_coeff}) * den
-        for mono, coeff in product.terms.items():
-            value = remainder.get(mono, 0) - coeff
-            if value:
-                remainder[mono] = value
-            else:
-                remainder.pop(mono, None)
-    return TrigPoly(quotient)
 
 
 # ------------------------------------------------------------------
@@ -134,7 +62,7 @@ class DetFraction:
         polynomial."""
         value = self.num
         for _ in range(self.power):
-            value = exact_divide(value, self.det)
+            value = scalar.exact_divide(value, self.det)
             if value is None:
                 return None
         return value
@@ -163,18 +91,20 @@ def _symbolic_det(entries: List[List[TrigPoly]]) -> TrigPoly:
 
 
 def _symbolic_adjugate(entries: List[List[TrigPoly]]) -> List[List[TrigPoly]]:
+    """The adjugate of a symmetric matrix, which is symmetric: each
+    cofactor is computed for i <= j and mirrored."""
     n = len(entries)
     if n == 1:
         return [[TrigPoly.one()]]
     adj = [[TrigPoly.zero()] * n for _ in range(n)]
     for i in range(n):
-        for j in range(n):
+        for j in range(i, n):
             minor = [
                 [entries[r][c] for c in range(n) if c != j]
                 for r in range(n) if r != i
             ]
             cof = _symbolic_det(minor)
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
+            adj[i][j] = adj[j][i] = cof if (i + j) % 2 == 0 else -cof
     return adj
 
 
@@ -242,18 +172,28 @@ class Metric:
 
 @dataclass(frozen=True)
 class Christoffel:
-    """Symbols G[i][j][k] = Gamma^i_jk, symmetric in (j, k), as exact
-    quotients over det^power, power the metric's inverse power."""
+    """Numerators symbols[i][j][k] of Gamma^i_jk over det^power, power the
+    metric's inverse power; (j, k) and (k, j) hold one object."""
 
     symbols: tuple
     det: TrigPoly
     power: int
 
     def entry(self, i: int, j: int, k: int) -> DetFraction:
-        return self.symbols[i - 1][j - 1][k - 1]
+        return DetFraction(self.symbols[i - 1][j - 1][k - 1], self.power, self.det)
 
     @functools.cached_property
-    def _curvature(self) -> tuple:
+    def form(self) -> MatrixForm:
+        """The numerator connection form tau: component dx^k carries the
+        matrix (num Gamma^i_jk)_ij."""
+        n = len(self.symbols)
+        return MatrixForm(n, (n, n), {
+            (k + 1,): tuple(tuple(self.symbols[i][j][k] for j in range(n)) for i in range(n))
+            for k in range(n)
+        })
+
+    @functools.cached_property
+    def _curvature(self) -> MatrixForm:
         return _riemann_entries(self)
 
 
@@ -266,43 +206,41 @@ def christoffel(metric: Metric) -> Christoffel:
 def _christoffel_symbols(metric: Metric) -> Christoffel:
     """Gamma^i_jk = sum_l g^il [jk,l] with the first-kind brackets
     [jk,l] = 1/2 (d_k g_lj + d_j g_lk - d_l g_jk), every symbol over the
-    one power of det(g) that the inverse numerators share."""
-    n, det, power = metric.dim, metric.det_poly(), metric.inverse_power
-    g, inverse = metric.g, metric.inverse_numerators
+    one power of det(g) that the inverse numerators share.  g is
+    symmetric, so [jk,l] = [kj,l]: each symbol is computed for j <= k and
+    mirrored."""
+    n, g, inverse = metric.dim, metric.g, metric.inverse_numerators
     dg = [[[g[a][b].diff(c + 1) for b in range(n)] for a in range(n)] for c in range(n)]
     half = Fraction(1, 2)
     symbols = [[[None] * n for _ in range(n)] for _ in range(n)]
     for j in range(n):
-        for k in range(n):
+        for k in range(j, n):
             bracket = [(dg[k][l][j] + dg[j][l][k] - dg[l][j][k]).scale(half) for l in range(n)]
             for i in range(n):
                 total = TrigPoly.zero()
                 for l in range(n):
                     if bracket[l].terms and inverse[i][l].terms:
                         total = total + inverse[i][l] * bracket[l]
-                symbols[i][j][k] = DetFraction(total, power, det)
-    for i in range(n):
-        for j in range(n):
-            for k in range(j + 1, n):
-                if symbols[i][j][k].num != symbols[i][k][j].num:
-                    raise MetricError("Christoffel symbols are not symmetric")
-    return Christoffel(tuple(tuple(tuple(row) for row in s) for s in symbols), det, power)
+                symbols[i][j][k] = symbols[i][k][j] = total
+    return Christoffel(tuple(tuple(tuple(row) for row in s) for s in symbols),
+                       metric.det_poly(), metric.inverse_power)
 
 
-def riemann_components(metric: Metric) -> tuple:
-    """The curvature R[i][j][k][l] of the metric as nested tuples of exact
-    quotients, built on first use and kept on its Christoffel symbols."""
+def riemann_components(metric: Metric) -> MatrixForm:
+    """The curvature numerator 2-form S of the metric, over det^2p:
+    component dx^k ^ dx^l (k < l) carries the matrix (num R^i_jkl)_ij.
+    Built on first use and kept on its Christoffel symbols."""
     return christoffel(metric)._curvature
 
 
-def _riemann_entries(gamma: Christoffel) -> tuple:
-    """R[i][j][k][l] = d_k G^i_jl - d_l G^i_jk + G^i_hk G^h_jl - G^i_hl G^h_jk
-    (0-based indices), as exact quotients.  The symbols sit over det^p with
-    p = 0 (supplied inverse) or 1 (cofactor inverse), so by the quotient
-    rule both d_k G and G G sit over det^(2p), and so does every entry.
-    Only k < l is computed: R[..][l][k] is the negation, R[..][k][k] zero."""
-    n, det, power = len(gamma.symbols), gamma.det, gamma.power
-    G = [[[f.num for f in row] for row in s] for s in gamma.symbols]
+def _riemann_entries(gamma: Christoffel) -> MatrixForm:
+    """S with R^i_jkl = d_k G^i_jl - d_l G^i_jk + G^i_hk G^h_jl - G^i_hl G^h_jk
+    (0-based indices).  The symbols sit over det^p with p = 0 (supplied
+    inverse) or 1 (cofactor inverse), so by the quotient rule both d_k G
+    and G G sit over det^(2p), and so does every entry.  Only k < l is
+    computed: R^i_jlk is the negation, R^i_jkk zero."""
+    G, det, power = gamma.symbols, gamma.det, gamma.power
+    n = len(G)
     d_det = [det.diff(k + 1) for k in range(n)]
     derivatives: Dict[tuple, TrigPoly] = {}
 
@@ -318,10 +256,10 @@ def _riemann_entries(gamma: Christoffel) -> tuple:
             derivatives[key] = value
         return derivatives[key]
 
-    zero = DetFraction(TrigPoly.zero(), 2 * power, det)
-    R = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    components = {}
     for k in range(n):
         for l in range(k + 1, n):
+            rows = [[None] * n for _ in range(n)]
             for i in range(n):
                 for j in range(n):
                     value = d(k, i, j, l) - d(l, i, j, k)
@@ -330,29 +268,18 @@ def _riemann_entries(gamma: Christoffel) -> tuple:
                             value = value + G[i][h][k] * G[h][j][l]
                         if G[i][h][l].terms and G[h][j][k].terms:
                             value = value - G[i][h][l] * G[h][j][k]
-                    R[i][j][k][l] = DetFraction(value, 2 * power, det)
-                    R[i][j][l][k] = DetFraction(-value, 2 * power, det)
-    return tuple(tuple(tuple(tuple(row) for row in block) for block in s) for s in R)
-
-
-def _curvature_numerators(metric: Metric) -> MatrixForm:
-    """The End(TM)-valued curvature 2-form of numerators over det^2p:
-    component dx^k ^ dx^l (k < l) carries the matrix (num R^i_jkl)_ij."""
-    n = metric.dim
-    R = riemann_components(metric)
-    return MatrixForm(n, (n, n), {
-        (k + 1, l + 1): tuple(tuple(R[i][j][k][l].num for j in range(n)) for i in range(n))
-        for k in range(n) for l in range(k + 1, n)
-    })
+                    rows[i][j] = value
+            components[(k + 1, l + 1)] = rows
+    return MatrixForm(n, (n, n), components)
 
 
 def riemann_form(metric: Metric) -> MatrixForm:
     """Curvature as an End(TM)-valued 2-form: component dx^k ^ dx^l (k < l)
-    carries the matrix (R^i_jkl)_ij.  Raises GrammarError when an entry is
-    not polynomial over the atoms."""
+    carries the matrix (R^i_jkl)_ij, the entries of S divided by det^2p.
+    Raises GrammarError when an entry is not polynomial over the atoms."""
     power, det = 2 * metric.inverse_power, metric.det_poly()
     components = {}
-    for (k, l), entries in _curvature_numerators(metric).components():
+    for (k, l), entries in riemann_components(metric).components():
         rows = []
         for i, row in enumerate(entries, 1):
             quotients = []
@@ -370,17 +297,10 @@ def riemann_form(metric: Metric) -> MatrixForm:
 
 
 def _cleared_forms(metric: Metric) -> Tuple[MatrixForm, MatrixForm]:
-    """Denominator-cleared curvature and connection forms: the numerators
-    of R over det^2p and of Gamma over det^p are polynomial and vanish
-    where R and Gamma do."""
-    n = metric.dim
-    S = _curvature_numerators(metric)
-    symbols = christoffel(metric).symbols
-    tau = MatrixForm(n, (n, n), {
-        (k + 1,): tuple(tuple(symbols[i][j][k].num for j in range(n)) for i in range(n))
-        for k in range(n)
-    })
-    return S, tau
+    """Denominator-cleared curvature and connection forms S and tau: the
+    numerators of R over det^2p and of Gamma over det^p are polynomial and
+    vanish where R and Gamma do."""
+    return riemann_components(metric), christoffel(metric).form
 
 
 def levi_civita_n_flat(metric: Metric, n: int) -> bool:
@@ -409,7 +329,7 @@ MetricFileError = textfile.InputFileError
 # largest dimension a metric file may declare: cofactor inversion costs
 # n! n^2 products, and the riemann report on an identity metric takes
 # 0.05 s at dimension 6, 0.26 s at 7 and 2.0 s at 8 (in process, best of 3,
-# 2-vCPU machine).  A Bareiss-Jordan det and adjugate over exact_divide
+# 2-vCPU machine).  A Bareiss-Jordan det and adjugate over scalar.exact_divide
 # agrees with the cofactors and takes 2.4 ms against 2.2 s on the dim-8
 # identity, but is slower at dims 2-4: per metric 0.16 against 0.02 ms
 # (dim 2), 0.48 against 0.16 (dim 3), 1.14 against 0.77 (dim 4), 28 against

@@ -12,9 +12,12 @@ tree, once, into its TrigPoly, refusing any step that holds more than
 MAX_TERMS terms.  The module's two functools.lru_cache functions are
 normalize and sort_key, the key that orders monomials in rendered text and
 trig atoms by their arguments.  render writes a TrigPoly back in the
-grammar.  Values are immutable, and every function here is pure, except
-that inside work_budget() the ring counts its term products and refuses
-work past WORK_BUDGET.
+grammar, and exact_divide divides one TrigPoly by another when the
+quotient is again a TrigPoly.  The monomial format is private to this
+module: other modules compute through TrigPoly's methods and the functions
+here.  Values are immutable, and every function here is pure, except that
+inside work_budget() the ring counts its term products and refuses work
+past WORK_BUDGET.
 """
 
 from __future__ import annotations
@@ -228,8 +231,8 @@ def _mono_product(m1: Mono, m2: Mono):
 # Input bounds hold each cell, not the arithmetic on the cells.  Inside
 # work_budget() the ring counts term products, len(a) * len(b) per _mul_into
 # call (one when a factor is zero, so work on zero entries is not free) and
-# one per remainder term riemann.exact_divide scans, and refuses
-# with ScalarError, before the work, a call that would pass WORK_BUDGET.
+# one per remainder term exact_divide scans, and refuses with ScalarError,
+# before the work, a call that would pass WORK_BUDGET.
 # One term product costs 1-10 us.  Outside the scope work is unbounded.
 
 WORK_BUDGET = 400_000
@@ -463,6 +466,50 @@ def _trig(tag: int, argument: TrigPoly) -> TrigPoly:
     if not argument.terms:
         return TrigPoly.zero() if tag == SIN else TrigPoly.one()
     return TrigPoly.atom((tag, Arg(argument)))
+
+
+# ------------------------------------------------------------------
+# exact division
+# ------------------------------------------------------------------
+
+def exact_divide(num: TrigPoly, den: TrigPoly) -> TrigPoly | None:
+    """num / den when the quotient is again a polynomial, else None.
+
+    Each sin atom s of den is first cleared: with den = p + s*q, p and q
+    free of s, both sides are multiplied by the conjugate p - s*q =
+    den - 2*s*q, which makes den = p^2 - (1 - cos^2)*q^2.  The sin-free
+    den then divides num in lex order over the atoms of both; a leading
+    term that den's leading term does not divide means no quotient."""
+    if not den.terms:
+        raise ZeroDivisionError("division by the zero polynomial")
+    for atom in sorted(a for a in den.atoms() if a[0] == SIN):
+        if atom in den.atoms():  # an earlier conjugation may cancel it
+            pair = (atom, 1)
+            conjugate = _poly({m: -c if pair in m else c for m, c in den.terms.items()})
+            num, den = num * conjugate, den * conjugate
+    atoms = sorted(num.atoms() | den.atoms())
+    index = {a: i for i, a in enumerate(atoms)}
+
+    def vector(mono: Mono) -> list:
+        v = [0] * len(atoms)
+        for atom, exp in mono:
+            v[index[atom]] = exp
+        return v
+
+    lead = max(den.terms, key=vector)
+    lead_vec, lead_coeff = vector(lead), den.terms[lead]
+    remainder = dict(num.terms)
+    quotient: dict = {}
+    while remainder:
+        _charge(len(remainder))
+        mono = max(remainder, key=vector)
+        diff = [a - b for a, b in zip(vector(mono), lead_vec)]
+        if any(d < 0 for d in diff):
+            return None
+        term = tuple((atoms[i], d) for i, d in enumerate(diff) if d)
+        quotient[term] = coeff = _coeff(Fraction(remainder[mono]) / lead_coeff)
+        _mul_into(remainder, {term: -coeff}, den.terms)
+    return _poly(quotient)
 
 
 # ------------------------------------------------------------------

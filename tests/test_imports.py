@@ -127,3 +127,49 @@ def test_default_no_caller_sets_is_found():
                         "    def m(self, v=None, w=3):\n        pass\n"}
     callers = [definitions["a"], "import a\na.f(1, 2)\na.C(5)\na.C().m(w=4)\n"]
     assert defaults_no_caller_sets(definitions, callers) == ["a.C.m.v", "a.f.z"]
+
+
+MONOMIAL_NAMES = {"Mono", "VAR", "SIN", "COS"}
+
+
+def monomial_readers(sources):
+    """module:line of each place in {module: source} that reads the scalar
+    ring's private monomial format: a private name or the monomial names of
+    scalar (Mono, VAR, SIN, COS), or the items, keys, values or a subscript
+    of a polynomial's .terms dict."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("scalar"):
+                bad = any(a.name.startswith("_") or a.name in MONOMIAL_NAMES for a in node.names)
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "scalar":
+                bad = node.attr.startswith("_") or node.attr in MONOMIAL_NAMES
+            elif isinstance(node, ast.Name):
+                bad = node.id == "Mono"
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                bad = (node.func.attr in ("items", "keys", "values")
+                       and getattr(node.func.value, "attr", None) == "terms")
+            elif isinstance(node, ast.Subscript):
+                bad = getattr(node.value, "attr", None) == "terms"
+            else:
+                bad = False
+            if bad:
+                found.append((module, node.lineno))
+    return [f"{module}:{line}" for module, line in sorted(set(found))]
+
+
+def test_only_scalar_reads_monomials():
+    sources = {}
+    for module in MODULES:
+        if module != "scalar.py":
+            with open(os.path.join(SRC, module), encoding="utf-8") as handle:
+                sources[module[:-3]] = handle.read()
+    assert monomial_readers(sources) == []
+
+
+def test_monomial_reader_is_found():
+    source = ("from . import scalar\nfrom .scalar import Mono, TrigPoly\n"
+              "def f(p):\n    scalar._charge(1)\n    a = scalar.SIN\n"
+              "    for m, c in p.terms.items():\n        pass\n"
+              "    return p.terms[()], len(p.terms), p.terms and TrigPoly.one(), p.keys()\n")
+    assert monomial_readers({"a": source}) == ["a:2", "a:4", "a:5", "a:6", "a:8"]

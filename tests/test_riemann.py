@@ -9,9 +9,10 @@ import pytest
 from ndga import cli, forms, riemann, scalar
 from ndga.riemann import (
     DetFraction, GrammarError, Metric, MetricError, MetricFileError, TrigPoly,
-    christoffel, exact_divide, levi_civita_n_flat, minimal_lc_flatness_order,
+    christoffel, levi_civita_n_flat, minimal_lc_flatness_order,
     parse_metric, riemann_components, riemann_form,
 )
+from ndga.scalar import exact_divide
 from conftest import least_accepted_order, sympy_reduced
 
 x1, x2 = TrigPoly.var(1), TrigPoly.var(2)
@@ -99,6 +100,16 @@ def _reference_riemann(metric):
                 for l in range(n):
                     assert _add(R[i][j][k][l], R[i][j][l][k]).is_zero()
     return G, R
+
+
+def curvature_entry(S, i, j, k, l):
+    """The numerator of R^i_jkl (0-based) read from the curvature form S,
+    which holds k < l: R^i_jlk is the negation and R^i_jkk zero."""
+    if k == l:
+        return ZERO
+    if k < l:
+        return S.component((k + 1, l + 1))[i][j]
+    return -S.component((l + 1, k + 1))[i][j]
 
 
 def _metric_text(rows, inverse=None):
@@ -209,19 +220,20 @@ ORACLE_METRICS = _oracle_metrics()
 
 
 def _assert_kernel_equals_reference(metric):
-    """Same power and same numerator for every Gamma and R entry."""
+    """Same power and same numerator for every Gamma and R entry, R in
+    both orders of (k, l)."""
     n = metric.dim
     G, R = _reference_riemann(metric)
-    gamma = christoffel(metric).symbols
-    kernel_R = riemann_components(metric)
+    gamma = christoffel(metric)
+    S = riemann_components(metric)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                f, r = gamma[i][j][k], G[i][j][k]
-                assert (f.power, f.num) == (r.power, r.num)
+                r = G[i][j][k]
+                assert (gamma.power, gamma.symbols[i][j][k]) == (r.power, r.num)
                 for l in range(n):
-                    f, r = kernel_R[i][j][k][l], R[i][j][k][l]
-                    assert (f.power, f.num) == (r.power, r.num)
+                    r = R[i][j][k][l]
+                    assert (2 * gamma.power, curvature_entry(S, i, j, k, l)) == (r.power, r.num)
 
 
 @pytest.mark.parametrize("index", range(len(ORACLE_METRICS)))
@@ -248,9 +260,9 @@ def test_oracle_covers_every_family():
 def test_kernels_keep_integer_coefficients(data_path, name):
     # the brackets are halved, and an integral half stays an int
     metric = riemann.load_metric(data_path(name))
-    fractions = [f for a in christoffel(metric).symbols for b in a for f in b]
-    fractions += [f for a in riemann_components(metric) for b in a for c in b for f in c]
-    assert {type(c) for f in fractions for c in f.num.terms.values()} == {int}
+    polys = [p for a in christoffel(metric).symbols for b in a for p in b]
+    polys += [p for _, rows in riemann_components(metric).components() for row in rows for p in row]
+    assert {type(c) for p in polys for c in p.terms.values()} == {int}
 
 
 def test_kernels_multiply_few_polynomials(monkeypatch, data_path):
@@ -268,10 +280,9 @@ def test_kernels_multiply_few_polynomials(monkeypatch, data_path):
     gamma = christoffel(metric)
     assert len(calls) <= 50
     del calls[:]
-    R = riemann_components(metric)
+    riemann_components(metric)
     assert len(calls) <= 200
-    assert {f.power for a in gamma.symbols for b in a for f in b} == {metric.inverse_power}
-    assert {f.power for a in R for b in a for c in b for f in c} == {2 * metric.inverse_power}
+    assert gamma.power == metric.inverse_power
 
 
 # sympy as an independent oracle: its own inverse of g, its own
@@ -317,8 +328,8 @@ def test_kernel_agrees_with_sympy(index):
 
     det = to_sympy(metric.det_poly())
 
-    def assert_equal(f, expected):
-        difference = sympy.together(to_sympy(f.num) / det**f.power - expected)
+    def assert_equal(num, power, expected):
+        difference = sympy.together(to_sympy(num) / det**power - expected)
         assert sympy_reduced(sympy.numer(difference)) == 0
 
     g = sympy.Matrix(n, n, lambda i, j: to_sympy(metric.entry(i + 1, j + 1)))
@@ -327,17 +338,17 @@ def test_kernel_agrees_with_sympy(index):
         g_inv[i, l] * (g[l, j].diff(x[k]) + g[l, k].diff(x[j]) - g[j, k].diff(x[l]))
         for l in range(n)) / 2) for k in range(n)] for j in range(n)] for i in range(n)]
     gamma = christoffel(metric)
-    R = riemann_components(metric)
+    S = riemann_components(metric)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                assert_equal(gamma.symbols[i][j][k], G[i][j][k])
-                assert R[i][j][k][k].is_zero()
-                for l in range(k + 1, n):  # R is antisymmetric in (k, l)
-                    assert R[i][j][l][k].num == -R[i][j][k][l].num
+                assert_equal(gamma.symbols[i][j][k], gamma.power, G[i][j][k])
+                for l in range(n):  # both orders of (k, l), S read with its sign
+                    if l == k:
+                        continue
                     expected = G[i][j][l].diff(x[k]) - G[i][j][k].diff(x[l]) + sum(
                         G[h][j][l] * G[i][h][k] - G[h][j][k] * G[i][h][l] for h in range(n))
-                    assert_equal(R[i][j][k][l], expected)
+                    assert_equal(curvature_entry(S, i, j, k, l), 2 * gamma.power, expected)
 
 
 def test_sympy_oracle_covers_the_trig_families():
@@ -369,11 +380,12 @@ def test_cached_objects_belong_to_their_metric(data_path):
     first, second = parse_metric(text), parse_metric(text)
     kept = []
     for metric in (first, second):
-        gamma, R = christoffel(metric), riemann_components(metric)
-        assert christoffel(metric) is gamma and riemann_components(metric) is R
-        entries = [f for a in gamma.symbols for b in a for f in b]
-        entries += [f for a in R for b in a for c in b for f in c]
-        kept.append({id(x) for x in [gamma, R, *entries]})
+        gamma, S = christoffel(metric), riemann_components(metric)
+        assert christoffel(metric) is gamma and riemann_components(metric) is S
+        assert gamma.form is gamma.form
+        entries = [p for a in gamma.symbols for b in a for p in b if p.terms]
+        entries += [p for _, rows in S.components() for row in rows for p in row if p.terms]
+        kept.append({id(x) for x in [gamma, S, gamma.form, *entries]})
     assert christoffel(first) == christoffel(second)
     assert not kept[0] & kept[1]
     # the caches die with their metric
@@ -559,14 +571,16 @@ def test_bianchi_and_antisymmetry_on_random_diagonal_metrics():
             c = rng.randint(1, 2)
             entries[i][i] = c + TrigPoly.var(rng.randint(1, n)).power(2)
         g = Metric(entries)
-        R = riemann_components(g)
+        S = riemann_components(g)
+
+        def R(i, j, k, l):
+            return curvature_entry(S, i, j, k, l)
+
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     for l in range(n):
-                        assert _add(R[i][j][k][l], R[i][j][l][k]).is_zero()
-                        cyclic = _add(_add(R[i][j][k][l], R[i][k][l][j]), R[i][l][j][k])
-                        assert cyclic.is_zero()
+                        assert (R(i, j, k, l) + R(i, k, l, j) + R(i, l, j, k)).is_zero()
 
 
 # ------------------------------------------------------------------

@@ -477,14 +477,42 @@ def test_scale_keeps_integral_coefficients_int():
 
 
 def test_exact_divide_keeps_fractions_exact():
-    from ndga.riemann import exact_divide
-
-    quotient = exact_divide(TrigPoly.var(1), TrigPoly.const(2))
+    quotient = scalar.exact_divide(TrigPoly.var(1), TrigPoly.const(2))
     [coeff] = quotient.terms.values()
     assert type(coeff) is Fraction and coeff == Fraction(1, 2)
-    assert exact_divide(TrigPoly.var(1).scale(6), TrigPoly.const(3)).terms == {
+    assert scalar.exact_divide(TrigPoly.var(1).scale(6), TrigPoly.const(3)).terms == {
         (((scalar.VAR, 1), 1),): 2
     }
+
+
+# divisors with no, one and two sin atoms, a sin^2 rewritten to 1 - cos^2,
+# and a constant
+DIVISORS = ["x1 - x2", "2 + sin(x1)", "sin(x2)", "x1*sin(x1) + cos(x1)",
+            "2 + sin(x1) + x3*sin(x2)", "sin(x1)^2 + x2", "3/2"]
+
+
+@given(expressions, st.sampled_from(DIVISORS))
+@example(Var(1), "sin(x2)")
+def test_exact_divide_inverts_multiplication(e, divisor):
+    quotient, den = normalize(e), poly(divisor)
+    assert scalar.exact_divide(quotient * den, den) == quotient
+    # a unit added to a multiple of a nonconstant divisor leaves a remainder
+    if den.atoms():
+        assert scalar.exact_divide(quotient * den + 1, den) is None
+
+
+def test_exact_divide_charges_each_scan_and_each_product(monkeypatch):
+    num, den, quotient = poly("x1^2 - x2^2"), poly("x1 - x2"), poly("x1 + x2")
+    charges = []
+    monkeypatch.setattr(scalar, "_charge", charges.append)
+    assert scalar.exact_divide(num, den) == quotient
+    # per quotient term: a scan of the 2-term remainder, a 1 x 2 product
+    assert charges == [2, 2, 2, 2]
+
+
+def test_exact_divide_refuses_the_zero_divisor():
+    with pytest.raises(ZeroDivisionError):
+        scalar.exact_divide(x1, TrigPoly.zero())
 
 
 def test_brute_force_on_integer_data_keeps_integer_coefficients(data_path, monkeypatch):
