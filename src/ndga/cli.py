@@ -51,7 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
     dsub = p.add_subparsers(dest="depth_command", required=True)
     dsub.add_parser("nilpotency", help="exact nilpotency of d")
     dsub.add_parser("table", help="generator multiplication sign table")
-    q = dsub.add_parser("diff", help="differential of a parsed form")
+    # no options, so an expression may start with '-', as rendered forms do
+    q = dsub.add_parser("diff", help="differential of a parsed form", prefix_chars="+",
+                        add_help=False)
     q.add_argument("expression")
 
     p = sub.add_parser("ncomplex", help="finite N-complexes")
@@ -139,16 +141,8 @@ def _run_riemann(args, out) -> int:
 def _run_knflat(args, parser, out) -> int:
     if not 1 <= args.N <= knflat.MAX_N or args.K < 2:
         parser.error(f"knflat expand needs 1 <= --N <= {knflat.MAX_N} and --K >= 2")
-    if args.infinitesimal:
-        terms = knflat.infinitesimal_expansion(args.N, args.K)
-        by_power = {}
-        for j, coeff, vertex in terms:
-            by_power.setdefault(j, {})[vertex] = coeff
-        for j in range(args.N):
-            element = by_power.get(j, {})
-            print(f"c{j} = {knflat.render_element(element)}", file=out)
-        return 0
-    for j, element in knflat.nabla_power_expansion(args.N, args.K):
+    expand = knflat.infinitesimal_expansion if args.infinitesimal else knflat.nabla_power_expansion
+    for j, element in expand(args.N, args.K):
         print(f"c{j} = {knflat.render_element(element)}", file=out)
     return 0
 

@@ -65,10 +65,12 @@ def validate_index(index: DepthIndex, profile: Profile) -> None:
         raise DepthFormError(f"index positions must be strictly increasing: {index}")
     for position, depth in index:
         if not 1 <= position <= len(profile):
-            raise DepthFormError(f"position {position} outside profile of length {len(profile)}")
+            raise DepthFormError(f"position {textfile.quote(str(position))} "
+                                 f"outside profile of length {len(profile)}")
         if not 1 <= depth <= profile[position - 1] - 1:
             raise DepthFormError(
-                f"depth {depth} at position {position} exceeds bound {profile[position - 1] - 1}"
+                f"depth {textfile.quote(str(depth))} at position {position} "
+                f"exceeds bound {profile[position - 1] - 1}"
             )
 
 
@@ -305,7 +307,7 @@ class AffineMap:
         offset = tuple(Fraction(b) for b in self.offset)
         if len(offset) != k:
             raise DepthFormError("offset length must match the matrix")
-        if linalg.det(matrix) == 0:
+        if linalg.rank(matrix) < k:
             raise DepthFormError("affine map must be invertible")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "offset", offset)
@@ -385,6 +387,9 @@ _GENERATOR = re.compile(r"^d(\d*)x(\d+)$")
 
 
 def _split_top_level(text: str, separators: str) -> list:
+    """(piece, separator) pairs of text split at separators outside
+    parentheses; a '-' that opens a term or follows '*' is a sign, kept
+    with the piece it opens."""
     parts = []
     depth = 0
     current = []
@@ -393,7 +398,8 @@ def _split_top_level(text: str, separators: str) -> list:
             depth += 1
         elif ch == ")":
             depth -= 1
-        if depth == 0 and ch in separators and (ch != "-" or "".join(current).strip()):
+        if depth == 0 and ch in separators and (
+                ch != "-" or "".join(current).strip()[-1:] not in ("", "*")):
             parts.append(("".join(current), ch))
             current = []
         else:
@@ -403,16 +409,14 @@ def _split_top_level(text: str, separators: str) -> list:
 
 
 def parse_form(text: str, profile) -> DepthForm:
-    """Parse sums of monomials like '-dx1*d2x2 + 2*x1^2*dx2', each with an
-    optional leading sign; factors matching d<j>x<i> are generators,
-    everything else goes through the scalar grammar."""
+    """Parse sums of monomials like '-dx1*d2x2 + 2*x1^2*dx2', each factor
+    with an optional leading sign; factors matching d<j>x<i> are
+    generators, everything else goes through the scalar grammar."""
     profile = check_profile(profile)
     result = zero(profile)
     sign = 1
     for chunk, separator in _split_top_level(text, "+-"):
         chunk = chunk.strip()
-        if chunk.startswith("-"):
-            sign, chunk = -sign, chunk[1:].strip()
         if not chunk:
             raise DepthFormError("empty term")
         result = result + _parse_monomial(chunk, profile).scale(sign)
@@ -423,10 +427,13 @@ def parse_form(text: str, profile) -> DepthForm:
 def _parse_monomial(text: str, profile: Profile) -> DepthForm:
     scalar_parts = []
     generators = []
+    sign = 1
     for piece, _ in _split_top_level(text, "*"):
         piece = piece.strip()
+        if piece.startswith("-"):
+            sign, piece = -sign, piece[1:].strip()
         if not piece:
-            raise DepthFormError(f"empty factor in {text!r}")
+            raise DepthFormError(f"empty factor in {textfile.quote(text)}")
         match = _GENERATOR.match(piece)
         if match:
             if max(map(len, match.groups())) > scalar.MAX_DIGITS:
@@ -442,8 +449,8 @@ def _parse_monomial(text: str, profile: Profile) -> DepthForm:
         try:
             coefficient = scalar.expand("*".join(scalar_parts))
         except scalar.ScalarError as err:
-            raise DepthFormError(f"bad coefficient in {text!r}: {err}")
-    form = function(profile, coefficient)
+            raise DepthFormError(f"bad coefficient in {textfile.quote(text)}: {err}")
+    form = function(profile, coefficient.scale(sign))
     for position, depth in generators:
         form = multiply(form, generator(profile, position, depth))
     return form

@@ -132,36 +132,33 @@ def vertices_by_delta_power(n: int, k: int) -> Dict[int, List[Vertex]]:
     return grouped
 
 
-def _all_paths_by_endpoint(n: int, k: int, max_length: int | None = None) -> Dict[Vertex, int]:
-    """Signed counts of length-n paths from the empty vertex to every
-    endpoint with all entries < k (and length <= max_length if given),
-    pushed level by level through the edges as a transfer matrix.  Entries
-    and lengths never decrease along an edge, so a vertex outside these
-    bounds never reaches one inside them and is dropped when reached."""
+def _path_coefficients(n: int, k: int, max_length: int) -> List[Tuple[int, FreeDeltaElement]]:
+    """(j, c_j) for j < n: c_j maps each endpoint s of delta power j, with
+    all entries < k and length <= max_length, to the signed count of
+    length-n paths from the empty vertex to s.  The counts are pushed level
+    by level through the edges as a transfer matrix.  Entries and lengths
+    never decrease along an edge, so a vertex outside these bounds never
+    reaches one inside them and is dropped when reached."""
+    if n < 1 or k < 2:
+        raise PathSystemError("need n >= 1 and k >= 2")
     counts: Dict[Vertex, int] = {(): 1}
     for _ in range(n):
         nxt: Dict[Vertex, int] = {}
         for v, c in counts.items():
             for edge in successors(v):
                 s = edge.target
-                if any(entry >= k for entry in s) or (max_length is not None and len(s) > max_length):
+                if len(s) > max_length or any(entry >= k for entry in s):
                     continue
                 nxt[s] = nxt.get(s, 0) + c * edge.weight
         counts = {v: c for v, c in nxt.items() if c != 0}
-    return counts
+    return [(j, {s: c for s, c in counts.items() if delta_power(s, n) == j}) for j in range(n)]
 
 
 def nabla_power_expansion(n: int, k: int) -> List[Tuple[int, FreeDeltaElement]]:
     """Coefficients c_0, ..., c_{n-1} with (delta + omega)^n =
     sum c_j delta^j + delta^n, assembled from signed path counts over
-    vertices with all entries < k."""
-    if n < 1 or k < 2:
-        raise PathSystemError("need n >= 1 and k >= 2")
-    counts = _all_paths_by_endpoint(n, k)
-    coefficients: List[Tuple[int, FreeDeltaElement]] = []
-    for j in range(n):
-        coefficients.append((j, {s: c for s, c in counts.items() if delta_power(s, n) == j}))
-    return coefficients
+    vertices with all entries < k; a length-n path ends at length <= n."""
+    return _path_coefficients(n, k, n)
 
 
 # ------------------------------------------------------------------
@@ -229,15 +226,12 @@ def oracle_expansion(n: int, k: int) -> List[Tuple[int, FreeDeltaElement]]:
 # infinitesimal deformation (t^2 = 0)
 # ------------------------------------------------------------------
 
-def infinitesimal_expansion(n: int, k: int) -> List[Tuple[int, int, Vertex]]:
-    """Expansion of (delta + t omega)^n with t^2 = 0: only vertices of
-    length <= 1 survive the t-filter.  Returns (delta power j, coefficient,
-    vertex (m,)) with m = n - j - 1 < k and coefficient c((m,), n); terms
-    whose signed path count vanishes are omitted."""
-    if n < 2:
-        raise PathSystemError("need n >= 2")
-    counts = _all_paths_by_endpoint(n, k, max_length=1)
-    return sorted((delta_power(s, n), c, s) for s, c in counts.items() if s)
+def infinitesimal_expansion(n: int, k: int) -> List[Tuple[int, FreeDeltaElement]]:
+    """Expansion of (delta + t omega)^n with t^2 = 0, in the shape of
+    nabla_power_expansion: only vertices of length <= 1 survive the
+    t-filter, so c_j holds at most the word (m,), m = n - j - 1 < k, with
+    its signed path count c((m,), n) when that is nonzero."""
+    return _path_coefficients(n, k, 1)
 
 
 def infinitesimal_from_full(n: int, k: int) -> List[Tuple[int, FreeDeltaElement]]:

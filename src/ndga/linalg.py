@@ -81,28 +81,6 @@ def rank(a: FracMatrix) -> int:
     return len(_echelon(rows))
 
 
-def det(a: FracMatrix) -> Fraction:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant of a non-square matrix")
-    rows = [list(row) for row in a]
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            result = -result
-        result *= rows[c][c]
-        inv = Fraction(1) / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                factor = rows[i][c] * inv
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[c])]
-    return result
-
-
 def solve_combination(columns: Sequence[FracVector], target: FracVector):
     """Coefficients expressing target as a linear combination of the given
     column vectors, or None when target is outside their span.  Free

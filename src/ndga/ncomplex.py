@@ -300,6 +300,8 @@ def parse_complex(text: str) -> FiniteNComplex:
             if order is not None:
                 raise lines.error("duplicate N header")
             order = lines.header("N", content=content)
+            if order < 2:
+                raise lines.error("order must be at least 2")
             if order > MAX_SIZE:
                 raise lines.error(f"order {order} is above {MAX_SIZE}")
         elif keyword == "deg":

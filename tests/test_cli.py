@@ -135,6 +135,14 @@ def test_knflat_infinitesimal():
     assert text.splitlines() == ["c0 = d2(w)", "c1 = d(w)", "c2 = w"]
 
 
+def test_knflat_first_order_infinitesimal():
+    # N = 1 has one coefficient, c0 = w, with or without the t-filter
+    for extra in ([], ["--infinitesimal"]):
+        code, text = run(["knflat", "expand", "--N", "1", "--K", "2"] + extra)
+        assert code == 0
+        assert text.splitlines() == ["c0 = w"]
+
+
 def test_knflat_usage_error():
     assert run_usage_error(["knflat", "expand", "--N", "0", "--K", "3"]) == 2
 
@@ -210,6 +218,20 @@ def test_depth_diff_of_a_negated_generator():
     assert run(["depth-forms", "--profile", "3,2", "diff", "--", "-dx1"]) == (0, "-d2x1\n")
     assert run(["depth-forms", "--profile", "3,2", "diff", "x1*x2 + -dx1"]) == \
         (0, "x2*dx1 - d2x1 + x1*dx2\n")
+
+
+def test_depth_diff_reads_a_leading_minus_as_the_expression():
+    # the CLI's own output may start with '-', and goes back in without '--'
+    code, text = run(["depth-forms", "--profile", "3,2", "diff", "-x1^2*dx2"])
+    assert (code, text) == (0, "-2*x1*dx1*dx2\n")
+    again = run(["depth-forms", "--profile", "3,2", "diff", text.strip()])
+    assert again == run(["depth-forms", "--profile", "3,2", "diff", "--", text.strip()])
+    assert again[0] == 0
+
+
+def test_depth_diff_reads_a_sign_after_a_star():
+    # the scalar grammar reads x1*-2 as -2*x1, and so does a depth form
+    assert run(["depth-forms", "--profile", "3,2", "diff", "x1*-2*dx2"]) == (0, "-2*dx1*dx2\n")
 
 
 # ------------------------------------------------------------------
@@ -419,6 +441,12 @@ HOSTILE_ARGUMENTS = {
                              "error: bad generator 'dx777"),
     "depth_long_profile": (["depth-forms", "--profile", "3," + "7" * 5000, "nilpotency"], 1,
                            "error: bad profile '3,777"),
+    "depth_wide_position": (["depth-forms", "--profile", "3,2", "diff", "dx" + "7" * 999], 1,
+                            "error: position '777"),
+    "depth_wide_depth": (["depth-forms", "--profile", "3,2", "diff", "d" + "7" * 999 + "x1"], 1,
+                         "error: depth '777"),
+    "depth_long_monomial": (["depth-forms", "--profile", "3,2", "diff", "x1*" * 2000], 1,
+                            "error: empty factor in 'x1*x1*"),
 }
 
 
@@ -553,3 +581,77 @@ def test_tensor_over_budget_is_an_input_error(tmp_path, capsys):
     code, _ = run(["ncomplex", "tensor", str(path), str(path)])
     assert code == 1
     assert capsys.readouterr().err == "error: tensor size budget exceeded\n"
+
+
+# (command, file name and text or None, exit code, the one error line
+# after "error: ", "<path>: " put before it when there is a file); each
+# reader fault names its file and line, and ends in no traceback
+MALFORMED_INPUTS = {
+    "ncx_duplicate_order": (["ncomplex", "validate"], ("bad.ncx", "N 3\nN 3\n"), 1,
+                            "line 2: duplicate N header"),
+    "ncx_order_one": (["ncomplex", "validate"], ("bad.ncx", "N 1\ndeg 0 dim 1\n"), 1,
+                      "line 1: order must be at least 2"),
+    "ncx_negative_dim": (["ncomplex", "validate"], ("bad.ncx", "N 3\ndeg 0 dim -1\n"), 1,
+                         "line 2: dimensions must be non-negative"),
+    "ncx_degree_gap": (["ncomplex", "validate"],
+                       ("bad.ncx", "N 3\ndeg 0 dim 1\n1\n# gap\ndeg 2 dim 1\n"), 1,
+                       "line 5: degrees must be consecutive; got 2 after 0"),
+    "ncx_rows_first": (["ncomplex", "validate"], ("bad.ncx", "N 3\n1 0\ndeg 0 dim 1\n"), 1,
+                       "line 2: matrix rows before any degree header"),
+    "ncx_no_degree": (["ncomplex", "validate"], ("bad.ncx", "N 3\n"), 1,
+                      "line 1: no degrees declared"),
+    "ncx_rows_after_last": (["ncomplex", "validate"],
+                            ("bad.ncx", "N 3\ndeg 0 dim 1\n1\ndeg 1 dim 1\n1\n"), 1,
+                            "line 5: rows after the final degree header"),
+    "ncx_short_row": (["ncomplex", "validate"],
+                      ("bad.ncx", "N 3\ndeg 0 dim 2\n1\ndeg 1 dim 1\n"), 1,
+                      "line 3: expected 2 entries per row"),
+    "metric_dim_zero": (["riemann"], ("bad.metric", "dim 0\n"), 1,
+                        "line 1: dimension must be positive"),
+    "metric_early_end": (["riemann"], ("bad.metric", "dim 2\n1;0\n"), 1,
+                         "line 2: unexpected end of file inside a matrix"),
+    "metric_junk_inverse": (["riemann"], ("bad.metric", "dim 1\n1\ninvert\n1\n"), 1,
+                            "line 3: expected 'inverse' or end of file"),
+    "conn_base_zero": (["flatness"], ("bad.conn", "base 0\nfiber 1\n"), 1,
+                       "line 2: base and fiber dimensions must be positive"),
+    "conn_duplicate_omega": (["flatness"],
+                             ("bad.conn", "base 1\nfiber 1\nomega 1\nx1\nomega 1\nx1\n"), 1,
+                             "line 5: duplicate block for omega 1"),
+    "cell_bare_x": (["flatness"], ("bad.conn", "base 1\nfiber 1\nomega 1\nx\n"), 1,
+                    "line 4: bad expression 'x': expected an integer at offset 1"),
+    "cell_zero_denominator": (["flatness"], ("bad.conn", "base 1\nfiber 1\nomega 1\n1/0\n"),
+                              1, "line 4: bad expression '1/0': zero denominator at offset 3"),
+    "cell_coordinate_zero": (["flatness"], ("bad.conn", "base 1\nfiber 1\nomega 1\nx0\n"),
+                             1, "line 4: bad expression 'x0': coordinate index must be positive"
+                                " at offset 0"),
+    "cell_unopened": (["flatness"], ("bad.conn", "base 1\nfiber 1\nomega 1\nx1)\n"), 1,
+                      "line 4: bad expression 'x1)': unexpected character ')' at offset 2"),
+    "cell_unclosed": (["flatness"], ("bad.conn", "base 1\nfiber 1\nomega 1\n(x1\n"), 1,
+                      "line 4: bad expression '(x1': expected ')' at offset 3"),
+    "flatness_max_order_one": (["flatness", "--max-N", "1"], ("ok.conn", "base 1\nfiber 1\n"),
+                               2, "--max-N must be at least 2"),
+    "riemann_max_order_one": (["riemann", "--max-N", "1"], ("ok.metric", "dim 1\n1\n"), 2,
+                              "--max-N must be at least 2"),
+    "profile_words": (["depth-forms", "--profile", "a,b", "nilpotency"], None, 1,
+                      "bad profile 'a,b'; expected integers like 3,2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_one_error_line(tmp_path, capsys, name):
+    command, file, code, message = MALFORMED_INPUTS[name]
+    argv = list(command)
+    if file is not None:
+        path = tmp_path / file[0]
+        path.write_text(file[1])
+        argv.append(str(path))
+        if code == 1:
+            message = f"{path}: {message}"
+    try:
+        returned = cli.main(argv, out=io.StringIO())
+    except SystemExit as usage:
+        returned = usage.code
+    lines = capsys.readouterr().err.splitlines()
+    assert returned == code
+    assert sum("error:" in line for line in lines) == 1
+    assert lines[-1].endswith(f"error: {message}")

@@ -280,7 +280,7 @@ def _random_invertible(rng, k):
         matrix = tuple(
             tuple(Fraction(rng.randint(-2, 2)) for _ in range(k)) for _ in range(k)
         )
-        if linalg.det(matrix) != 0:
+        if linalg.rank(matrix) == k:
             return matrix
 
 
@@ -437,8 +437,20 @@ def test_parse_leading_sign_on_generators():
     assert parse_form("x1 - -dx2", profile) == function(profile, x1) + dx2
 
 
-@pytest.mark.parametrize("text", ["dx" + "7" * 5000, "d" + "7" * 5000 + "x1"],
-                         ids=["position", "depth"])
+def test_parse_sign_after_a_star():
+    # as in the scalar grammar, where x1*-2 reads as -2*x1
+    profile = (3, 2)
+    dx1, dx2 = generator(profile, 1), generator(profile, 2)
+    assert parse_form("x1*-2*dx2", profile) == multiply(function(profile, x1), dx2).scale(-2)
+    assert parse_form("x1 * -dx1*-dx2", profile) == multiply(function(profile, x1),
+                                                             multiply(dx1, dx2))
+    assert parse_form("x2 - x1*-dx1", profile) == function(profile, x2) + multiply(
+        function(profile, x1), dx1)
+
+
+@pytest.mark.parametrize("text", ["dx" + "7" * 5000, "d" + "7" * 5000 + "x1",
+                                  "dx" + "7" * 999, "d" + "7" * 999 + "x1"],
+                         ids=["position", "depth", "wide_position", "wide_depth"])
 def test_parse_refuses_a_generator_number_past_the_digit_limit(text):
     with pytest.raises(DepthFormError) as refused:
         parse_form(text, (3, 2))
