@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 
 from . import chern_simons, depth, forms, knflat, ncomplex, riemann, scalar, textfile
@@ -18,7 +19,9 @@ class InputError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: each parse builds a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="ndga",
         description="exact constructions around N-differential graded algebras",
@@ -174,30 +177,34 @@ def _run_ncomplex(args, out) -> int:
         with _reading(path):
             return ncomplex.load_complex(path)
 
+    if args.nc_command == "tensor":
+        c1, c2 = load(args.file1), load(args.file2)
+        measured = ncomplex.tensor_nilpotency(c1, c2)
+        bound = c1.order + c2.order - 1
+        print(f"tensor nilpotency {measured} (bound {bound}, koszul sign on)", file=out)
+        return 0
+    with _reading(args.file):
+        c = ncomplex.load_complex(args.file)
+        if args.nc_command == "cohomology" and len(c.dims) * (c.order - 1) > ncomplex.MAX_SIZE:
+            raise ncomplex.ComplexError(f"cohomology table of {len(c.dims)} degrees by "
+                                        f"{c.order - 1} values is above {ncomplex.MAX_SIZE} lines")
+        valid = ncomplex.validate(c)
     if args.nc_command == "validate":
-        c = load(args.file)
-        if not ncomplex.validate(c):
+        if not valid:
             raise InputError(
                 f"{args.file}: d^{c.order} is not zero; not a valid {c.order}-complex"
             )
         print(f"valid {c.order}-complex, degrees {c.lo}..{c.hi}", file=out)
         return 0
-    if args.nc_command == "cohomology":
-        c = load(args.file)
-        if not ncomplex.validate(c):
-            raise InputError(f"{args.file}: not a valid {c.order}-complex")
-        for i in range(c.lo, c.hi + 1):
-            for p in range(1, c.order):
-                dim = ncomplex.p_cohomology_dim(c, p, i)
-                print(f"H[p={p}, i={i}] = {dim}", file=out)
-        for m in ncomplex.total_diagonals(c):
-            total, _ = ncomplex.total_cohomology_dims(c, m)
-            print(f"total[m={m}] = {total}", file=out)
-        return 0
-    c1, c2 = load(args.file1), load(args.file2)
-    measured = ncomplex.tensor_nilpotency(c1, c2)
-    bound = c1.order + c2.order - 1
-    print(f"tensor nilpotency {measured} (bound {bound}, koszul sign on)", file=out)
+    if not valid:
+        raise InputError(f"{args.file}: not a valid {c.order}-complex")
+    for i in range(c.lo, c.hi + 1):
+        for p in range(1, c.order):
+            dim = ncomplex.p_cohomology_dim(c, p, i)
+            print(f"H[p={p}, i={i}] = {dim}", file=out)
+    for m in ncomplex.total_diagonals(c):
+        total, _ = ncomplex.total_cohomology_dims(c, m)
+        print(f"total[m={m}] = {total}", file=out)
     return 0
 
 

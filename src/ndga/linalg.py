@@ -1,30 +1,41 @@
 """Exact linear algebra over the rationals.
 
-Matrices are tuples of tuples of Fraction; vectors are tuples of Fraction.
-Everything is computed by exact Gaussian elimination, never floats.
+Matrices are tuples of tuples of exact rationals; vectors are tuples of
+them.  An integral entry is held as an int and only a true fraction as a
+Fraction, so the many all-integer matrices multiply at int speed.  Rank and
+solving use one fraction-free elimination over the integers, never floats.
+Inside scalar.work_budget() each entry product and entry update is charged
+as one term product.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from . import scalar
 
 FracMatrix = tuple
 FracVector = tuple
 
 
+def _exact(value):
+    """An exact rational as an int when it is integral, else as a Fraction."""
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 def to_matrix(rows: Iterable[Iterable]) -> FracMatrix:
-    return tuple(tuple(Fraction(entry) for entry in row) for row in rows)
+    return tuple(tuple(_exact(entry) for entry in row) for row in rows)
 
 
 def identity(n: int) -> FracMatrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def zero_matrix(rows: int, cols: int) -> FracMatrix:
-    return tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
+    return tuple((0,) * cols for _ in range(rows))
 
 
 def mat_mul(a: FracMatrix, b: FracMatrix, cols: int | None = None) -> FracMatrix:
@@ -36,10 +47,10 @@ def mat_mul(a: FracMatrix, b: FracMatrix, cols: int | None = None) -> FracMatrix
         raise ValueError("b has no rows: pass its width as cols")
     if a and len(a[0]) != len(b):
         raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} @ {len(b)}x{cols}")
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(cols))
-        for i in range(len(a))
-    )
+    scalar.charge(len(a) * len(b) * cols)
+    columns = tuple(zip(*b)) or ((),) * cols
+    return tuple(tuple(sum(x * y for x, y in zip(row, column)) for column in columns)
+                 for row in a)
 
 
 def kronecker(a: FracMatrix, b: FracMatrix) -> FracMatrix:
@@ -51,34 +62,41 @@ def kronecker(a: FracMatrix, b: FracMatrix) -> FracMatrix:
     return tuple(rows)
 
 
-def _echelon(rows: list) -> list:
-    """In-place reduction to row echelon form; returns the pivot columns."""
+def _eliminate(rows: list) -> list:
+    """Fraction-free Gauss-Jordan elimination in place; returns the pivot
+    columns.  Each row is first cleared of denominators, which changes
+    neither the rank nor the span.  Each update (p*x - f*y) // prev divides
+    exactly, since every entry stays a minor of the cleared matrix (Bareiss,
+    Math. Comp. 22, 1968).  Row r ends nonzero at the r-th pivot column
+    and zero at every other pivot column."""
+    for i, row in enumerate(rows):
+        den = math.lcm(*(x.denominator for x in row))
+        rows[i] = [x.numerator * (den // x.denominator) for x in row]
     pivots = []
-    r = 0
+    prev = 1
     cols = len(rows[0]) if rows else 0
     for c in range(cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
+        scalar.charge((len(rows) - 1) * cols)
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == len(rows):
             break
     return pivots
 
 
 def rank(a: FracMatrix) -> int:
-    if not a or not a[0]:
-        return 0
-    rows = [list(row) for row in a]
-    return len(_echelon(rows))
+    return len(_eliminate([list(row) for row in a]))
 
 
 def solve_combination(columns: Sequence[FracVector], target: FracVector):
@@ -88,16 +106,14 @@ def solve_combination(columns: Sequence[FracVector], target: FracVector):
     m = len(target)
     if any(len(col) != m for col in columns):
         raise ValueError("vector length mismatch")
-    rows = [[Fraction(col[i]) for col in columns] + [Fraction(target[i])] for i in range(m)]
-    if not rows:
-        return [Fraction(0)] * len(columns)
-    pivots = _echelon(rows)
+    rows = [[col[i] for col in columns] + [target[i]] for i in range(m)]
     n = len(columns)
+    pivots = _eliminate(rows)
     if n in pivots:
         return None
     coeffs = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        coeffs[c] = rows[r][n]
+    for row, c in zip(rows, pivots):
+        coeffs[c] = Fraction(row[n], row[c])
     return coeffs
 
 

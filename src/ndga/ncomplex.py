@@ -1,14 +1,15 @@
 """Finite-dimensional N-complexes over exact rationals.
 
 A complex is a finite sequence of rational matrices d_i: V^i -> V^(i+1)
-whose every N-fold composition vanishes.  Generalized cohomology in the
+whose every N-fold composition vanishes.  Entries are held as linalg holds
+them: an int when integral, else a Fraction.  Generalized cohomology in the
 window 1 <= p <= N-1:
 
     H(p, i) = Ker(d^p : V^i -> V^(i+p)) / Im(d^(N-p) : V^(i-N+p) -> V^i)
 
 with out-of-range degrees read as zero spaces.  Every answer here is read
 from one rank table per complex, r(i, j) = rank(d^(j-i): V^i -> V^j) for
-0 < j - i <= N, built once by exact elimination (no floating point):
+0 < j - i <= N, built once by linalg's fraction-free elimination:
 
     valid            no entry of length N
     dim H(p, i)      dim V^i - r(i, i+p) - r(i-N+p, i)
@@ -202,7 +203,7 @@ def tensor_complex(c1: FiniteNComplex, c2: FiniteNComplex) -> FiniteNComplex:
             offset += c1.dim(i) * c2.dim(j)
         rows = offset
         cols = sum(c1.dim(i) * c2.dim(j) for i, j in source)
-        matrix = [[Fraction(0)] * cols for _ in range(rows)]
+        matrix = [[0] * cols for _ in range(rows)]
         col_offset = 0
         for i, j in source:
             # the two Koszul terms: d1 (x) Id lands in block (i+1, j) and
@@ -278,15 +279,19 @@ _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 
 
 def _rational(cell: str):
-    """A cell [+-]digits[/digits] as a Fraction, each integer at most
-    scalar.MAX_DIGITS digits long and the denominator nonzero; else None."""
+    """A cell [+-]digits[/digits] as an int when it is integral, else as a
+    Fraction, each integer at most scalar.MAX_DIGITS digits long and the
+    denominator nonzero; else None."""
     match = _RATIONAL.fullmatch(cell)
     if match is None:
         return None
     sign, numerator, denominator = match.groups("1")
     if max(len(numerator), len(denominator)) > scalar.MAX_DIGITS or not int(denominator):
         return None
-    return Fraction(int(sign + numerator), int(denominator))
+    if denominator == "1":
+        return int(sign + numerator)
+    value = Fraction(int(sign + numerator), int(denominator))
+    return value.numerator if value.denominator == 1 else value
 
 
 def parse_complex(text: str) -> FiniteNComplex:

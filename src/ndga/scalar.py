@@ -232,7 +232,9 @@ def _mono_product(m1: Mono, m2: Mono):
 # work_budget() the ring counts term products, len(a) * len(b) per _mul_into
 # call (one when a factor is zero, so work on zero entries is not free) and
 # one per remainder term exact_divide scans, and refuses with ScalarError,
-# before the work, a call that would pass WORK_BUDGET.
+# before the work, a call that would pass WORK_BUDGET.  linalg charges one
+# per entry product or entry update through charge, so that the ring's own
+# loops call no public, and so traced, name.
 # One term product costs 1-10 us.  Outside the scope work is unbounded.
 
 WORK_BUDGET = 400_000
@@ -245,6 +247,11 @@ def _charge(work: int) -> None:
     if work > _work_left:
         raise ScalarError(f"work above the budget of {WORK_BUDGET} term products")
     _work_left -= work
+
+
+def charge(work: int) -> None:
+    """_charge for work outside the ring: linalg's entry products and updates."""
+    _charge(work)
 
 
 @contextlib.contextmanager

@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import subprocess
 import sys
 import time
@@ -322,6 +323,33 @@ def test_usage_error_leaves_no_state_for_the_next_call(data_path, capsys):
     assert (fresh.returncode, fresh.stderr) == (2, usage)
 
 
+def test_one_parser_serves_every_call(data_path, capsys):
+    # each call matches a fresh interpreter, usage errors included, and the
+    # parser is built once for all of them
+    cli._build_parser.cache_clear()
+    trig = data_path("trig_pair.conn")
+    calls = [
+        ["ncomplex", "nonsense"],
+        ["knflat", "expand", "--N", "0", "--K", "4"],
+        ["--seed", "7", "flatness", trig],
+        ["flatness", trig],
+        ["riemann", data_path("sphere_torus.metric")],
+    ]
+    codes = []
+    for argv in calls:
+        out = io.StringIO()
+        try:
+            codes.append(cli.main(argv, out=out))
+        except SystemExit as exit_info:
+            codes.append(exit_info.code)
+        fresh = run_module(*argv)
+        assert (codes[-1], out.getvalue(), capsys.readouterr().err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr)
+    assert codes == [2, 2, 0, 0, 0]
+    assert scalar._zero_seed == scalar.DEFAULT_ZERO_SEED
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_overflowing_entry_is_an_input_error(tmp_path):
     path = tmp_path / "huge.conn"
     path.write_text("base 2\nfiber 1\nomega 1\nsin(10^400*x2)\n")
@@ -371,6 +399,12 @@ def sparse_connection(fiber):
     return "\n".join(lines) + "\n"
 
 
+_DENSE = random.Random(0)
+DENSE_MAP = "N 2\ndeg 0 dim 200\n" + "".join(
+    " ".join(str(_DENSE.randint(-9, 9)) for _ in range(200)) + "\n" for _ in range(200)
+) + "deg 1 dim 200\n"
+
+
 HOSTILE_ENTRIES = {
     "power.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n(x2+1)^3000\n",
                    "line 4: ", "exponent above 512"),
@@ -408,6 +442,9 @@ HOSTILE_ENTRIES = {
     "long_cell.ncx": (["ncomplex", "cohomology"],
                       "N 2\ndeg 0 dim 1\n" + "7" * 5000 + "\ndeg 1 dim 1\n",
                       "line 3: ", "bad rational entry"),
+    # the rank of a dense 200x200 integer map took 73 s before linalg's
+    # entry updates were charged to the budget
+    "dense_map.ncx": (["ncomplex", "validate"], DENSE_MAP, "", BUDGET),
     "zero_denominator.ncx": (["ncomplex", "cohomology"],
                              "N 2\ndeg 0 dim 2\n1 1/0\n0 1\ndeg 1 dim 2\n",
                              "line 3: ", "bad rational entry in '1 1/0': '1/0'"),
@@ -512,6 +549,22 @@ def test_hostile_complex_is_bounded(tmp_path, name):
     assert time.perf_counter() - start < 5
     assert proc.returncode in (0, 1)
     assert "Traceback" not in proc.stderr
+
+
+def test_long_cohomology_table_is_refused_before_printing(tmp_path, capsys):
+    # 2001 one-dimensional degrees of order 4096 printed 8,202,190 lines
+    path = tmp_path / "long.ncx"
+    path.write_text("N 4096\n" + "".join(f"deg {k} dim 1\n0\n" for k in range(2000))
+                    + "deg 2000 dim 1\n")
+    assert run(["ncomplex", "cohomology", str(path)]) == (1, "")
+    assert capsys.readouterr().err == (f"error: {path}: cohomology table of 2001 degrees "
+                                       "by 4095 values is above 4096 lines\n")
+    # a table of exactly 4096 lines is printed
+    path.write_text("N 5\n" + "".join(f"deg {k} dim 1\n0\n" for k in range(1023))
+                    + "deg 1023 dim 1\n")
+    code, text = run(["ncomplex", "cohomology", str(path)])
+    assert code == 0
+    assert sum(line.startswith("H[") for line in text.splitlines()) == 4096
 
 
 def test_budget_refusal_does_not_depend_on_earlier_calls(tmp_path, capsys):

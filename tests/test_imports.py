@@ -173,3 +173,34 @@ def test_monomial_reader_is_found():
               "    for m, c in p.terms.items():\n        pass\n"
               "    return p.terms[()], len(p.terms), p.terms and TrigPoly.one(), p.keys()\n")
     assert monomial_readers({"a": source}) == ["a:2", "a:4", "a:5", "a:6", "a:8"]
+
+
+EXACT_MODULES = ("linalg.py", "ncomplex.py", "depth.py")
+
+
+def divisions_and_floats(sources):
+    """module:line of each true division (a / b or a /= b) and each use of
+    the name float in {module: source}."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            divides = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+            if divides or isinstance(node, ast.Name) and node.id == "float":
+                found.append((module, node.lineno))
+    return [f"{module}:{line}" for module, line in sorted(set(found))]
+
+
+def test_exact_modules_never_divide():
+    # rationals divide only through Fraction(a, b) and exact integer //
+    sources = {}
+    for module in EXACT_MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as handle:
+            sources[module] = handle.read()
+    assert divisions_and_floats(sources) == []
+
+
+def test_division_and_float_are_found():
+    source = ("from fractions import Fraction\n"
+              "def f(x, y):\n    a = Fraction(x, y) + x // y\n    b = 1 / x\n"
+              "    y /= 2\n    return float(a), isinstance(b, float), '1/2'\n")
+    assert divisions_and_floats({"a.py": source}) == ["a.py:4", "a.py:5", "a.py:6"]
