@@ -174,8 +174,11 @@ def _run_depth(args, out) -> int:
 
 def _run_ncomplex(args, out) -> int:
     def load(path):
+        # the rank table is read here, so that a budget refusal names the file
         with _reading(path):
-            return ncomplex.load_complex(path)
+            c = ncomplex.load_complex(path)
+            ncomplex.validate(c)
+            return c
 
     if args.nc_command == "tensor":
         c1, c2 = load(args.file1), load(args.file2)

@@ -70,7 +70,7 @@ def validate_index(index: DepthIndex, profile: Profile) -> None:
         if not 1 <= depth <= profile[position - 1] - 1:
             raise DepthFormError(
                 f"depth {textfile.quote(str(depth))} at position {position} "
-                f"exceeds bound {profile[position - 1] - 1}"
+                f"is outside 1..{profile[position - 1] - 1}"
             )
 
 

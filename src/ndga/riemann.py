@@ -8,9 +8,11 @@ quotients that the ring cannot hold, so this module computes with
 numerators over powers of det(g) and divides, with scalar.exact_divide,
 only where a quotient is printed.  A metric holds its inverse as
 numerators over one power det^p: the supplied rows with p = 0, or the
-adjugate (cofactor inversion) with p = 1.  So every Christoffel symbol
-sits over det^p and every curvature entry over det^2p, and no sum lifts a
-term to a common denominator.  Flatness certificates run on the
+adjugate with p = 1.  So every Christoffel symbol sits over det^p and
+every curvature entry over det^2p, and no sum lifts a term to a common
+denominator.  det(g) and the cofactors are minors of g, read from one
+memoized Laplace expansion that needs no division, so each minor is
+computed once per metric.  Flatness certificates run on the
 numerators, the connection form tau and the curvature form S, which
 leaves every verdict unchanged because det(g) vanishes nowhere on the
 metric's domain.
@@ -27,7 +29,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import forms, scalar, textfile
 from .forms import MatrixForm
@@ -76,36 +78,21 @@ class DetFraction:
 # metrics
 # ------------------------------------------------------------------
 
-def _symbolic_det(entries: List[List[TrigPoly]]) -> TrigPoly:
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    total = TrigPoly.zero()
-    sign = 1
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in entries[1:]]
-        term = entries[0][j] * _symbolic_det(minor)
-        total = total + (term if sign > 0 else -term)
-        sign = -sign
-    return total
+def _minors(g):
+    """minor(rows, cols), the determinant of g on those rows and columns,
+    by Laplace expansion along its first row, skipping zero entries.  Each
+    minor is computed once and kept while the closure lives."""
 
+    @functools.cache
+    def minor(rows: tuple, cols: tuple) -> TrigPoly:
+        if len(rows) < 2:
+            return g[rows[0]][cols[0]] if rows else TrigPoly.one()
+        row, rest = g[rows[0]], rows[1:]
+        return TrigPoly.dot((row[c] if k % 2 == 0 else -row[c],
+                             minor(rest, cols[:k] + cols[k + 1:]))
+                            for k, c in enumerate(cols) if row[c].terms)
 
-def _symbolic_adjugate(entries: List[List[TrigPoly]]) -> List[List[TrigPoly]]:
-    """The adjugate of a symmetric matrix, which is symmetric: each
-    cofactor is computed for i <= j and mirrored."""
-    n = len(entries)
-    if n == 1:
-        return [[TrigPoly.one()]]
-    adj = [[TrigPoly.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            minor = [
-                [entries[r][c] for c in range(n) if c != j]
-                for r in range(n) if r != i
-            ]
-            cof = _symbolic_det(minor)
-            adj[i][j] = adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return adj
+    return minor
 
 
 class Metric:
@@ -113,9 +100,12 @@ class Metric:
 
     Entries are TrigPoly values, or ints and Fractions taken as constants.
     The inverse is held as numerators N over det(g)^p: the supplied rows
-    with inverse_power p = 0, or the adjugate with p = 1.  One certificate
-    checks g N = det^p I with the zero test; for the adjugate the residue
-    is the zero polynomial, so the check is exact."""
+    with inverse_power p = 0, or the adjugate with p = 1.  det(g) and the
+    adjugate's cofactors come from one table of minors (_minors) that
+    lives only while the metric is built; a supplied inverse pays for det
+    alone.  One certificate checks g N = det^p I with the zero test; for
+    the adjugate the residue is the zero polynomial, so the check is
+    exact."""
 
     def __init__(self, entries, inverse=None):
         rows = [list(r) for r in entries]
@@ -131,11 +121,17 @@ class Metric:
                         f"metric is not symmetric at ({i + 1},{j + 1}): "
                         f"{scalar.render(g[i][j])} vs {scalar.render(g[j][i])}"
                     )
-        self._det = _symbolic_det(g)
+        minor, every = _minors(g), tuple(range(n))
+        self._det = minor(every, every)
         if self._det.is_zero():
             raise MetricError("metric is degenerate: det(g) = 0 identically")
         if inverse is None:
-            numerators, self.inverse_power = _symbolic_adjugate(g), 1
+            # g is symmetric, so is its adjugate: cofactor C_ij for i <= j, mirrored
+            numerators, self.inverse_power = [[None] * n for _ in range(n)], 1
+            for i in range(n):
+                for j in range(i, n):
+                    cof = minor(every[:i] + every[i + 1:], every[:j] + every[j + 1:])
+                    numerators[i][j] = numerators[j][i] = cof if (i + j) % 2 == 0 else -cof
         else:
             numerators = [[scalar.as_poly(e) for e in row] for row in inverse]
             if len(numerators) != n or any(len(r) != n for r in numerators):
@@ -326,19 +322,13 @@ def minimal_lc_flatness_order(metric: Metric, max_n: int = 8):
 
 MetricFileError = textfile.InputFileError
 
-# largest dimension a metric file may declare: cofactor inversion costs
-# n! n^2 products, and the riemann report on an identity metric takes
-# 0.05 s at dimension 6, 0.26 s at 7 and 2.0 s at 8 (in process, best of 3,
-# 2-vCPU machine).  A Bareiss-Jordan det and adjugate over scalar.exact_divide
-# agrees with the cofactors and takes 2.4 ms against 2.2 s on the dim-8
-# identity, but is slower at dims 2-4: per metric 0.16 against 0.02 ms
-# (dim 2), 0.48 against 0.16 (dim 3), 1.14 against 0.77 (dim 4), 28 against
-# 0.8 ms on diag(1+x1^2, 2+sin(x1), 1+x3^2, 2+sin(x3)).  It needs a faster
-# exact division before it can lift this bound.  scalar.WORK_BUDGET, which
-# charges a product of zero entries as one term product, refuses the dim-8
-# and dim-9 identities only after 1.2 s of cofactor recursion, so it does
-# not replace the bound.
-MAX_DIM = 6
+# largest dimension a metric file may declare.  Det and adjugate read each
+# minor of g once, and on a dense metric of constants that costs 157,366
+# term products at dim 12 (0.3 s on a 2-vCPU machine), 366,730 at dim 13,
+# and more than scalar.WORK_BUDGET at dim 14.  So a dense metric above 12
+# leaves no budget for the curvature, and the header refuses it at once.
+# Sparse metrics stay cheap: the report on the dim-12 identity takes 0.1 s.
+MAX_DIM = 12
 
 
 def parse_metric(text: str) -> Metric:

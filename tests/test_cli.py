@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from ndga import cli, depth, scalar
+from ndga import cli, depth, riemann, scalar
 
 
 def run(argv):
@@ -405,6 +405,8 @@ DENSE_MAP = "N 2\ndeg 0 dim 200\n" + "".join(
 ) + "deg 1 dim 200\n"
 
 
+WIDE = riemann.MAX_DIM + 1  # the least dimension a metric header may not declare
+
 HOSTILE_ENTRIES = {
     "power.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n(x2+1)^3000\n",
                    "line 4: ", "exponent above 512"),
@@ -434,8 +436,10 @@ HOSTILE_ENTRIES = {
                           "line 4: ", "integer longer than 1000 digits"),
     "constant_power.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n((10^512)^512)^64\n",
                             "line 4: ", "constant power above 4300 digits"),
-    "wide.metric": (["riemann"], "dim 9\n" + "1;0;0;0;0;0;0;0;0\n" * 9,
-                    "line 1: ", "dimension 9 is above 6"),
+    "wide.metric": (["riemann"], f"dim {WIDE}\n" + "".join(
+                        ";".join("1" if i == j else "0" for j in range(WIDE)) + "\n"
+                        for i in range(WIDE)),
+                    "line 1: ", f"dimension {WIDE} is above {riemann.MAX_DIM}"),
     "exponent_cell.ncx": (["ncomplex", "cohomology"],
                           "N 2\ndeg 0 dim 1\n1e99999999\ndeg 1 dim 1\n",
                           "line 3: ", "bad rational entry in '1e99999999': '1e99999999'"),
@@ -626,6 +630,17 @@ def test_tensor_of_an_invalid_factor_is_an_input_error(tmp_path, capsys, data_pa
     code, _ = run(["ncomplex", "tensor", data_path("chain_identity.ncx"), str(path)])
     assert code == 1
     assert capsys.readouterr().err == "error: factor 2: d^2 is not zero; not a valid 2-complex\n"
+
+
+@pytest.mark.parametrize("dense_first", [True, False], ids=["dense_first", "dense_second"])
+def test_tensor_refusal_names_the_factor_file(tmp_path, capsys, dense_first):
+    # validating the dense factor is refused by the work budget, in either order
+    dense, point = tmp_path / "dense.ncx", tmp_path / "point.ncx"
+    dense.write_text(DENSE_MAP)
+    point.write_text("N 2\ndeg 0 dim 1\n")
+    files = [str(dense), str(point)] if dense_first else [str(point), str(dense)]
+    assert run(["ncomplex", "tensor", *files]) == (1, "")
+    assert capsys.readouterr().err == f"error: {dense}: {BUDGET}\n"
 
 
 def test_tensor_over_budget_is_an_input_error(tmp_path, capsys):

@@ -457,6 +457,17 @@ def test_parse_refuses_a_generator_number_past_the_digit_limit(text):
     assert len(str(refused.value)) < 200
 
 
+@pytest.mark.parametrize("text, message", [
+    ("d0x1", "depth '0' at position 1 is outside 1..2"),
+    ("d3x1", "depth '3' at position 1 is outside 1..2"),
+    ("d2x2", "depth '2' at position 2 is outside 1..1"),
+])
+def test_a_depth_outside_the_profile_names_the_admissible_range(text, message):
+    with pytest.raises(DepthFormError) as refused:
+        parse_form(text, (3, 2))
+    assert str(refused.value) == message
+
+
 def test_render_writes_subtractions():
     profile = (2, 2)
     assert render_form(parse_form("-dx1 - x2*dx2", profile)) == "-dx1 - x2*dx2"

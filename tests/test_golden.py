@@ -34,6 +34,8 @@ CASES = [
     ("riemann_quotient", ["riemann", "@quotient.metric"]),
     ("riemann_diag_trig", ["riemann", "@diag_trig.metric"]),
     ("riemann_warped_sphere3", ["riemann", "@warped_sphere3.metric"]),
+    # a dimension-8 product of a curved sphere with curved and flat factors
+    ("riemann_product8", ["riemann", "@product8.metric"]),
     ("knflat_expand", ["knflat", "expand", "--N", "5", "--K", "3"]),
     ("knflat_expand_infinitesimal",
      ["knflat", "expand", "--N", "5", "--K", "3", "--infinitesimal"]),

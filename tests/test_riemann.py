@@ -1,6 +1,7 @@
 import gc
 import io
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -359,6 +360,116 @@ def test_sympy_oracle_covers_the_trig_families():
 
 
 # ------------------------------------------------------------------
+# det(g) and adj(g) from the shared minors
+# ------------------------------------------------------------------
+
+MINOR_ENTRIES = ("0", "0", "0", "1", "-2", "1/2", "x1", "x2", "x3", "x4",
+                 "sin(x1)", "cos(x2)", "x1*cos(x2)", "1 + x3^2", "x4 - sin(x1)")
+
+
+def _random_symmetric_metric(rng, dim):
+    """A nondegenerate symmetric metric with about a third of its cells
+    zero."""
+    while True:
+        cells = {}
+        for i in range(dim):
+            for j in range(i, dim):
+                cells[i, j] = cells[j, i] = scalar.expand(rng.choice(MINOR_ENTRIES))
+        try:
+            return Metric([[cells[i, j] for j in range(dim)] for i in range(dim)])
+        except MetricError as err:
+            if "degenerate" not in str(err):
+                raise
+
+
+def _in_ring(ring, p):
+    """The TrigPoly p, read from its rendered text into a sympy ring whose
+    generators are s1 = sin(x1), c1 = cos(x1), c2 = cos(x2) and x1..x4."""
+    text = scalar.render(p)
+    for atom, name in (("sin(x1)", "s1"), ("cos(x1)", "c1"), ("cos(x2)", "c2")):
+        text = text.replace(atom, name)
+    text = re.sub(r"(?<![\w^])(\d+)", r"Q(\1)", text).replace("^", "**")
+    names = {str(symbol): gen for symbol, gen in zip(ring.symbols, ring.gens)}
+    return ring(eval(text, {"Q": ring.domain.convert, **names}))
+
+
+MINOR_CASES = [(dim, seed) for dim in range(1, 7) for seed in range(8)]
+
+
+@pytest.mark.parametrize("dim, seed", MINOR_CASES)
+def test_det_and_adjugate_agree_with_sympy(dim, seed):
+    # sympy's determinants over Q[s1, c1, c2, x1..x4], with adj(g)_ij the
+    # signed det of g without row j and column i; then sin^2 = 1 - cos^2
+    # as the remainder by s1^2 + c1^2 - 1.  (Matrix.det() on sympified
+    # expressions takes up to 22 s on one dim-6 case.)
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    metric = _random_symmetric_metric(random.Random(f"minors:{dim}:{seed}"), dim)
+    domain = sympy.QQ[sympy.symbols("s1 c1 c2 x1:5")]
+    ring = domain.ring
+    s1, c1 = ring.gens[:2]
+    pythagoras = s1**2 + c1**2 - 1
+    g = DomainMatrix([[_in_ring(ring, e) for e in row] for row in metric.g], (dim, dim), domain)
+    assert metric.inverse_power == 1
+    assert (_in_ring(ring, metric.det_poly()) - g.det()) % pythagoras == 0
+    for i in range(dim):
+        for j in range(dim):
+            rest = [[k for k in range(dim) if k != skip] for skip in (j, i)]
+            cofactor = g.extract(*rest).det() * (-1) ** (i + j)
+            assert (_in_ring(ring, metric.inverse_numerators[i][j]) - cofactor) % pythagoras == 0
+
+
+def test_minor_cases_have_zero_and_trig_entries():
+    metrics = [_random_symmetric_metric(random.Random(f"minors:{dim}:{seed}"), dim)
+               for dim, seed in MINOR_CASES]
+    cells = [e for m in metrics if m.dim > 2 for row in m.g for e in row]
+    assert any(not e.terms for e in cells)
+    assert {tag for e in cells for tag, _ in e.atoms()} >= {scalar.VAR, scalar.SIN, scalar.COS}
+
+
+def _work(build):
+    """Term products charged to the work budget by build()."""
+    with scalar.work_budget():
+        build()
+        return scalar.WORK_BUDGET - scalar._work_left
+
+
+def test_minors_skip_zero_entries():
+    # the cofactor expansion, which multiplied zero entries too, was charged
+    # 381,516 term products here; the certificate g N = det I alone is 512
+    identity = [[int(i == j) for j in range(8)] for i in range(8)]
+    assert _work(lambda: Metric(identity)) < 2000
+
+
+# g = I + u u^T with u = (1, ..., 7), every cell nonzero, and its inverse
+# I - u u^T / (1 + |u|^2) by Sherman-Morrison
+DENSE = [[int(i == j) + (i + 1) * (j + 1) for j in range(7)] for i in range(7)]
+DENSE_INVERSE = [[int(i == j) - Fraction((i + 1) * (j + 1), 141) for j in range(7)]
+                 for i in range(7)]
+
+
+def test_each_minor_is_expanded_once():
+    # 2,002 term products with the table of minors, and 43,610 when each
+    # minor is expanded afresh wherever it is needed
+    assert _work(lambda: Metric(DENSE)) < 4000
+
+
+def test_a_supplied_inverse_pays_for_det_alone():
+    assert Metric(DENSE).det_poly() == TrigPoly.const(141)
+    assert _work(lambda: Metric(DENSE, DENSE_INVERSE)) < _work(lambda: Metric(DENSE)) // 2
+
+
+def test_identity_metrics_up_to_the_bound_are_answered(tmp_path):
+    for n in (9, riemann.MAX_DIM):
+        path = tmp_path / f"identity{n}.metric"
+        path.write_text(f"dim {n}\n" + "".join(
+            ";".join("1" if i == j else "0" for j in range(n)) + "\n" for i in range(n)))
+        out = io.StringIO()
+        assert cli.main(["riemann", str(path)], out=out) == 0
+        assert out.getvalue().splitlines()[-1] == "2-flat"
+
+
+# ------------------------------------------------------------------
 # each derived object computed once, and kept on what it derives from
 # ------------------------------------------------------------------
 
@@ -681,8 +792,9 @@ def test_parse_metric_errors():
         parse_metric("dim 2\n1;x1\n0;1\n")
     with pytest.raises(MetricFileError, match="entries"):
         parse_metric("dim 2\n1;0;0\n0;1\n")
-    with pytest.raises(MetricFileError, match="line 1: dimension 7 is above 6"):
-        parse_metric("dim 7\n")
+    wide = riemann.MAX_DIM + 1
+    with pytest.raises(MetricFileError, match=f"line 1: dimension {wide} is above {riemann.MAX_DIM}"):
+        parse_metric(f"dim {wide}\n")
 
 
 def test_largest_metric_dimension_is_read():
