@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import re
 import sys
 
 from . import chern_simons, depth, forms, knflat, ncomplex, riemann, scalar, textfile
@@ -152,6 +153,9 @@ def _run_knflat(args, parser, out) -> int:
 
 def _parse_profile(text: str):
     try:
+        # ASCII digits only: int() also takes '1_0' and '١'
+        if not re.fullmatch(r"[0-9+\-,\s]*", text):
+            raise ValueError(text)
         profile = tuple(int(piece) for piece in text.split(","))
     except ValueError:
         raise InputError(f"bad profile {textfile.quote(text)}; expected integers like 3,2")

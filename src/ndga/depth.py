@@ -105,9 +105,6 @@ class DepthForm:
     def terms(self):
         return sorted(self._terms.items())
 
-    def coefficient(self, index) -> TrigPoly:
-        return self._terms.get(tuple(tuple(p) for p in index), TrigPoly.zero())
-
     def degrees(self):
         return sorted({index_degree(i) for i in self._terms})
 
@@ -151,9 +148,6 @@ class DepthForm:
 
     def __neg__(self) -> "DepthForm":
         return self.scale(-1)
-
-    def __mul__(self, other: "DepthForm") -> "DepthForm":
-        return multiply(self, other)
 
 
 def zero(profile) -> DepthForm:
@@ -383,7 +377,7 @@ def chart_compatible(alpha_u: DepthForm, alpha_v: DepthForm, transition: AffineM
 # parsing and rendering
 # ------------------------------------------------------------------
 
-_GENERATOR = re.compile(r"^d(\d*)x(\d+)$")
+_GENERATOR = re.compile(r"^d([0-9]*)x([0-9]+)$")
 
 
 def _split_top_level(text: str, separators: str) -> list:

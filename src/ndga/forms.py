@@ -164,10 +164,7 @@ class MatrixForm:
 
     def component(self, index) -> Matrix:
         """The matrix at a multi-index."""
-        return self._components.get(tuple(index), zero_entries(*self.shape))
-
-    def degrees(self):
-        return sorted({len(i) for i in self._components})
+        return self._components.get(tuple(index)) or zero_entries(*self.shape)
 
     def is_structurally_zero(self) -> bool:
         return not self._components

@@ -195,8 +195,6 @@ def oracle_expansion(n: int, k: int) -> List[Tuple[int, FreeDeltaElement]]:
         nxt: Dict[Tuple[Vertex, int], int] = {}
 
         def put(word: Vertex, power: int, coeff: int):
-            if not coeff:
-                return
             key = (word, power)
             value = nxt.get(key, 0) + coeff
             if value:

@@ -18,10 +18,10 @@ leaves every verdict unchanged because det(g) vanishes nowhere on the
 metric's domain.
 
 Each derived object is computed once and kept in one shape on the object
-it derives from: a Metric, immutable once built, keeps its Christoffel
-symbols, one numerator per unordered pair of lower indices, and those
-keep tau and S, computed for k < l only.  Both live exactly as long as
-the metric, so nothing carries over from one metric to the next.
+it derives from: a Metric, immutable once built, keeps tau, the
+Christoffel symbols with one numerator per unordered pair of lower
+indices, and tau keeps S, computed for k < l only.  Both live exactly as
+long as the metric, so nothing carries over from one metric to the next.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class Metric:
                     )
         minor, every = _minors(g), tuple(range(n))
         self._det = minor(every, every)
-        if self._det.is_zero():
+        if scalar.is_zero(self._det):
             raise MetricError("metric is degenerate: det(g) = 0 identically")
         if inverse is None:
             # g is symmetric, so is its adjugate: cofactor C_ij for i <= j, mirrored
@@ -168,25 +168,17 @@ class Metric:
 
 @dataclass(frozen=True)
 class Christoffel:
-    """Numerators symbols[i][j][k] of Gamma^i_jk over det^power, power the
-    metric's inverse power; (j, k) and (k, j) hold one object."""
+    """The numerator connection form tau of Gamma over det^power, power
+    the metric's inverse power: component dx^k carries the matrix
+    (num Gamma^i_jk)_ij, and entry (i, j) of component k and entry (i, k)
+    of component j hold one object.  tau keeps the curvature S."""
 
-    symbols: tuple
+    form: MatrixForm
     det: TrigPoly
     power: int
 
     def entry(self, i: int, j: int, k: int) -> DetFraction:
-        return DetFraction(self.symbols[i - 1][j - 1][k - 1], self.power, self.det)
-
-    @functools.cached_property
-    def form(self) -> MatrixForm:
-        """The numerator connection form tau: component dx^k carries the
-        matrix (num Gamma^i_jk)_ij."""
-        n = len(self.symbols)
-        return MatrixForm(n, (n, n), {
-            (k + 1,): tuple(tuple(self.symbols[i][j][k] for j in range(n)) for i in range(n))
-            for k in range(n)
-        })
+        return DetFraction(self.form.component((k,))[i - 1][j - 1], self.power, self.det)
 
     @functools.cached_property
     def _curvature(self) -> MatrixForm:
@@ -199,27 +191,33 @@ def christoffel(metric: Metric) -> Christoffel:
     return metric._christoffel
 
 
+# a sum of products is one dot over the pairs whose two factors are both
+# nonzero, so no zero product is charged; with no such pair it is this zero
+_ZERO = TrigPoly.zero()
+
+
+def _dot(pairs) -> TrigPoly:
+    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
+    return TrigPoly.dot(pairs) if pairs else _ZERO
+
+
 def _christoffel_symbols(metric: Metric) -> Christoffel:
     """Gamma^i_jk = sum_l g^il [jk,l] with the first-kind brackets
     [jk,l] = 1/2 (d_k g_lj + d_j g_lk - d_l g_jk), every symbol over the
     one power of det(g) that the inverse numerators share.  g is
     symmetric, so [jk,l] = [kj,l]: each symbol is computed for j <= k and
-    mirrored."""
+    put in both components of tau."""
     n, g, inverse = metric.dim, metric.g, metric.inverse_numerators
     dg = [[[g[a][b].diff(c + 1) for b in range(n)] for a in range(n)] for c in range(n)]
     half = Fraction(1, 2)
-    symbols = [[[None] * n for _ in range(n)] for _ in range(n)]
+    tau = [[[None] * n for _ in range(n)] for _ in range(n)]  # tau[k][i][j] = Gamma^i_jk
     for j in range(n):
         for k in range(j, n):
             bracket = [(dg[k][l][j] + dg[j][l][k] - dg[l][j][k]).scale(half) for l in range(n)]
             for i in range(n):
-                total = TrigPoly.zero()
-                for l in range(n):
-                    if bracket[l].terms and inverse[i][l].terms:
-                        total = total + inverse[i][l] * bracket[l]
-                symbols[i][j][k] = symbols[i][k][j] = total
-    return Christoffel(tuple(tuple(tuple(row) for row in s) for s in symbols),
-                       metric.det_poly(), metric.inverse_power)
+                tau[k][i][j] = tau[j][i][k] = _dot(zip(inverse[i], bracket))
+    form = MatrixForm(n, (n, n), {(k + 1,): tau[k] for k in range(n)})
+    return Christoffel(form, metric.det_poly(), metric.inverse_power)
 
 
 def riemann_components(metric: Metric) -> MatrixForm:
@@ -231,41 +229,33 @@ def riemann_components(metric: Metric) -> MatrixForm:
 
 def _riemann_entries(gamma: Christoffel) -> MatrixForm:
     """S with R^i_jkl = d_k G^i_jl - d_l G^i_jk + G^i_hk G^h_jl - G^i_hl G^h_jk
-    (0-based indices).  The symbols sit over det^p with p = 0 (supplied
-    inverse) or 1 (cofactor inverse), so by the quotient rule both d_k G
-    and G G sit over det^(2p), and so does every entry.  Only k < l is
-    computed: R^i_jlk is the negation, R^i_jkk zero."""
-    G, det, power = gamma.symbols, gamma.det, gamma.power
-    n = len(G)
-    d_det = [det.diff(k + 1) for k in range(n)]
+    (0-based indices), entry (i, j) of D_kl - D_lk + T_k T_l - T_l T_k
+    with D_kl = d_k G^i_jl and T_k the component dx^k of tau.  The symbols sit over det^p with p = 0
+    (supplied inverse) or 1 (cofactor inverse), so by the quotient rule
+    both d_k G and G G sit over det^(2p), and so does every entry.  Only
+    k < l is computed: R^i_jlk is the negation, R^i_jkk zero."""
+    det, power, n = gamma.det, gamma.power, gamma.form.base_dim
+    T = [gamma.form.component((k + 1,)) for k in range(n)]
+    columns = [tuple(zip(*t)) for t in T]
+    minus_d_det = [-det.diff(k + 1) for k in range(n)]
     derivatives: Dict[tuple, TrigPoly] = {}
 
     def d(k: int, i: int, j: int, l: int) -> TrigPoly:
         """Numerator of d_k G^i_jl over det^(2p), computed once."""
         key = (k, i, min(j, l), max(j, l))
         if key not in derivatives:
-            value = G[i][j][l].diff(k + 1)
-            if power and value.terms:
-                value = value * det
-            if power and G[i][j][l].terms and d_det[k].terms:
-                value = value - G[i][j][l] * d_det[k]
-            derivatives[key] = value
+            G = T[l][i][j]
+            value = G.diff(k + 1)
+            derivatives[key] = _dot(((value, det), (G, minus_d_det[k]))) if power else value
         return derivatives[key]
 
     components = {}
     for k in range(n):
         for l in range(k + 1, n):
-            rows = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    value = d(k, i, j, l) - d(l, i, j, k)
-                    for h in range(n):
-                        if G[i][h][k].terms and G[h][j][l].terms:
-                            value = value + G[i][h][k] * G[h][j][l]
-                        if G[i][h][l].terms and G[h][j][k].terms:
-                            value = value - G[i][h][l] * G[h][j][k]
-                    rows[i][j] = value
-            components[(k + 1, l + 1)] = rows
+            components[(k + 1, l + 1)] = [[TrigPoly.sum((
+                d(k, i, j, l), -d(l, i, j, k),
+                _dot(zip(T[k][i], columns[l][j])), -_dot(zip(T[l][i], columns[k][j])),
+            )) for j in range(n)] for i in range(n)]
     return MatrixForm(n, (n, n), components)
 
 

@@ -739,6 +739,7 @@ def is_zero(p: TrigPoly) -> bool:
 # base   := rational | 'x' positive-integer | 'sin(' expr ')'
 #         | 'cos(' expr ')' | '(' expr ')'
 # rational := integer ('/' positive-integer)?
+# integer  := ['+'|'-'] digit+, a digit one of the ASCII 0-9
 #
 # The optional leading sign lets data files hold entries such as "-x1";
 # whitespace is insignificant.  Parentheses, sin( and cos( nest at most
@@ -759,6 +760,9 @@ MAX_TERMS = 1000
 MAX_CONSTANT_DIGITS = 4300
 _MAX_CONSTANT_BITS = int(MAX_CONSTANT_DIGITS / math.log10(2))
 _MINUS_ONE = Rat(Fraction(-1))
+# ASCII digits only: str.isdigit also takes '²', which int() refuses, and
+# '١', which int() reads as 1
+_DIGITS = frozenset("0123456789")
 
 
 class _Parser:
@@ -794,7 +798,7 @@ class _Parser:
             # literal in `base`
             save = self.pos
             self.pos += 1
-            if self.peek().isdigit():
+            if self.peek() in _DIGITS:
                 self.pos = save
             else:
                 sign = self.text[save]
@@ -857,7 +861,7 @@ class _Parser:
                 return Sin(inner) if name == "sin" else Cos(inner)
             self.pos = start
             self.error(f"unknown identifier '{name}'")
-        if ch.isdigit() or ch in ("+", "-"):
+        if ch in _DIGITS or ch in ("+", "-"):
             return self.parse_rational()
         self.error("expected an expression")
 
@@ -866,11 +870,11 @@ class _Parser:
         start = self.pos
         if allow_sign and self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
-        if self.pos >= len(self.text) or not self.text[self.pos].isdigit():
+        if self.pos >= len(self.text) or self.text[self.pos] not in _DIGITS:
             self.pos = start
             self.error("expected an integer")
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos - digits > MAX_DIGITS:
             self.pos = start

@@ -12,11 +12,14 @@ hostile line still gives a short message.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, Optional
 
 from . import scalar
 
 QUOTE_CHARS = 60
+# a header integer, in ASCII digits: int() also takes '1_0' and '١'
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class InputFileError(Exception):
@@ -83,6 +86,8 @@ class Lines:
         values = []
         for keyword, token in zip(keywords, parts[1::2]):
             try:
+                if not _INTEGER.fullmatch(token):
+                    raise ValueError(token)
                 values.append(int(token))
             except ValueError:
                 raise self.error(f"expected an integer after '{keyword}'")

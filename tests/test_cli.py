@@ -215,6 +215,15 @@ def test_depth_bad_profile():
     assert code == 1
 
 
+def test_profile_digits_are_ascii(capsys):
+    # int() takes '1_0' as 10 and the Arabic-Indic '١' as 1
+    for profile in ("3,1_0", "3,١", "3,²"):
+        assert run(["depth-forms", "--profile", profile, "nilpotency"]) == (1, "")
+        assert capsys.readouterr().err == \
+            f"error: bad profile {profile!r}; expected integers like 3,2\n"
+    assert run(["depth-forms", "--profile", " 3 , +2", "nilpotency"]) == (0, "4\n")
+
+
 def test_depth_diff_of_a_negated_generator():
     assert run(["depth-forms", "--profile", "3,2", "diff", "--", "-dx1"]) == (0, "-d2x1\n")
     assert run(["depth-forms", "--profile", "3,2", "diff", "x1*x2 + -dx1"]) == \
@@ -452,6 +461,15 @@ HOSTILE_ENTRIES = {
     "zero_denominator.ncx": (["ncomplex", "cohomology"],
                              "N 2\ndeg 0 dim 2\n1 1/0\n0 1\ndeg 1 dim 2\n",
                              "line 3: ", "bad rational entry in '1 1/0': '1/0'"),
+    # str.isdigit takes '²', which int() refuses: this was a traceback
+    "superscript_digit.conn": (["flatness"], "base 1\nfiber 1\nomega 1\nx²\n",
+                               "line 4: ", "bad expression 'x²': expected an integer at offset 1"),
+    # det(g) vanishes, though not term by term: these were answered 2-flat
+    "degenerate_trig.metric": (["riemann"], "dim 2\nsin(2*x1); 2*sin(x1)*cos(x1)\n"
+                               "2*sin(x1)*cos(x1); sin(2*x1)\n",
+                               "line 3: ", "metric is degenerate: det(g) = 0 identically"),
+    "degenerate_diagonal.metric": (["riemann"], "dim 2\nsin(2*x1) - 2*sin(x1)*cos(x1); 0\n0; 1\n",
+                                   "line 3: ", "metric is degenerate: det(g) = 0 identically"),
 }
 
 
@@ -459,7 +477,7 @@ HOSTILE_ENTRIES = {
 def test_hostile_entry_is_a_quick_input_error(tmp_path, name):
     command, text, line, message = HOSTILE_ENTRIES[name]
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     start = time.perf_counter()
     proc = run_module(*command, str(path))
     assert time.perf_counter() - start < 2
@@ -488,6 +506,8 @@ HOSTILE_ARGUMENTS = {
                          "error: depth '777"),
     "depth_long_monomial": (["depth-forms", "--profile", "3,2", "diff", "x1*" * 2000], 1,
                             "error: empty factor in 'x1*x1*"),
+    "depth_superscript_exponent": (["depth-forms", "--profile", "3,2", "diff", "x1^²*dx1"], 1,
+                                   "error: bad coefficient in 'x1^²*dx1': expected an integer"),
 }
 
 

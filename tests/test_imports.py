@@ -204,3 +204,38 @@ def test_division_and_float_are_found():
               "def f(x, y):\n    a = Fraction(x, y) + x // y\n    b = 1 / x\n"
               "    y /= 2\n    return float(a), isinstance(b, float), '1/2'\n")
     assert divisions_and_floats({"a.py": source}) == ["a.py:4", "a.py:5", "a.py:6"]
+
+
+UNICODE_DIGIT_TESTS = {"isdigit", "isdecimal", "isnumeric"}
+
+
+def unicode_digit_tests(sources):
+    """module:line of each place in {module: source} that takes a digit
+    beyond ASCII 0-9: a str.isdigit, isdecimal or isnumeric test, which
+    passes '²' (refused by int()) and '١' (read by int() as 1), or a \\d in
+    a string, which matches both."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Attribute) and node.attr in UNICODE_DIGIT_TESTS
+                    or isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "\\d" in node.value):
+                found.append((module, node.lineno))
+    return [f"{module}:{line}" for module, line in sorted(set(found))]
+
+
+def test_digits_are_ascii():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as handle:
+            sources[module[:-3]] = handle.read()
+    assert unicode_digit_tests(sources) == []
+
+
+def test_unicode_digit_test_is_found():
+    source = ("import re\n"
+              "def f(s):\n    return s.isdigit() or s[0].isdecimal()\n"
+              "PATTERN = re.compile(r'^x(\\d+)$')\n"
+              "TEST = str.isnumeric\n"
+              "ASCII = re.compile(r'[0-9]+'), 'x1'.isalpha(), '\\\\D'\n")
+    assert unicode_digit_tests({"a": source}) == ["a:3", "a:4", "a:5"]

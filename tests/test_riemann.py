@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import random
@@ -231,7 +232,7 @@ def _assert_kernel_equals_reference(metric):
         for j in range(n):
             for k in range(n):
                 r = G[i][j][k]
-                assert (gamma.power, gamma.symbols[i][j][k]) == (r.power, r.num)
+                assert (gamma.power, gamma.form.component((k + 1,))[i][j]) == (r.power, r.num)
                 for l in range(n):
                     r = R[i][j][k][l]
                     assert (2 * gamma.power, curvature_entry(S, i, j, k, l)) == (r.power, r.num)
@@ -261,7 +262,7 @@ def test_oracle_covers_every_family():
 def test_kernels_keep_integer_coefficients(data_path, name):
     # the brackets are halved, and an integral half stays an int
     metric = riemann.load_metric(data_path(name))
-    polys = [p for a in christoffel(metric).symbols for b in a for p in b]
+    polys = [p for _, rows in christoffel(metric).form.components() for row in rows for p in row]
     polys += [p for _, rows in riemann_components(metric).components() for row in rows for p in row]
     assert {type(c) for p in polys for c in p.terms.values()} == {int}
 
@@ -343,7 +344,7 @@ def test_kernel_agrees_with_sympy(index):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                assert_equal(gamma.symbols[i][j][k], gamma.power, G[i][j][k])
+                assert_equal(gamma.form.component((k + 1,))[i][j], gamma.power, G[i][j][k])
                 for l in range(n):  # both orders of (k, l), S read with its sign
                     if l == k:
                         continue
@@ -485,6 +486,24 @@ def test_one_riemann_report_builds_gamma_and_curvature_once(monkeypatch, data_pa
     assert sorted(calls) == ["_christoffel_symbols", "_riemann_entries"] + ["christoffel"] * 4
 
 
+RIEMANN_GOLDEN_METRICS = ["sphere_torus", "round_sphere3", "supplied_inverse", "quotient",
+                          "diag_trig", "warped_sphere3", "product8"]
+
+
+@pytest.mark.parametrize("name", RIEMANN_GOLDEN_METRICS)
+def test_gamma_is_held_once_in_tau(data_path, name):
+    # Gamma^i_jk is entry (i, j) of component k and entry (i, k) of
+    # component j of tau, one object in both places, and no other shape
+    gamma = christoffel(riemann.load_metric(data_path(f"{name}.metric")))
+    tau = [gamma.form.component((k,)) for k in range(1, gamma.form.base_dim + 1)]
+    nonzero = [(i, j, k) for k, rows in enumerate(tau) for i, row in enumerate(rows)
+               for j, p in enumerate(row) if p.terms]
+    assert nonzero
+    assert all(tau[k][i][j] is tau[j][i][k] for i, j, k in nonzero)
+    assert [f.name for f in dataclasses.fields(gamma)] == ["form", "det", "power"]
+    assert not hasattr(gamma, "symbols")
+
+
 def test_cached_objects_belong_to_their_metric(data_path):
     with open(data_path("round_sphere3.metric")) as handle:
         text = handle.read()
@@ -494,7 +513,7 @@ def test_cached_objects_belong_to_their_metric(data_path):
         gamma, S = christoffel(metric), riemann_components(metric)
         assert christoffel(metric) is gamma and riemann_components(metric) is S
         assert gamma.form is gamma.form
-        entries = [p for a in gamma.symbols for b in a for p in b if p.terms]
+        entries = [p for _, rows in gamma.form.components() for row in rows for p in row if p.terms]
         entries += [p for _, rows in S.components() for row in rows for p in row if p.terms]
         kept.append({id(x) for x in [gamma, S, gamma.form, *entries]})
     assert christoffel(first) == christoffel(second)
@@ -569,6 +588,19 @@ def test_metric_symmetry_enforced():
 def test_degenerate_metric_rejected():
     with pytest.raises(MetricError, match="degenerate"):
         Metric([[1, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("rows", [
+    [["sin(2*x1)", "2*sin(x1)*cos(x1)"], ["2*sin(x1)*cos(x1)", "sin(2*x1)"]],
+    [["sin(2*x1) - 2*sin(x1)*cos(x1)", "0"], ["0", "1"]],
+])
+def test_metric_with_a_vanishing_trig_determinant_is_degenerate(rows):
+    # det(g) is a nonempty polynomial that the zero test finds zero
+    (a, b), (_, d) = rows
+    det = scalar.expand(f"({a})*({d}) - ({b})^2")
+    assert det.terms and scalar.is_zero(det)
+    with pytest.raises(MetricFileError, match="line 3: metric is degenerate: det"):
+        parse_metric(_metric_text(rows))
 
 
 def test_supplied_inverse_is_certified():

@@ -41,6 +41,14 @@ def test_parse_error_position():
     assert err.value.position == 4
 
 
+@pytest.mark.parametrize("text, position", [("x²", 1), ("x١", 1), ("3*x1^²", 5), ("٣*x1", 0)])
+def test_parse_takes_only_ascii_digits(text, position):
+    # str.isdigit passes each of these; int() refuses '²' and reads '١' as 1
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == position
+
+
 def test_parse_unknown_identifier():
     with pytest.raises(ParseError, match="unknown identifier"):
         parse("tan(x1)")

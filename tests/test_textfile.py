@@ -68,6 +68,15 @@ def test_headers_name_the_expected_form():
     assert textfile.Lines("deg -2 dim 3").header("deg", "dim") == (-2, 3)
 
 
+def test_header_integers_are_ascii():
+    # int() takes '1_0' as 10 and the Arabic-Indic '١' as 1
+    for text, keyword in (("base 1_0", "base"), ("fiber ١", "fiber"), ("dim ²", "dim")):
+        with pytest.raises(textfile.InputFileError,
+                           match=f"line 1: expected an integer after '{keyword}'"):
+            textfile.Lines(text).header(keyword)
+    assert textfile.Lines("base +3").header("base") == 3
+
+
 def test_read_reports_the_line_of_bad_bytes(tmp_path):
     path = tmp_path / "latin1.conn"
     path.write_bytes(b"base 2\r\nfiber 1\nomega 1\n\xe9\n")
