@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, permutations, repeat
 from typing import Iterable, Mapping
 
 from . import linalg, scalar, textfile
@@ -75,16 +75,21 @@ def entries_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(TrigPoly.dot(zip(row, column)) for column in columns) for row in a)
 
 
-def _entries_dot(pairs: list) -> Matrix:
-    """The sum of the products a b over (a, b) matrix pairs of one shape,
-    each entry accumulated by one TrigPoly.dot; a lone pair goes through
-    entries_mul, which is quicker to set up."""
-    if len(pairs) == 1:
+def _entries_dot(pairs: list, addends: list = ()) -> Matrix:
+    """The sum of the addends and of the products a b over the (a, b)
+    matrix pairs, all of one shape, each entry accumulated by one
+    TrigPoly.dot; a lone pair without addends goes through entries_mul,
+    which is quicker to set up."""
+    if not pairs:
+        return _entries_sum(addends)
+    if len(pairs) == 1 and not addends:
         return entries_mul(*pairs[0])
     columns = [tuple(zip(*b)) for _, b in pairs]
-    return tuple(tuple(TrigPoly.dot(chain.from_iterable(map(zip, rows, cols)))
-                       for cols in zip(*columns))
-                 for rows in zip(*(a for a, _ in pairs)))
+    # per row, the addends' entries of each column
+    extras = (zip(*rows) for rows in zip(*addends)) if addends else repeat(repeat(()))
+    return tuple(tuple(TrigPoly.dot(chain.from_iterable(map(zip, rows, cols)), extra)
+                       for cols, extra in zip(zip(*columns), row_extras))
+                 for rows, row_extras in zip(zip(*(a for a, _ in pairs)), extras))
 
 
 def _entries_sum(matrices: list) -> Matrix:
@@ -251,9 +256,9 @@ def basis_one_form(base_dim: int, index: int, fiber_dim: int = 1) -> MatrixForm:
     return _form(base_dim, (fiber_dim, fiber_dim), {(index,): identity_entries(fiber_dim)})
 
 
-def wedge(a: MatrixForm, b: MatrixForm) -> MatrixForm:
-    """Graded product: basis forms shuffle with a sign, matrices multiply
-    in order, repeated coordinate indices kill the term."""
+def _wedge_pairs(a: MatrixForm, b: MatrixForm) -> dict:
+    """{multi-index: [(ma, signed mb)]}: the matrix pairs whose products
+    sum to each component of a ^ b."""
     a._check_compatible(b)
     if a.shape[1] != b.shape[0]:
         raise FormError(f"fiber shape mismatch: {a.shape} then {b.shape}")
@@ -264,6 +269,13 @@ def wedge(a: MatrixForm, b: MatrixForm) -> MatrixForm:
             if held.isdisjoint(ib):
                 signed = mb if _shuffle_sign(ia, ib) > 0 else entries_neg(mb)
                 pairs.setdefault(tuple(sorted(ia + ib)), []).append((ma, signed))
+    return pairs
+
+
+def wedge(a: MatrixForm, b: MatrixForm) -> MatrixForm:
+    """Graded product: basis forms shuffle with a sign, matrices multiply
+    in order, repeated coordinate indices kill the term."""
+    pairs = _wedge_pairs(a, b)
     return _form(a.base_dim, (a.shape[0], b.shape[1]),
                  {index: _entries_dot(p) for index, p in pairs.items()})
 
@@ -278,8 +290,9 @@ def wedge_power(a: MatrixForm, k: int) -> MatrixForm:
     return result
 
 
-def exterior_d(a: MatrixForm) -> MatrixForm:
-    """Componentwise exterior derivative d(A dx^I) = sum_j (d_j A) dx^j ^ dx^I."""
+def _d_addends(a: MatrixForm) -> dict:
+    """{multi-index: [matrices]}: the signed derivative matrices that sum
+    to each component of d a."""
     addends: dict = {}
     for index, entries in a._components.items():
         for j in range(1, a.base_dim + 1):
@@ -290,7 +303,12 @@ def exterior_d(a: MatrixForm) -> MatrixForm:
                 if _shuffle_sign((j,), index) < 0:
                     derived = entries_neg(derived)
                 addends.setdefault(tuple(sorted(index + (j,))), []).append(derived)
-    return _form(a.base_dim, a.shape, {i: _entries_sum(m) for i, m in addends.items()})
+    return addends
+
+
+def exterior_d(a: MatrixForm) -> MatrixForm:
+    """Componentwise exterior derivative d(A dx^I) = sum_j (d_j A) dx^j ^ dx^I."""
+    return _form(a.base_dim, a.shape, {i: _entries_sum(m) for i, m in _d_addends(a).items()})
 
 
 # ------------------------------------------------------------------
@@ -338,10 +356,15 @@ def curvature(conn: Connection) -> MatrixForm:
 
 def nabla_apply(conn: Connection, alpha: MatrixForm) -> MatrixForm:
     """Covariant derivative (d + omega)(alpha) on vector- or
-    endomorphism-valued forms."""
+    endomorphism-valued forms: each entry of each component sums its
+    derivative terms and its omega ^ alpha products in one accumulation."""
     if conn.fiber_dim != alpha.shape[0]:
         raise FormError("fiber dimension mismatch")
-    return exterior_d(alpha) + wedge(conn.form, alpha)
+    pairs = _wedge_pairs(conn.form, alpha)
+    components = {index: _entries_dot(pairs.pop(index, []), m)
+                  for index, m in _d_addends(alpha).items()}
+    components.update((index, _entries_dot(p)) for index, p in pairs.items())
+    return _form(alpha.base_dim, alpha.shape, components)
 
 
 def nabla_power(conn: Connection, alpha: MatrixForm, n: int) -> MatrixForm:

@@ -4,28 +4,36 @@ TrigPoly is the package's only scalar value: a polynomial over coordinates
 x1, x2, ... and atoms sin(u), cos(u), each keyed by the polynomial of its
 argument u, with sin^2 u = 1 - cos^2 u applied.  An expanded sparse
 polynomial is canonical, so == decides equality in the ring, and forms,
-depth forms, metrics and curvature all compute on it.
+depth forms, metrics and curvature all compute on it.  A TrigPoly maps
+monomials to exact rational coefficients; a monomial is one int that
+packs the exponent of each atom into that atom's bit field, after Monagan
+and Pearce's packed exponent vectors (CASC 2007), so a monomial product is
+one addition and the sin^2 check one mask test.  The fields are slots of
+one grow-only table of atoms, assigned in the order atoms are first met;
+what the module prints or decides reads monomials in canonical atom order,
+never in slot order.
 
 Expressions exist only as parse trees: parse reads the grammar below into
 Rat, Var, Sum, Product, Power, Sin and Cos nodes, and normalize expands a
 tree, once, into its TrigPoly, refusing any step that holds more than
-MAX_TERMS terms.  The module's two functools.lru_cache functions are
-normalize and sort_key, the key that orders monomials in rendered text and
-trig atoms by their arguments.  render writes a TrigPoly back in the
-grammar, and exact_divide divides one TrigPoly by another when the
-quotient is again a TrigPoly.  The monomial format is private to this
-module: other modules compute through TrigPoly's methods and the functions
-here.  Values are immutable, and every function here is pure, except that
-inside work_budget() the ring counts its term products and refuses work
-past WORK_BUDGET.
+MAX_TERMS terms.  The module's functools.lru_cache functions are
+normalize, sort_key, the key that orders monomials in rendered text and
+trig atoms by their arguments, and _factors, a monomial's atoms in that
+order.  render writes a TrigPoly back in the grammar, and exact_divide
+divides one TrigPoly by another when the quotient is again a TrigPoly.
+The monomial format is private to this module: other modules compute
+through TrigPoly's methods and the functions here.  Values are immutable,
+and every function here is pure, except that the atom table grows, and
+that inside work_budget() the ring counts its term products and refuses
+work past WORK_BUDGET.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -133,19 +141,104 @@ for _node in (Rat, Var, Sin, Cos, Power, Product, Sum):
 # ------------------------------------------------------------------
 #
 # An atom is (VAR, i) for the coordinate x_i, or (SIN, a) or (COS, a) for
-# an Arg a; a monomial is a tuple of (atom, exponent) pairs in atom order,
-# which is render order: coordinates by index, then sines, then cosines,
-# each by the sort key of its argument.  Every sin-exponent is kept at most
-# one by rewriting sin^2 u = 1 - cos^2 u, so Pythagorean identities in one
-# argument reduce to the zero polynomial.  Coefficients are ints when
-# integral, else Fractions: equal values compare and hash alike.  Every
-# product runs through one multiply-accumulate kernel, _mul_into, whose
-# monomial products come from a memo of at most 8192 entries.  Factors are
-# canonical, so a product's sin exponents are at most 2; the memo keeps a
-# product that reaches sin^2 with the rewrite expanded, once per pair.
+# an Arg a.  Its canonical order is render order: coordinates by index,
+# then sines, then cosines, each by the sort key of its argument.  The
+# first time an atom is met it takes the next slot of one module table,
+# sin(u) and cos(u) together in neighbouring slots.  The table only grows
+# and is never cleared, not even by work_budget(), since polynomials
+# outlive the calls that made them.  Slot s owns the W bits of an int from
+# bit s*W up: W - 1 bits of exponent under one guard bit.  A monomial is
+# the int that holds each of its exponents in its atom's field; the
+# constant monomial is 0.  Slots follow the order in which atoms were met,
+# so nothing visible reads them: text, sort keys, evaluation and the lex
+# order of exact_divide decode a monomial into canonical order first.
+#
+# Exponents below 2^(W-1) add without a carry between fields, so the
+# product of two monomials is one addition, and a product exponent above
+# MAX_MONOMIAL_EXPONENT sets its field's guard bit.  Every sin exponent is
+# kept at most one by rewriting sin^2 u = 1 - cos^2 u, so Pythagorean
+# identities in one argument reduce to the zero polynomial.  Factors are
+# canonical, so a product's sin exponent is at most 2, and it is 2 exactly
+# when bit 1 of the sin field is set.  Every product runs through one
+# multiply-accumulate kernel, _mul_into (exact_divide keeps its own loop,
+# over fields of its own), which sends a product to the slow path,
+# _add_product, on one test against _CHECK, the guard bits and bit 1 of
+# every sin field: there each sin^2 is rewritten, and an exponent past the
+# field is refused with ScalarError.  Coefficients are ints when integral,
+# else Fractions: equal values compare and hash alike.
+#
+# W = 16.  An exponent of up to 32767 is far beyond what the input bounds
+# let a cell reach (a power is at most MAX_EXPONENT = 512, and a cell at
+# most MAX_TERMS terms), so only a product of dozens of such powers, or a
+# high power of a large determinant, passes it.  A monomial over four
+# atoms still fits in 64 bits, three of CPython's 30-bit digits, where an
+# addition and a hash are quick.
 
-Mono = tuple
+W = 16
+MAX_MONOMIAL_EXPONENT = (1 << (W - 1)) - 1
+_FIELD = MAX_MONOMIAL_EXPONENT
+_GUARD = 1 << (W - 1)
+
+Mono = int
 VAR, SIN, COS = 1, 2, 3
+
+_ATOMS: list = []   # slot -> atom
+_SLOTS: dict = {}   # atom -> slot
+_GUARDS = 0         # the guard bit of every field
+_SQUARES = 0        # bit 1 of every sin field
+_CHECK = 0          # _GUARDS | _SQUARES
+_TRIG = 0           # every bit of every sin and cos field
+
+
+def _slot(atom) -> int:
+    """The slot of an atom, interned on first sight with its trig partner."""
+    slot = _SLOTS.get(atom)
+    if slot is not None:
+        return slot
+    global _GUARDS, _SQUARES, _CHECK, _TRIG
+    tag, payload = atom
+    for new in [atom] if tag == VAR else [(SIN, payload), (COS, payload)]:
+        shift = len(_ATOMS) * W
+        _SLOTS[new] = len(_ATOMS)
+        _ATOMS.append(new)
+        _GUARDS |= _GUARD << shift
+        if new[0] != VAR:
+            _TRIG |= ((1 << W) - 1) << shift
+        if new[0] == SIN:
+            _SQUARES |= 2 << shift
+    _CHECK = _GUARDS | _SQUARES
+    return _SLOTS[atom]
+
+
+def _fields(mono: Mono) -> list:
+    """The (slot, exponent) pairs of the nonzero fields of a monomial, in
+    slot order; a run of empty fields is skipped in one step."""
+    fields, slot = [], 0
+    while mono:
+        exp = mono & _FIELD
+        if exp:
+            fields.append((slot, exp))
+            mono >>= W
+            slot += 1
+        else:
+            skip = ((mono & -mono).bit_length() - 1) // W
+            mono >>= skip * W
+            slot += skip
+    return fields
+
+
+@functools.lru_cache(maxsize=65536)
+def _factors(mono: Mono) -> tuple:
+    """The (atom, exponent) pairs of a monomial in canonical atom order."""
+    factors = [(_ATOMS[slot], exp) for slot, exp in _fields(mono)]
+    factors.sort()
+    return tuple(factors)
+
+
+def _support(terms) -> Mono:
+    """The bitwise or of the monomials: nonzero in the field of each atom
+    that some monomial holds."""
+    return functools.reduce(operator.or_, terms, 0)
 
 
 class Arg:
@@ -196,36 +289,24 @@ def _add_term(terms: dict, mono: Mono, coeff) -> None:
         del terms[mono]
 
 
-class _Rewritten(tuple):
-    """The (monomial, +1 or -1) terms of a product with sin^2 u rewritten."""
-    __slots__ = ()
+def _overflow() -> ScalarError:
+    return ScalarError(f"exponent above {MAX_MONOMIAL_EXPONENT} in a product")
 
 
-@functools.lru_cache(maxsize=8192)
-def _mono_product(m1: Mono, m2: Mono):
-    """m1 * m2.  Both are canonical, so a sin exponent of the product is at
-    most 2; when one reaches 2, the product with each such sin^2 u replaced
-    by 1 - cos^2 u, expanded into _Rewritten terms."""
-    if not m1 or not m2:
-        return m1 or m2
-    merged = dict(m1)
-    squares = []
-    for atom, exp in m2:
-        total = merged.get(atom, 0) + exp
-        merged[atom] = total
-        if total == 2 and atom[0] == SIN:
-            squares.append(atom)
-            del merged[atom]
-    if not squares:
-        return tuple(sorted(merged.items()))
-    terms = []
-    for choice in itertools.product((False, True), repeat=len(squares)):
-        exponents = dict(merged)
-        for atom in itertools.compress(squares, choice):
-            cos_atom = (COS, atom[1])
-            exponents[cos_atom] = exponents.get(cos_atom, 0) + 2
-        terms.append((tuple(sorted(exponents.items())), -1 if sum(choice) % 2 else 1))
-    return _Rewritten(terms)
+def _add_product(terms: dict, mono: Mono, coeff) -> None:
+    """_add_term for a product of canonical monomials, which may hold sin^2
+    or pass a field: each sin^2 u becomes 1 - cos^2 u, lowest slot first,
+    and an exponent past MAX_MONOMIAL_EXPONENT raises ScalarError."""
+    if not mono & _CHECK:
+        _add_term(terms, mono, coeff)
+        return
+    if mono & _GUARDS:
+        raise _overflow()
+    square = mono & _SQUARES
+    square &= -square
+    mono -= square
+    _add_product(terms, mono, coeff)
+    _add_product(terms, mono + (square << W), -coeff)
 
 
 # Input bounds hold each cell, not the arithmetic on the cells.  Inside
@@ -235,7 +316,10 @@ def _mono_product(m1: Mono, m2: Mono):
 # before the work, a call that would pass WORK_BUDGET.  linalg charges one
 # per entry product or entry update through charge, so that the ring's own
 # loops call no public, and so traced, name.
-# One term product costs 1-10 us.  Outside the scope work is unbounded.
+# One term product costs 0.25-2.2 us in process on a 2-vCPU x86-64 machine,
+# so a refusal comes after 0.1-0.9 s: integer products of polynomials are
+# the cheapest, and Fraction coefficients, sin^2 rewrites and zero entries
+# (one call each) the dearest.  Outside the scope work is unbounded.
 
 WORK_BUDGET = 400_000
 _work_left = math.inf
@@ -271,13 +355,13 @@ def work_budget():
 def _mul_into(terms: dict, a: dict, b: dict) -> None:
     """terms += a * b for two term dicts: the ring's one multiply-accumulate."""
     _charge(len(a) * len(b) or 1)
+    check = _CHECK
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             coeff = c1 * c2
-            mono = _mono_product(m1, m2)
-            if type(mono) is _Rewritten:
-                for rewritten, sign in mono:
-                    _add_term(terms, rewritten, coeff if sign > 0 else -coeff)
+            mono = m1 + m2
+            if mono & check:
+                _add_product(terms, mono, coeff)
                 continue
             # _add_term, inlined in the innermost loop of the ring
             value = terms.get(mono)
@@ -317,7 +401,7 @@ class TrigPoly:
     @staticmethod
     def const(value) -> "TrigPoly":
         value = _coeff(value)
-        return _poly({(): value} if value else {})
+        return _poly({0: value} if value else {})
 
     @staticmethod
     def zero() -> "TrigPoly":
@@ -325,11 +409,11 @@ class TrigPoly:
 
     @staticmethod
     def one() -> "TrigPoly":
-        return _poly({(): 1})
+        return _poly({0: 1})
 
     @staticmethod
     def atom(atom) -> "TrigPoly":
-        return _poly({((atom, 1),): 1})
+        return _poly({1 << _slot(atom) * W: 1})
 
     @staticmethod
     def var(index: int) -> "TrigPoly":
@@ -395,11 +479,18 @@ class TrigPoly:
         return _poly(terms)
 
     @staticmethod
-    def dot(pairs) -> "TrigPoly":
-        """The sum of a * b over the (a, b) pairs, accumulated in one dict."""
+    def dot(pairs, addends=()) -> "TrigPoly":
+        """The sum of the addends and of a * b over the (a, b) pairs,
+        accumulated in one dict."""
         terms: dict = {}
+        for p in addends:
+            for mono, coeff in p.terms.items():
+                _add_term(terms, mono, coeff)
         for a, b in pairs:
-            _mul_into(terms, a.terms, b.terms)
+            if a.terms and b.terms:
+                _mul_into(terms, a.terms, b.terms)
+            else:
+                _charge(1)  # _mul_into's charge for a zero factor, without the call
         return _poly(terms)
 
     def power(self, k: int) -> "TrigPoly":
@@ -409,7 +500,8 @@ class TrigPoly:
         return not self.terms
 
     def atoms(self) -> set:
-        return {atom for mono in self.terms for atom, _ in mono}
+        """The (tag, payload) atoms the monomials hold."""
+        return {_ATOMS[slot] for slot, _ in _fields(_support(self.terms))}
 
     def variables(self) -> set:
         """Indices of the coordinates the polynomial holds, those inside
@@ -428,24 +520,41 @@ class TrigPoly:
     # calculus ---------------------------------------------------------
 
     def diff(self, index: int) -> "TrigPoly":
-        """The partial derivative by x_index."""
+        """The partial derivative by x_index.  Each term is lowered in the
+        field of x_index, then in the field of each trig atom whose argument
+        holds x_index, in canonical atom order, by the chain rule
+        d sin(u) = cos(u) du and d cos(u) = -sin(u) du.  The partner atom
+        times du is formed once per atom, and charged at each use as the
+        product it stands for."""
+        slot = _SLOTS.get((VAR, index))
+        shift = -1 if slot is None else slot * W
+        chains = []
+        trig = _TRIG and _support(self.terms) & _TRIG
+        if trig:
+            for (tag, payload), _ in _factors(trig):
+                du = payload.poly.diff(index)
+                if du.terms:
+                    partner = 1 << _SLOTS[(COS if tag == SIN else SIN, payload)] * W
+                    chains.append((_SLOTS[(tag, payload)] * W, 1 if tag == SIN else -1,
+                                   {partner + m: c for m, c in du.terms.items()}))
+        if not chains:
+            # lowering one field maps distinct monomials to distinct ones
+            if shift < 0:
+                return _poly({})
+            one = 1 << shift
+            return _poly({mono - one: coeff * exp for mono, coeff in self.terms.items()
+                          if (exp := mono >> shift & _FIELD)})
         terms: dict = {}
         for mono, coeff in self.terms.items():
-            for position, (atom, exp) in enumerate(mono):
-                tag, payload = atom
-                if tag == VAR and payload != index:
-                    continue
-                lowered = ((atom, exp - 1),) if exp > 1 else ()
-                rest = mono[:position] + lowered + mono[position + 1:]
-                if tag == VAR:
-                    _add_term(terms, rest, coeff * exp)
-                    continue
-                inner = payload.poly.diff(index)
-                if not inner.terms:
-                    continue
-                partner, sign = (COS, 1) if tag == SIN else (SIN, -1)
-                outer = TrigPoly.atom((partner, payload)).scale(sign * coeff * exp)
-                _mul_into(terms, {rest: 1}, (outer * inner).terms)
+            if shift >= 0:
+                exp = mono >> shift & _FIELD
+                if exp:
+                    _add_term(terms, mono - (1 << shift), coeff * exp)
+            for field, sign, partner_du in chains:
+                exp = mono >> field & _FIELD
+                if exp:
+                    _charge(len(partner_du))
+                    _mul_into(terms, {mono - (1 << field): _coeff(sign * coeff * exp)}, partner_du)
         return _poly(terms)
 
     def substitute(self, assignment: Mapping[int, "TrigPoly"]) -> "TrigPoly":
@@ -455,7 +564,7 @@ class TrigPoly:
         pieces = []
         for mono, coeff in self.terms.items():
             value = TrigPoly.const(coeff)
-            for atom, exp in mono:
+            for atom, exp in _factors(mono):
                 if atom not in images:
                     tag, payload = atom
                     images[atom] = (assignment.get(payload, TrigPoly.atom(atom)) if tag == VAR
@@ -491,32 +600,41 @@ def exact_divide(num: TrigPoly, den: TrigPoly) -> TrigPoly | None:
         raise ZeroDivisionError("division by the zero polynomial")
     for atom in sorted(a for a in den.atoms() if a[0] == SIN):
         if atom in den.atoms():  # an earlier conjugation may cancel it
-            pair = (atom, 1)
-            conjugate = _poly({m: -c if pair in m else c for m, c in den.terms.items()})
+            field = _FIELD << _SLOTS[atom] * W
+            conjugate = _poly({m: -c if m & field else c for m, c in den.terms.items()})
             num, den = num * conjugate, den * conjugate
+    # local fields over the atoms of both in canonical order, the first atom
+    # highest, so that ints compare as exponent vectors do in lex order
     atoms = sorted(num.atoms() | den.atoms())
-    index = {a: i for i, a in enumerate(atoms)}
+    shifts = [(_SLOTS[a] * W, (len(atoms) - 1 - i) * W) for i, a in enumerate(atoms)]
+    guards = sum(_GUARD << local for _, local in shifts)
 
-    def vector(mono: Mono) -> list:
-        v = [0] * len(atoms)
-        for atom, exp in mono:
-            v[index[atom]] = exp
-        return v
+    def repack(terms: dict, pairs) -> dict:
+        return {sum((m >> a & _FIELD) << b for a, b in pairs): c for m, c in terms.items()}
 
-    lead = max(den.terms, key=vector)
-    lead_vec, lead_coeff = vector(lead), den.terms[lead]
-    remainder = dict(num.terms)
+    divisor = repack(den.terms, shifts)
+    lead = max(divisor)
+    lead_coeff = divisor[lead]
+    remainder = repack(num.terms, shifts)
     quotient: dict = {}
     while remainder:
         _charge(len(remainder))
-        mono = max(remainder, key=vector)
-        diff = [a - b for a, b in zip(vector(mono), lead_vec)]
-        if any(d < 0 for d in diff):
+        mono = max(remainder)
+        # a field of mono below lead's borrows its guard bit, and only it
+        term = (mono | guards) - lead
+        if term & guards != guards:
             return None
-        term = tuple((atoms[i], d) for i, d in enumerate(diff) if d)
+        term ^= guards
         quotient[term] = coeff = _coeff(Fraction(remainder[mono]) / lead_coeff)
-        _mul_into(remainder, {term: -coeff}, den.terms)
-    return _poly(quotient)
+        # remainder -= coeff * term * den; den is free of sin, so no product
+        # reaches sin^2
+        _charge(len(divisor))
+        for m, c in divisor.items():
+            product = term + m
+            if product & guards:
+                raise _overflow()
+            _add_term(remainder, product, -coeff * c)
+    return _poly(repack(quotient, [(b, a) for a, b in shifts]))
 
 
 # ------------------------------------------------------------------
@@ -542,10 +660,10 @@ def normalize(e: Expr) -> TrigPoly:
     if isinstance(e, Power):
         _check_merged_exponent(e)
         base = normalize(e.base)
-        if set(base.terms) <= {()}:
+        if not any(base.terms):
             # a numerator or denominator of b bits raised to the exponent has
             # at least exponent * (b - 1) bits: see MAX_CONSTANT_DIGITS
-            value = Fraction(base.terms.get((), 0))
+            value = Fraction(base.terms.get(0, 0))
             bits = max(value.numerator.bit_length(), value.denominator.bit_length())
             if e.exponent * (bits - 1) > _MAX_CONSTANT_BITS:
                 raise ScalarError(f"constant power above {MAX_CONSTANT_DIGITS} digits")
@@ -578,7 +696,7 @@ def _check_merged_exponent(e: Power) -> None:
     while isinstance(base, Power):
         merged *= base.exponent
         base = base.base
-    if merged > MAX_EXPONENT and not set(normalize(base).terms) <= {()}:
+    if merged > MAX_EXPONENT and any(normalize(base).terms):
         raise ScalarError(f"exponent {merged} is above {MAX_EXPONENT}")
 
 
@@ -606,7 +724,7 @@ def sort_key(mono: Mono) -> tuple:
     if not mono:
         return (0,)
     keys = []
-    for (tag, payload), exp in mono:
+    for (tag, payload), exp in _factors(mono):
         base = (tag, payload if tag == VAR else payload.key)
         keys.append(base if exp == 1 else (4, base, exp))
     return keys[0] if len(keys) == 1 else (5, tuple(keys))
@@ -628,7 +746,8 @@ def _poly_key(p: TrigPoly) -> tuple:
         elif coeff == 1:
             keys.append(sort_key(mono))
         else:
-            factors = sort_key(mono)[1] if len(mono) > 1 else (sort_key(mono),)
+            key = sort_key(mono)
+            factors = key[1] if key[0] == 5 else (key,)  # (5, ...) keys a product
             keys.append((5, (head,) + factors))
     return keys[0] if len(keys) == 1 else (6, tuple(keys))
 
@@ -644,7 +763,7 @@ def _render_term(mono: Mono, coeff) -> str:
     if not mono:
         return _render_coeff(coeff)
     factors = ["" if coeff == 1 else "-" if coeff == -1 else _render_coeff(coeff) + "*"]
-    for (tag, payload), exp in mono:
+    for (tag, payload), exp in _factors(mono):
         base = f"x{payload}" if tag == VAR else (
             f"{'sin' if tag == SIN else 'cos'}({render(payload.poly)})")
         factors.append(base if exp == 1 else f"{base}^{exp}")
@@ -676,7 +795,7 @@ def evaluate(p: TrigPoly, point: Mapping[int, object]):
     try:
         for mono, coeff in p.terms.items():
             term = coeff
-            for (tag, payload), exp in mono:
+            for (tag, payload), exp in _factors(mono):
                 if tag == VAR:
                     if payload not in point:
                         raise EvalError(f"coordinate x{payload} is unassigned")
@@ -705,23 +824,25 @@ def is_zero(p: TrigPoly) -> bool:
     the seed of set_zero_seed."""
     if not p.terms:
         return True
-    atoms = p.atoms()
-    if all(tag == VAR for tag, _ in atoms):
+    if not _support(p.terms) & _TRIG:
         return False
+    atoms = sorted(p.atoms())
+    position = {atom: i for i, atom in enumerate(atoms)}
     # the test is scale-invariant; dividing by the largest coefficient keeps
     # huge rationals inside the float range
     largest = max(abs(c) for c in p.terms.values())
-    weighted = [(mono, float(Fraction(c) / largest)) for mono, c in p.terms.items()]
+    weighted = [([(position[atom], exp) for atom, exp in _factors(mono)],
+                 float(Fraction(c) / largest)) for mono, c in p.terms.items()]
     rng = random.Random(_zero_seed)
     names = sorted(p.variables())
     for _ in range(ZERO_SAMPLES):
         point = {i: rng.uniform(-1.0, 1.0) for i in names}
-        values = {atom: point[atom[1]] if atom[0] == VAR
-                  else float(evaluate(TrigPoly.atom(atom), point)) for atom in atoms}
+        values = [point[atom[1]] if atom[0] == VAR
+                  else float(evaluate(TrigPoly.atom(atom), point)) for atom in atoms]
         total = size = 0.0
-        for mono, term in weighted:
-            for atom, exp in mono:
-                term *= values[atom] ** exp
+        for factors, term in weighted:
+            for i, exp in factors:
+                term *= values[i] ** exp
             total += term
             size += abs(term)
         if size and abs(total) >= ZERO_TOLERANCE * size:

@@ -414,6 +414,14 @@ DENSE_MAP = "N 2\ndeg 0 dim 200\n" + "".join(
 ) + "deg 1 dim 200\n"
 
 
+def dense_trig_metric(n):
+    """The dim-n metric with 3 + sin(x_i) on the diagonal and
+    cos(x_((i + j) mod n + 1)) off it."""
+    rows = ("; ".join(f"3 + sin(x{i})" if i == j else f"cos(x{(i + j) % n + 1})"
+                      for j in range(1, n + 1)) for i in range(1, n + 1))
+    return f"dim {n}\n" + "\n".join(rows) + "\n"
+
+
 WIDE = riemann.MAX_DIM + 1  # the least dimension a metric header may not declare
 
 HOSTILE_ENTRIES = {
@@ -470,6 +478,13 @@ HOSTILE_ENTRIES = {
                                "line 3: ", "metric is degenerate: det(g) = 0 identically"),
     "degenerate_diagonal.metric": (["riemann"], "dim 2\nsin(2*x1) - 2*sin(x1)*cos(x1); 0\n0; 1\n",
                                    "line 3: ", "metric is degenerate: det(g) = 0 identically"),
+    # products of monomials over many trig atoms: refused after 5-6 s when
+    # each monomial was a tuple of (atom, exponent) pairs
+    "dense_trig4.metric": (["riemann"], dense_trig_metric(4), "", BUDGET),
+    "dense_trig8.metric": (["riemann"], dense_trig_metric(8), "", BUDGET),
+    # a monomial exponent past the packed field of scalar
+    "field_overflow.conn": (["flatness"], "base 1\nfiber 1\nomega 1\n" + "*".join(["x1^512"] * 64)
+                            + "\n", "line 4: ", f"exponent above {scalar.MAX_MONOMIAL_EXPONENT}"),
 }
 
 

@@ -12,7 +12,10 @@ paths are relative; the inputs are in tests/data/bad.
 """
 
 import io
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -91,3 +94,58 @@ def test_cli_error_matches_golden(name, argv, code, monkeypatch, capsys):
     with open(os.path.join(GOLDEN_DIR, f"{name}.err"), "rb") as handle:
         expected = handle.read()
     assert capsys.readouterr().err.encode("utf-8") == expected
+
+
+# Runs CLI calls in a fresh interpreter after expanding the prelude texts,
+# and prints each call's stdout and charged term products, and the atom
+# table in slot order.
+ORDER_SCRIPT = """
+import io, json, sys
+from ndga import cli, scalar
+spec = json.load(sys.stdin)
+for text in spec["prelude"]:
+    scalar.expand(text)
+charged = [0]
+charge = scalar._charge
+
+def counting(work):
+    charged[0] += work
+    charge(work)
+
+scalar._charge = counting
+outputs, charges = {}, {}
+for name, argv in spec["cases"]:
+    charged[0] = 0
+    out = io.StringIO()
+    assert cli.main(argv, out=out) == 0
+    outputs[name], charges[name] = out.getvalue(), charged[0]
+atoms = [scalar.render(scalar.TrigPoly.atom(atom)) for atom in scalar._ATOMS]
+print(json.dumps({"outputs": outputs, "charges": charges, "atoms": atoms}))
+"""
+
+
+def run_fresh(prelude, cases):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", ORDER_SCRIPT], env=env, text=True,
+                          input=json.dumps({"prelude": prelude, "cases": cases}),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_goldens_do_not_depend_on_atom_order():
+    # monomials pack exponents in the order atoms were first met; interning
+    # every golden's atoms in reverse order first must change no byte of
+    # output and no charge
+    cases = [(name, resolve(argv)) for name, argv in CASES if argv[0] in ("riemann", "flatness")]
+    clean = run_fresh([], cases)
+    reverse = run_fresh(clean["atoms"][::-1], cases)
+    assert reverse["atoms"] != clean["atoms"]
+    assert sorted(reverse["atoms"]) == sorted(clean["atoms"])
+    assert reverse["charges"] == clean["charges"]
+    assert reverse["outputs"] == clean["outputs"]
+    for name, _ in cases:
+        with open(os.path.join(GOLDEN_DIR, f"{name}.out"), "rb") as handle:
+            assert reverse["outputs"][name].encode("utf-8") == handle.read()

@@ -143,7 +143,7 @@ def test_work_budget_refuses_before_the_work_and_ends_with_its_scope():
             big * big
     # each scope starts a fresh count: a square of 250,000 term products fits
     # in each of two scopes; outside a scope the ring is unbounded
-    half = TrigPoly({(((scalar.VAR, 2), i),): 1 for i in range(1, 501)})
+    half = poly(" + ".join(f"x2^{i}" for i in range(1, 501)))
     for _ in range(2):
         with scalar.work_budget():
             assert len((half * half).terms) == 999
@@ -472,9 +472,10 @@ def test_integer_and_fraction_coefficients_give_one_value():
     assert render(built) == render(as_fractions) == "5 - 2*x1*cos(x2) + 3*x1^2*sin(x2)"
     assert repr(built) == repr(as_fractions)
     assert built * as_fractions == built * built
-    assert TrigPoly.const(Fraction(4, 2)).terms == {(): 2}
-    assert type(TrigPoly.const(Fraction(4, 2)).terms[()]) is int
-    assert type(built.scale(Fraction(1, 2)).terms[()]) is Fraction
+    [two] = TrigPoly.const(Fraction(4, 2)).terms.values()
+    assert two == 2 and type(two) is int
+    constant = next(iter(TrigPoly.one().terms))  # the key of the constant term
+    assert type(built.scale(Fraction(1, 2)).terms[constant]) is Fraction
 
 
 def test_scale_keeps_integral_coefficients_int():
@@ -488,9 +489,9 @@ def test_exact_divide_keeps_fractions_exact():
     quotient = scalar.exact_divide(TrigPoly.var(1), TrigPoly.const(2))
     [coeff] = quotient.terms.values()
     assert type(coeff) is Fraction and coeff == Fraction(1, 2)
-    assert scalar.exact_divide(TrigPoly.var(1).scale(6), TrigPoly.const(3)).terms == {
-        (((scalar.VAR, 1), 1),): 2
-    }
+    quotient = scalar.exact_divide(TrigPoly.var(1).scale(6), TrigPoly.const(3))
+    assert quotient == TrigPoly.var(1).scale(2)
+    assert [type(c) for c in quotient.terms.values()] == [int]
 
 
 # divisors with no, one and two sin atoms, a sin^2 rewritten to 1 - cos^2,
@@ -548,52 +549,78 @@ MONOMIAL_ATOMS = [
     for text in ("x1", "x2", "sin(x1)", "cos(x1)", "sin(x1 + x2)", "cos(x1 + x2)")
 ]
 
+# exponent vectors over MONOMIAL_ATOMS; a canonical monomial holds each sin
+# atom at most once
 monomials = st.lists(
     st.integers(min_value=0, max_value=3), min_size=len(MONOMIAL_ATOMS),
     max_size=len(MONOMIAL_ATOMS),
-).map(lambda exps: tuple(sorted(
-    # a canonical monomial holds each sin atom at most once
-    (atom, min(exp, 1) if atom[0] == scalar.SIN else exp)
-    for atom, exp in zip(MONOMIAL_ATOMS, exps) if exp
-)))
+).map(lambda exps: tuple(min(exp, 1) if atom[0] == scalar.SIN else exp
+                         for atom, exp in zip(MONOMIAL_ATOMS, exps)))
 
 
-SIN_X1 = ((MONOMIAL_ATOMS[2], 1),)
+def monomial(exps) -> TrigPoly:
+    """The monomial of an exponent vector, built from public constructors."""
+    return functools.reduce(TrigPoly.__mul__, (TrigPoly.atom(atom).power(exp)
+                                               for atom, exp in zip(MONOMIAL_ATOMS, exps)))
 
 
-def _merged(m1, m2):
-    exponents = dict(m1)
-    for atom, exp in m2:
-        exponents[atom] = exponents.get(atom, 0) + exp
-    return tuple(sorted(exponents.items()))
+SIN_X1 = (0, 0, 1, 0, 0, 0)
 
 
 @given(monomials, monomials)
 @example(SIN_X1, SIN_X1)
-@example(SIN_X1 + ((MONOMIAL_ATOMS[0], 2),), ((MONOMIAL_ATOMS[3], 1),) + SIN_X1)
+@example((2, 0, 1, 0, 0, 0), (0, 0, 1, 1, 0, 0))
+@example((1, 0, 1, 0, 1, 0), (0, 1, 1, 2, 1, 3))
 def test_monomial_product_agrees_with_the_plain_merge(m1, m2):
-    # the plain merge, then each sin^2 u in it rewritten as 1 - cos^2 u
+    # the plain merge of exponent vectors, then each sin^2 u in it rewritten
+    # as 1 - cos^2 u; a term of the expectation holds no sin^2, so building
+    # it multiplies no two sines of one argument
     expected = {(): 1}
-    for atom, exp in _merged(m1, m2):
-        factor = {((atom, exp),): 1}
+    for position, (atom, exp) in enumerate(zip(MONOMIAL_ATOMS, map(sum, zip(m1, m2)))):
+        factors = {((position, exp),): 1}
         if atom[0] == scalar.SIN and exp == 2:
-            factor = {(): 1, (((scalar.COS, atom[1]), 2),): -1}
-        expected = {_merged(m, f): c * sign for m, c in expected.items()
-                    for f, sign in factor.items()}
-    for _ in range(2):  # the first call may fill the memo, the second reads it
-        product = scalar._mono_product(m1, m2)
-        assert isinstance(product, tuple)
-        if len(expected) > 1:
-            assert len(product) == len(expected) and dict(product) == expected
-        else:
-            assert expected == {product: 1}
-    assert scalar._mono_product(m1, ()) == m1 and scalar._mono_product((), m2) == m2
+            factors = {(): 1, ((position + 1, 2),): -1}  # the cos atom follows its sin
+        expected = {m + f: c * sign for m, c in expected.items() for f, sign in factors.items()}
+    terms = []
+    for fields, c in expected.items():
+        exps = [0] * len(MONOMIAL_ATOMS)
+        for position, exp in fields:
+            exps[position] += exp
+        terms.append(monomial(exps).scale(c))
+    product = monomial(m1) * monomial(m2)
+    assert product == TrigPoly.sum(terms)
+    assert len(product.terms) == 2 ** sum(
+        atom[0] == scalar.SIN and a + b == 2 for atom, a, b in zip(MONOMIAL_ATOMS, m1, m2))
+    assert monomial(m1) * TrigPoly.one() == monomial(m1) == TrigPoly.one() * monomial(m1)
 
 
-def test_monomial_product_memo_is_bounded():
-    info = scalar._mono_product.cache_info()
-    assert info.maxsize is not None and 0 < info.maxsize <= 65536
-    assert info.currsize <= info.maxsize
+def test_exponent_past_the_field_is_refused():
+    at_most = poly("x1^511").power(64) * poly("x1^63")  # x1^32767
+    assert scalar.MAX_MONOMIAL_EXPONENT == 32767
+    assert render(at_most) == "x1^32767"
+    refused = f"exponent above {scalar.MAX_MONOMIAL_EXPONENT} in a product"
+    with pytest.raises(ScalarError, match=refused):
+        at_most * x1
+    with pytest.raises(ScalarError, match=refused):
+        poly("x1^512").power(64)
+    # the sin^2 rewrite raises the cos exponent by 2
+    cosine = poly("cos(x1)^511").power(64) * poly("cos(x1)^62") * poly("sin(x1)")
+    assert render(cosine) == "sin(x1)*cos(x1)^32766"
+    with pytest.raises(ScalarError, match=refused):
+        cosine * poly("sin(x1)")
+    # the fields beside a full one keep their exponents
+    assert render(at_most * x2 * poly("x3^5")) == "x1^32767*x2*x3^5"
+
+
+def test_atom_table_outlives_the_work_budget():
+    # the table is never cleared: a polynomial made before a budget scope
+    # multiplies and renders inside and after it
+    made = poly("sin(x7 + 1/3)*x8 - cos(x7 + 1/3)")
+    slots = len(scalar._ATOMS)
+    with scalar.work_budget():
+        assert render(made * made) == render(poly("(sin(x7 + 1/3)*x8 - cos(x7 + 1/3))^2"))
+    assert len(scalar._ATOMS) == slots
+    assert render(made) == "-cos(1/3 + x7) + x8*sin(1/3 + x7)"
 
 
 # ------------------------------------------------------------------
