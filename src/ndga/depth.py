@@ -382,8 +382,8 @@ _GENERATOR = re.compile(r"^d([0-9]*)x([0-9]+)$")
 
 def _split_top_level(text: str, separators: str) -> list:
     """(piece, separator) pairs of text split at separators outside
-    parentheses; a '-' that opens a term or follows '*' is a sign, kept
-    with the piece it opens."""
+    parentheses; a '+' or '-' that opens a term or follows '*' is a sign,
+    kept with the piece it opens."""
     parts = []
     depth = 0
     current = []
@@ -393,7 +393,7 @@ def _split_top_level(text: str, separators: str) -> list:
         elif ch == ")":
             depth -= 1
         if depth == 0 and ch in separators and (
-                ch != "-" or "".join(current).strip()[-1:] not in ("", "*")):
+                ch not in "+-" or "".join(current).strip()[-1:] not in ("", "*")):
             parts.append(("".join(current), ch))
             current = []
         else:
@@ -424,8 +424,8 @@ def _parse_monomial(text: str, profile: Profile) -> DepthForm:
     sign = 1
     for piece, _ in _split_top_level(text, "*"):
         piece = piece.strip()
-        if piece.startswith("-"):
-            sign, piece = -sign, piece[1:].strip()
+        if piece.startswith(("+", "-")):
+            sign, piece = -sign if piece[0] == "-" else sign, piece[1:].strip()
         if not piece:
             raise DepthFormError(f"empty factor in {textfile.quote(text)}")
         match = _GENERATOR.match(piece)

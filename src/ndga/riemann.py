@@ -15,7 +15,9 @@ memoized Laplace expansion that needs no division, so each minor is
 computed once per metric.  Flatness certificates run on the
 numerators, the connection form tau and the curvature form S, which
 leaves every verdict unchanged because det(g) vanishes nowhere on the
-metric's domain.
+metric's domain.  S is the curvature d tau + tau ^ tau of the forms
+module under the quotient rule for the one power of det(g) under tau, so
+the package computes curvature with one kernel.
 
 Each derived object is computed once and kept in one shape on the object
 it derives from: a Metric, immutable once built, keeps tau, the
@@ -29,7 +31,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import forms, scalar, textfile
 from .forms import MatrixForm
@@ -138,9 +140,8 @@ class Metric:
                 raise MetricError("inverse matrix must match the metric's shape")
             self.inverse_power = 0
         scale = self._det.power(self.inverse_power)
-        for i in range(n):
-            for j in range(n):
-                total = TrigPoly.dot((g[i][k], numerators[k][j]) for k in range(n))
+        for i, row in enumerate(forms.entries_mul(g, numerators)):
+            for j, total in enumerate(row):
                 if not scalar.is_zero(total - scale if i == j else total):
                     raise MetricError(
                         "cofactor inversion failed its certificate" if inverse is None
@@ -228,35 +229,16 @@ def riemann_components(metric: Metric) -> MatrixForm:
 
 
 def _riemann_entries(gamma: Christoffel) -> MatrixForm:
-    """S with R^i_jkl = d_k G^i_jl - d_l G^i_jk + G^i_hk G^h_jl - G^i_hl G^h_jk
-    (0-based indices), entry (i, j) of D_kl - D_lk + T_k T_l - T_l T_k
-    with D_kl = d_k G^i_jl and T_k the component dx^k of tau.  The symbols sit over det^p with p = 0
-    (supplied inverse) or 1 (cofactor inverse), so by the quotient rule
-    both d_k G and G G sit over det^(2p), and so does every entry.  Only
-    k < l is computed: R^i_jlk is the negation, R^i_jkk zero."""
-    det, power, n = gamma.det, gamma.power, gamma.form.base_dim
-    T = [gamma.form.component((k + 1,)) for k in range(n)]
-    columns = [tuple(zip(*t)) for t in T]
-    minus_d_det = [-det.diff(k + 1) for k in range(n)]
-    derivatives: Dict[tuple, TrigPoly] = {}
-
-    def d(k: int, i: int, j: int, l: int) -> TrigPoly:
-        """Numerator of d_k G^i_jl over det^(2p), computed once."""
-        key = (k, i, min(j, l), max(j, l))
-        if key not in derivatives:
-            G = T[l][i][j]
-            value = G.diff(k + 1)
-            derivatives[key] = _dot(((value, det), (G, minus_d_det[k]))) if power else value
-        return derivatives[key]
-
-    components = {}
-    for k in range(n):
-        for l in range(k + 1, n):
-            components[(k + 1, l + 1)] = [[TrigPoly.sum((
-                d(k, i, j, l), -d(l, i, j, k),
-                _dot(zip(T[k][i], columns[l][j])), -_dot(zip(T[l][i], columns[k][j])),
-            )) for j in range(n)] for i in range(n)]
-    return MatrixForm(n, (n, n), components)
+    """S, the forms curvature of tau under the quotient rule.  With
+    Gamma = tau / q and q = det^p, R = dGamma + Gamma ^ Gamma is S / q^2
+    for S = q dtau + (tau - dq I) ^ tau; a supplied inverse has q = 1 and
+    S = dtau + tau ^ tau, the curvature of the connection tau.  Component
+    dx^k ^ dx^l (k < l) holds (num R^i_jkl)_ij with R^i_jkl = d_k G^i_jl -
+    d_l G^i_jk + G^i_hk G^h_jl - G^i_hl G^h_jk."""
+    tau, n = gamma.form, gamma.form.base_dim
+    q = gamma.det.power(gamma.power)
+    dq = forms.exterior_d(forms.identity_form(n, n).scale(q))
+    return forms.exterior_d(tau).scale(q) + forms.wedge(tau - dq, tau)
 
 
 def riemann_form(metric: Metric) -> MatrixForm:

@@ -44,6 +44,9 @@ from typing import Mapping
 DEFAULT_ZERO_SEED = 271828182845
 ZERO_TOLERANCE = 1e-9
 ZERO_SAMPLES = 8
+# a sample point whose term sizes sum below this is summed again in a
+# float mantissa and an int binary exponent per term (see is_zero)
+_UNDERFLOW_SIZE = 1e-300
 
 _zero_seed = DEFAULT_ZERO_SEED
 
@@ -816,7 +819,14 @@ def evaluate(p: TrigPoly, point: Mapping[int, object]):
 # ZERO_SAMPLES points of [-1,1]^n, each trig atom valued through evaluate.
 # A point shows a nonzero function when |sum_m c_m m(p)| >= ZERO_TOLERANCE *
 # sum_m |c_m m(p)| over the monomials m; the bound is relative, so small
-# coefficients do not pass for zero.
+# coefficients do not pass for zero.  Every atom's value lies in [-1, 1],
+# so a term only shrinks as its factors multiply in, and once it leaves
+# the normal float range its rounding error stays below a few 2^-1074.
+# Against a size of _UNDERFLOW_SIZE or more that error is far below the
+# tolerance.  A point of smaller size, where high powers underflow to
+# subnormals or to 0.0, is summed again with each term carried as a float
+# mantissa and an int binary exponent (_rescaled_sums), scaled by the
+# largest term, and the same relative test read from that.
 
 def is_zero(p: TrigPoly) -> bool:
     """True iff p is identically zero.  Exact for polynomials and for trig
@@ -832,7 +842,7 @@ def is_zero(p: TrigPoly) -> bool:
     # huge rationals inside the float range
     largest = max(abs(c) for c in p.terms.values())
     weighted = [([(position[atom], exp) for atom, exp in _factors(mono)],
-                 float(Fraction(c) / largest)) for mono, c in p.terms.items()]
+                 float(Fraction(c) / largest), c) for mono, c in p.terms.items()]
     rng = random.Random(_zero_seed)
     names = sorted(p.variables())
     for _ in range(ZERO_SAMPLES):
@@ -840,14 +850,58 @@ def is_zero(p: TrigPoly) -> bool:
         values = [point[atom[1]] if atom[0] == VAR
                   else float(evaluate(TrigPoly.atom(atom), point)) for atom in atoms]
         total = size = 0.0
-        for factors, term in weighted:
+        for factors, term, _ in weighted:
             for i, exp in factors:
                 term *= values[i] ** exp
             total += term
             size += abs(term)
+        if size < _UNDERFLOW_SIZE:
+            total, size = _rescaled_sums(weighted, values)
         if size and abs(total) >= ZERO_TOLERANCE * size:
             return False
     return True
+
+
+def _split(value) -> tuple:
+    """A nonzero rational as (m, e) with value = m * 2^e and 1/2 <= |m| < 1,
+    split before it is rounded to a float, so that it cannot underflow."""
+    value = Fraction(value)
+    shift = abs(value.numerator).bit_length() - value.denominator.bit_length()
+    m, e = math.frexp(float(value / Fraction(2) ** shift))
+    return m, e + shift
+
+
+def _split_power(value: float, exp: int) -> tuple:
+    """value^exp as _split gives it, powered in steps of at most 1000, each
+    of which stays inside the normal float range (2^-1000 > 2^-1022)."""
+    m, e = math.frexp(value)
+    result, scale = 1.0, e * exp
+    while exp:
+        step = min(exp, 1000)
+        result, shift = math.frexp(result * m ** step)
+        scale += shift
+        exp -= step
+    return result, scale
+
+
+def _rescaled_sums(weighted: list, values: list) -> tuple:
+    """(sum of the terms, sum of their sizes) of is_zero at one sample
+    point, each term carried as a mantissa and a binary exponent and scaled
+    by the largest, so that no term underflows."""
+    terms = []
+    for factors, _, coeff in weighted:
+        m, e = _split(coeff)
+        for i, exp in factors:
+            factor, scale = _split_power(values[i], exp)
+            m, shift = math.frexp(m * factor)
+            e += scale + shift
+        if m:
+            terms.append((m, e))
+    if not terms:
+        return 0.0, 0.0
+    top = max(e for _, e in terms)
+    scaled = [math.ldexp(m, e - top) for m, e in terms]
+    return sum(scaled), sum(map(abs, scaled))
 
 
 # ------------------------------------------------------------------

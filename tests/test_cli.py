@@ -70,6 +70,18 @@ def test_flatness_of_zero_connection(tmp_path):
     assert text.strip() == "2-flat"
 
 
+@pytest.mark.parametrize("cell, expected", [
+    # F = d_1 omega_2 dx1 ^ dx2 is nonzero, though its terms underflow
+    ("*".join(["x1^512"] * 20) + "*sin(x1)", "3-flat"),
+    # omega = 0, though its terms are subnormal at the sample points
+    ("x1^512*x1^512*x1^96*(sin(2*x1) - 2*sin(x1)*cos(x1))", "2-flat"),
+], ids=["underflowing", "subnormal"])
+def test_flatness_below_the_float_range(tmp_path, cell, expected):
+    path = tmp_path / "tiny.conn"
+    path.write_text(f"base 2\nfiber 1\nomega 1\n0\nomega 2\n{cell}\n")
+    assert run(["flatness", str(path)]) == (0, expected + "\n")
+
+
 def test_flatness_parse_error_exit_code(tmp_path):
     path = tmp_path / "bad.conn"
     path.write_text("base 2\nfiber 1\nomega 1\nsin(\n")
@@ -242,6 +254,15 @@ def test_depth_diff_reads_a_leading_minus_as_the_expression():
 def test_depth_diff_reads_a_sign_after_a_star():
     # the scalar grammar reads x1*-2 as -2*x1, and so does a depth form
     assert run(["depth-forms", "--profile", "3,2", "diff", "x1*-2*dx2"]) == (0, "-2*dx1*dx2\n")
+
+
+@pytest.mark.parametrize("signed, unsigned", [
+    ("+x1*dx2", "x1*dx2"), ("dx1 + +dx2", "dx1 + dx2"), ("dx1*+dx2", "dx1*dx2"),
+])
+def test_depth_diff_reads_a_plus_sign(signed, unsigned):
+    argv = ["depth-forms", "--profile", "3,2", "diff", "--"]
+    assert run(argv + [signed]) == run(argv + [unsigned])
+    assert run(argv + [signed])[0] == 0
 
 
 # ------------------------------------------------------------------

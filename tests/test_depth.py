@@ -437,6 +437,17 @@ def test_parse_leading_sign_on_generators():
     assert parse_form("x1 - -dx2", profile) == function(profile, x1) + dx2
 
 
+@pytest.mark.parametrize("signed, unsigned", [
+    ("+x1*dx2", "x1*dx2"), ("dx1 + +dx2", "dx1 + dx2"), ("dx1*+dx2", "dx1*dx2"),
+    ("+ d2x1*dx2", "d2x1*dx2"), ("x1*+2*dx2", "x1*2*dx2"), ("x2 - +dx1", "x2 - dx1"),
+])
+def test_parse_reads_a_plus_sign_as_minus_is_read(signed, unsigned):
+    # a '+' that opens a term or follows '*' is a sign, as in the scalar
+    # grammar, which reads +x1 and x1*+2
+    profile = (3, 2)
+    assert parse_form(signed, profile) == parse_form(unsigned, profile)
+
+
 def test_parse_sign_after_a_star():
     # as in the scalar grammar, where x1*-2 reads as -2*x1
     profile = (3, 2)

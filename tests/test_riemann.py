@@ -268,8 +268,10 @@ def test_kernels_keep_integer_coefficients(data_path, name):
 
 
 def test_kernels_multiply_few_polynomials(monkeypatch, data_path):
-    # sums over one power of det(g), zero factors skipped: 5 and 25 products
-    # here, where lifting every term to a common power takes 1962 and 9930
+    # sums over one power of det(g): Gamma and the forms operations that
+    # build S multiply in TrigPoly.dot, and only the scaling of dtau and I
+    # by q = det calls __mul__, 0 and 32 times here, where lifting every term
+    # to a common power takes 1962 and 9930
     metric = riemann.load_metric(data_path("sphere_torus.metric"))
     calls = []
     multiply = TrigPoly.__mul__

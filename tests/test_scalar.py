@@ -298,6 +298,47 @@ def test_is_zero_samples_huge_coefficients():
     assert is_zero(poly("10^400*(sin(2*x1) - 2*sin(x1)*cos(x1))"))
 
 
+# x1^10240 sin(x1) and an identity times x1^1120, written as products of
+# powers within MAX_EXPONENT: at most sample points every term of the first
+# underflows to 0.0, and the terms of the second are subnormal
+UNDERFLOWING_NONZERO = "*".join(["x1^512"] * 20) + "*sin(x1)"
+SUBNORMAL_IDENTITY = "x1^512*x1^512*x1^96*(sin(2*x1) - 2*sin(x1)*cos(x1))"
+
+
+def test_is_zero_sees_a_function_whose_terms_underflow():
+    assert not is_zero(poly(UNDERFLOWING_NONZERO))
+    assert not is_zero(poly(SUBNORMAL_IDENTITY.replace("- 2*", "- 3*")))
+    assert not is_zero(poly("x1^512*x1^512*sin(x1) - 1/10^400*x2*cos(x1)"))
+    # sin(x1) is the largest term, though its coefficient is 10^-400 of the
+    # largest coefficient
+    assert not is_zero(poly("10^400*" + "*".join(["x1^512"] * 8)
+                            + "*(sin(2*x1) - 2*sin(x1)*cos(x1)) + sin(x1)"))
+
+
+@pytest.mark.parametrize("exponent", [1100, 1120, 1130, 1140, 1160, 10240])
+def test_is_zero_keeps_identities_whose_terms_are_subnormal(exponent):
+    factors = ["x1^512"] * (exponent // 512) + [f"x1^{exponent % 512}"]
+    assert is_zero(poly("*".join(factors) + "*(sin(2*x1) - 2*sin(x1)*cos(x1))"))
+    assert is_zero(poly("10^400*" + "*".join(factors) + "*(sin(x1+x2) - sin(x1)*cos(x2)"
+                        " - cos(x1)*sin(x2))"))
+
+
+def test_is_zero_sampled_marker_holds_below_the_float_range(monkeypatch):
+    # each trig atom is still valued through evaluate at every point
+    calls = []
+    original = scalar.evaluate
+
+    def counting(p, point):
+        calls.append(p)
+        return original(p, point)
+
+    monkeypatch.setattr(scalar, "evaluate", counting)
+    assert is_zero(poly(SUBNORMAL_IDENTITY))
+    atoms = [render(p) for p in calls if render(p).startswith(("sin", "cos"))]
+    assert sorted(set(atoms)) == ["cos(x1)", "sin(2*x1)", "sin(x1)"]
+    assert len(atoms) == 3 * scalar.ZERO_SAMPLES
+
+
 def test_is_zero_decides_pythagorean_identities_exactly(monkeypatch):
     def no_sampling(p, point):
         raise AssertionError("is_zero sampled a polynomial it can decide exactly")
