@@ -17,6 +17,12 @@ ring; an int or Fraction entry is taken as a constant.  Wedge, d, nabla,
 curvature and the certificates run on polynomial arithmetic alone, a
 structurally zero entry is an empty polynomial, and every accessor returns
 polynomial entries.
+
+nabla_apply is the one kernel of the covariant derivative, and curvature
+and the brute-force flatness oracle run on it.  It visits only the
+omega-alpha pairs whose two factors are nonzero; each zero-factor pair is
+counted and charged one term product, as TrigPoly.dot charges it, without
+being visited.  wedge still visits every pair.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations, permutations, repeat
+from itertools import chain, combinations, permutations
 from typing import Iterable, Mapping
 
 from . import linalg, scalar, textfile
@@ -59,13 +65,14 @@ def identity_entries(n: int) -> Matrix:
 
 
 def entries_scale(c, a: Matrix) -> Matrix:
-    """c times a for a scalar c: a rational or a TrigPoly."""
+    """c times a for a scalar c: a rational or a TrigPoly.  Zero entries
+    stay as they are."""
     factor = scalar.as_poly(c)
-    return tuple(tuple(factor * x for x in row) for row in a)
+    return tuple(tuple(factor * x if x.terms else x for x in row) for row in a)
 
 
 def entries_neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in a)
+    return tuple(tuple(-x if x.terms else x for x in row) for row in a)
 
 
 def entries_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -75,21 +82,16 @@ def entries_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(TrigPoly.dot(zip(row, column)) for column in columns) for row in a)
 
 
-def _entries_dot(pairs: list, addends: list = ()) -> Matrix:
-    """The sum of the addends and of the products a b over the (a, b)
-    matrix pairs, all of one shape, each entry accumulated by one
-    TrigPoly.dot; a lone pair without addends goes through entries_mul,
-    which is quicker to set up."""
-    if not pairs:
-        return _entries_sum(addends)
-    if len(pairs) == 1 and not addends:
+def _entries_dot(pairs: list) -> Matrix:
+    """The sum of the products a b over the (a, b) matrix pairs, all of one
+    shape, each entry accumulated by one TrigPoly.dot; a lone pair goes
+    through entries_mul, which is quicker to set up."""
+    if len(pairs) == 1:
         return entries_mul(*pairs[0])
     columns = [tuple(zip(*b)) for _, b in pairs]
-    # per row, the addends' entries of each column
-    extras = (zip(*rows) for rows in zip(*addends)) if addends else repeat(repeat(()))
-    return tuple(tuple(TrigPoly.dot(chain.from_iterable(map(zip, rows, cols)), extra)
-                       for cols, extra in zip(zip(*columns), row_extras))
-                 for rows, row_extras in zip(zip(*(a for a, _ in pairs)), extras))
+    return tuple(tuple(TrigPoly.dot(chain.from_iterable(map(zip, rows, cols)))
+                       for cols in zip(*columns))
+                 for rows in zip(*(a for a, _ in pairs)))
 
 
 def _entries_sum(matrices: list) -> Matrix:
@@ -298,7 +300,7 @@ def _d_addends(a: MatrixForm) -> dict:
         for j in range(1, a.base_dim + 1):
             if j in index:
                 continue
-            derived = tuple(tuple(e.diff(j) for e in row) for row in entries)
+            derived = tuple(tuple(e.diff(j) if e.terms else e for e in row) for row in entries)
             if _entries_nonzero_structurally(derived):
                 if _shuffle_sign((j,), index) < 0:
                     derived = entries_neg(derived)
@@ -356,14 +358,70 @@ def curvature(conn: Connection) -> MatrixForm:
 
 def nabla_apply(conn: Connection, alpha: MatrixForm) -> MatrixForm:
     """Covariant derivative (d + omega)(alpha) on vector- or
-    endomorphism-valued forms: each entry of each component sums its
-    derivative terms and its omega ^ alpha products in one accumulation."""
+    endomorphism-valued forms; it acts column by column.  Each component
+    alpha_I adds s (d_i alpha_I + omega_i alpha_I) to component I u {i}
+    for every i not in I, s the shuffle sign of dx_i past dx^I.  The sign
+    goes on d_i alpha_I and on omega_i, and -omega_i is built at most once
+    per call.  Each entry is one TrigPoly.dot over its derivative addends
+    and the pairs whose two factors are both nonzero.  The zero-factor
+    pairs are counted, not visited, and charged one term product each
+    before the component's products, as TrigPoly.dot charges them."""
     if conn.fiber_dim != alpha.shape[0]:
         raise FormError("fiber dimension mismatch")
-    pairs = _wedge_pairs(conn.form, alpha)
-    components = {index: _entries_dot(pairs.pop(index, []), m)
-                  for index, m in _d_addends(alpha).items()}
-    components.update((index, _entries_dot(p)) for index, p in pairs.items())
+    omega = conn.form
+    omega._check_compatible(alpha)
+    m, cols = alpha.shape
+    # the nonzero entries of alpha_I as (row, column, entry), column by column
+    nonzero = {index: [(k, c, e) for c, column in enumerate(zip(*a))
+                       for k, e in enumerate(column) if e.terms]
+               for index, a in alpha._components.items()}
+    # per component of the result, each entry's addends and pairs
+    cells: dict = {}
+
+    def cells_of(index):
+        if index not in cells:
+            cells[index] = [[([], []) for _ in range(cols)] for _ in range(m)]
+        return cells[index]
+
+    for index, a in nonzero.items():
+        for i in range(1, alpha.base_dim + 1):
+            if i in index:
+                continue
+            negative = _shuffle_sign((i,), index) < 0
+            table = None
+            for k, c, e in a:
+                derived = e.diff(i)
+                if derived.terms:
+                    if table is None:
+                        table = cells_of(tuple(sorted(index + (i,))))
+                    table[k][c][0].append(-derived if negative else derived)
+    # omega_i and -omega_i column by column, as (row, entry) over the nonzero entries
+    zeros: dict = {}
+    for (i,), w in omega._components.items():
+        plus = [[(r, e) for r, e in enumerate(column) if e.terms] for column in zip(*w)]
+        minus = None
+        for index, a in nonzero.items():
+            if i in index:
+                continue
+            if _shuffle_sign((i,), index) > 0:
+                signed = plus
+            else:
+                if minus is None:
+                    minus = [[(r, -e) for r, e in column] for column in plus]
+                signed = minus
+            target = tuple(sorted(index + (i,)))
+            zeros[target] = zeros.get(target, 0) + m * m * cols
+            table = cells_of(target)
+            for k, c, x in a:
+                for r, e in signed[k]:
+                    table[r][c][1].append((e, x))
+    components = {}
+    for index, table in cells.items():
+        visited = sum(len(pairs) for row in table for _, pairs in row)
+        scalar.charge(zeros.get(index, 0) - visited)
+        components[index] = tuple(tuple(TrigPoly.dot(pairs, addends) if pairs or addends else _ZERO
+                                        for addends, pairs in row)
+                                  for row in table)
     return _form(alpha.base_dim, alpha.shape, components)
 
 
@@ -427,30 +485,47 @@ def minimal_flatness_order(conn: Connection, max_n: int = 8):
 
 
 def probe_forms(conn: Connection):
-    """Vector-valued probes used to measure flatness by direct iteration:
-    f e_j for f in {1, x_1, ..., x_n} and dx_i e_j.  The coordinate
-    functions make every F^K ^ dx_i direction visible through F^K ^ df."""
+    """The vector-valued probes that measure flatness by direct iteration,
+    as the columns of two forms: f e_j for f in {1, x_1, ..., x_n}, the
+    0-form [1 I | x_1 I | ... | x_n I], and dx_i e_j, the 1-form with
+    dx_i I at column block i.  The coordinate functions make every
+    F^K ^ dx_i direction visible through F^K ^ df."""
     n, m = conn.base_dim, conn.fiber_dim
-    probes = []
     fs = [_ONE] + [TrigPoly.var(i) for i in range(1, n + 1)]
-    for j in range(m):
-        for f in fs:
-            column = tuple((f,) if r == j else (_ZERO,) for r in range(m))
-            probes.append(_form(n, (m, 1), {(): column}))
-        for i in range(1, n + 1):
-            column = tuple((_ONE,) if r == j else (_ZERO,) for r in range(m))
-            probes.append(_form(n, (m, 1), {(i,): column}))
-    return probes
+    functions = tuple(tuple(f if j == r else _ZERO for f in fs for j in range(m))
+                      for r in range(m))
+    one_forms = {(i,): tuple(tuple(_ONE if b == i and j == r else _ZERO
+                                   for b in range(1, n + 1) for j in range(m))
+                             for r in range(m))
+                 for i in range(1, n + 1)}
+    return [_form(n, (m, (n + 1) * m), {(): functions}), _form(n, (m, n * m), one_forms)]
+
+
+def _nonzero_columns(a: MatrixForm) -> MatrixForm:
+    """The columns of a that the zero test does not read as zero, as a form."""
+    live = set()
+    for entries in a._components.values():
+        for c, column in enumerate(zip(*entries)):
+            if c not in live and not all(scalar.is_zero(e) for e in column if e.terms):
+                live.add(c)
+    if len(live) == a.shape[1]:
+        return a
+    keep = sorted(live)
+    return _form(a.base_dim, (a.shape[0], len(keep)),
+                 {index: tuple(tuple(row[c] for c in keep) for row in entries)
+                  for index, entries in a._components.items()})
 
 
 def brute_force_flatness_order(conn: Connection, max_n: int = 8):
-    """Least n <= max_n with nabla^n annihilating the probe set, measured
-    by actually iterating the covariant derivative.  A probe that has
-    become the zero function stays zero under nabla, so it drops out."""
+    """Least n <= max_n with nabla^n annihilating every probe, measured by
+    actually iterating the covariant derivative on the probe columns.
+    nabla acts column by column, and a column that has become the zero
+    function stays zero under nabla, so after each step the columns that
+    the zero test reads as zero drop out."""
     current = probe_forms(conn)
     for n in range(1, max_n + 1):
-        current = [nabla_apply(conn, a) for a in current]
-        current = [a for a in current if not a.is_zero()]
+        current = [_nonzero_columns(nabla_apply(conn, a)) for a in current]
+        current = [a for a in current if a.shape[1]]
         if not current:
             # orders below 2 are not meaningful flatness orders
             return max(n, 2)

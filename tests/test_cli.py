@@ -467,8 +467,8 @@ HOSTILE_ENTRIES = {
                             "", BUDGET),
     "long_sum.conn": (["flatness"], "base 1\nfiber 1\nomega 1\n" + LONG_SUM + "\n",
                       "line 4: ", BUDGET),
-    # the dense fiber-by-fiber products of forms make millions of products
-    # of zero entries, each charged as one term product
+    # the curvature holds millions of pairs with a zero factor; nabla counts
+    # them without visiting them, and charges each as one term product
     "sparse_fiber.conn": (["flatness"], sparse_connection(120), "", BUDGET),
     "long_integer.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n" + "7" * 5000 + "*x1\n",
                           "line 4: ", "integer longer than 1000 digits"),

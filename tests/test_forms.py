@@ -240,6 +240,157 @@ def test_polynomial_forms_never_sample(monkeypatch):
     assert brute_force_flatness_order(conn, 8) == minimal_flatness_order(conn, 8)
 
 
+# ------------------------------------------------------------------
+# the nabla kernel and the batched probes
+# ------------------------------------------------------------------
+
+SHIPPED_CONNECTIONS = ("generic_c08.conn", "rotation.conn", "triangular_pair.conn",
+                       "trig_pair.conn")
+
+
+def sparse_polynomial(rng, base_dim):
+    """Zero about half the time, else up to three terms c x_j or c x_j x_k."""
+    terms = ZERO
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 3)):
+            term = rng.choice([-2, -1, 1, 3]) * var(rng.randint(1, base_dim))
+            if rng.random() < 0.4:
+                term = term * var(rng.randint(1, base_dim))
+            terms = terms + term
+    return terms
+
+
+def sparse_connection(rng, base_dim, fiber_dim):
+    return connection_from_coefficients(base_dim, {
+        i: tuple(tuple(sparse_polynomial(rng, base_dim) for _ in range(fiber_dim))
+                 for _ in range(fiber_dim))
+        for i in range(1, base_dim + 1) if rng.random() < 0.9
+    })
+
+
+def mixed_form(rng, base_dim, shape):
+    """A rectangular form with components of several degrees."""
+    components = {}
+    for _ in range(rng.randint(1, 4)):
+        degree = rng.randint(0, base_dim)
+        index = tuple(sorted(rng.sample(range(1, base_dim + 1), degree)))
+        components[index] = tuple(tuple(sparse_polynomial(rng, base_dim) for _ in range(shape[1]))
+                                  for _ in range(shape[0]))
+    return MatrixForm(base_dim, shape, components)
+
+
+def kernel_cases(data_path):
+    """(connection, alpha) pairs: seeded polynomial connections on bases
+    1-5 with fibers 1-3, each with its own form and a rectangular mixed
+    form; the shipped files with their forms, curvatures and probes; and a
+    rectangular trig form of mixed degree on trig_pair.conn."""
+    rng = random.Random(2711)
+    cases = []
+    for base_dim in range(1, 6):
+        for fiber_dim in range(1, 4):
+            conn = sparse_connection(rng, base_dim, fiber_dim)
+            cases.append((conn, conn.form))
+            cases.append((conn, mixed_form(rng, base_dim, (fiber_dim, rng.randint(1, 4)))))
+    for name in SHIPPED_CONNECTIONS:
+        conn = forms.load_connection(data_path(name))
+        cases.append((conn, conn.form))
+        cases.append((conn, curvature(conn)))
+        cases += [(conn, probe) for probe in forms.probe_forms(conn)]
+    trig = forms.load_connection(data_path("trig_pair.conn"))
+    cases.append((trig, MatrixForm(2, (2, 3), {
+        (): ((scalar.expand("sin(x1)"), x2, ZERO), (ZERO, scalar.expand("cos(x1 + x2)"), ONE)),
+        (2,): ((x1, ZERO, scalar.expand("x2*cos(x2)")), (ZERO, ZERO, ONE)),
+    })))
+    return cases
+
+
+def charged(fn, *args):
+    """fn(*args) and the term products it charged."""
+    charges = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scalar, "_charge", charges.append)
+        result = fn(*args)
+    return result, sum(charges)
+
+
+def test_nabla_is_d_plus_omega_wedge_and_charged_as_both(data_path):
+    for conn, alpha in kernel_cases(data_path):
+        result, cost = charged(nabla_apply, conn, alpha)
+        d, d_cost = charged(exterior_d, alpha)
+        product, product_cost = charged(wedge, conn.form, alpha)
+        assert result == d + product
+        assert cost == d_cost + product_cost
+
+
+def column(form, c):
+    return MatrixForm(form.base_dim, (form.shape[0], 1), {
+        index: tuple((row[c],) for row in m) for index, m in form.components()
+    })
+
+
+def test_nabla_acts_column_by_column(data_path):
+    for conn, alpha in kernel_cases(data_path):
+        result = nabla_apply(conn, alpha)
+        for c in range(alpha.shape[1]):
+            assert column(result, c) == nabla_apply(conn, column(alpha, c))
+
+
+def per_vector_flatness_order(conn, max_n):
+    """Brute force one probe vector at a time: f e_j for f in {1, x_1, ...,
+    x_n} and dx_i e_j, each dropped once it is zero."""
+    n, m = conn.base_dim, conn.fiber_dim
+
+    def unit(j, entry):
+        return tuple((entry if r == j else ZERO,) for r in range(m))
+
+    probes = [MatrixForm(n, (m, 1), {index: unit(j, f)})
+              for j in range(m)
+              for index, f in [((), ONE)] + [((), var(i)) for i in range(1, n + 1)]
+              + [((i,), ONE) for i in range(1, n + 1)]]
+    for order in range(1, max_n + 1):
+        probes = [forms.nabla_apply(conn, a) for a in probes]
+        probes = [a for a in probes if not a.is_zero()]
+        if not probes:
+            return max(order, 2)
+    return None
+
+
+def test_brute_force_matches_the_per_vector_loop(data_path):
+    connections = [forms.load_connection(data_path(name)) for name in SHIPPED_CONNECTIONS]
+    rng = random.Random(3301)
+    for k in range(30):
+        connections.append(sparse_connection(rng, 2 + k % 4, 1 + k % 3))
+    orders = []
+    for conn in connections:
+        orders.append(brute_force_flatness_order(conn, 6))
+        assert orders[-1] == per_vector_flatness_order(conn, 6)
+    assert orders[:4] == [5, 4, 4, 3]
+    assert set(orders[4:]) == {2, 3, 4, 5, 6}
+
+
+def test_brute_force_applies_nabla_to_nonzero_columns_only(data_path, monkeypatch):
+    # at most two nabla calls per step, on the probe columns that are still
+    # nonzero: as many columns as the per-vector loop applies nabla to.  On
+    # generic_c08.conn the per-vector loop makes 18 calls in its first step.
+    live = []
+    original = forms.nabla_apply
+
+    def counting(connection, alpha):
+        live.append(alpha.shape[1])
+        assert not any(column(alpha, c).is_zero() for c in range(alpha.shape[1]))
+        return original(connection, alpha)
+
+    monkeypatch.setattr(forms, "nabla_apply", counting)
+    for name, order in zip(SHIPPED_CONNECTIONS, (5, 4, 4, 3)):
+        conn = forms.load_connection(data_path(name))
+        live[:] = []
+        assert per_vector_flatness_order(conn, 8) == order
+        probes, live[:] = sum(live), []
+        assert brute_force_flatness_order(conn, 8) == order
+        assert len(live) <= 2 * order
+        assert sum(live) == probes
+
+
 def _scan_connections():
     """Seeded, structured and trig connections of this file, the rotation
     connection first."""
