@@ -109,14 +109,14 @@ def _riemann_report(metric, max_n) -> list:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(j, n + 1):
-                fraction = gamma.entry(i, j, k)
-                if fraction.is_zero():
+                num = gamma.form.component((k,))[i - 1][j - 1]
+                if not num.terms:
                     continue
-                value = fraction.as_poly()
+                value = gamma.quotient(num)
                 if value is not None:
                     text = scalar.render(value)
                 else:
-                    num, den = fraction.as_pair()
+                    num, den = gamma.entry(i, j, k).as_pair()
                     text = f"({scalar.render(num)}) / ({scalar.render(den)})"
                 lines.append(f"Gamma^{i}_{j}{k} = {text}")
     try:

@@ -294,13 +294,21 @@ def wedge_power(a: MatrixForm, k: int) -> MatrixForm:
 
 def _d_addends(a: MatrixForm) -> dict:
     """{multi-index: [matrices]}: the signed derivative matrices that sum
-    to each component of d a."""
+    to each component of d a; an entry held in several places is
+    differentiated once by each coordinate."""
     addends: dict = {}
+    derivatives: dict = {}  # (id(e), j) -> d_j e, for the entries e that a holds
+
+    def diff(e, j):
+        if (id(e), j) not in derivatives:
+            derivatives[id(e), j] = e.diff(j)
+        return derivatives[id(e), j]
+
     for index, entries in a._components.items():
         for j in range(1, a.base_dim + 1):
             if j in index:
                 continue
-            derived = tuple(tuple(e.diff(j) if e.terms else e for e in row) for row in entries)
+            derived = tuple(tuple(diff(e, j) if e.terms else e for e in row) for row in entries)
             if _entries_nonzero_structurally(derived):
                 if _shuffle_sign((j,), index) < 0:
                     derived = entries_neg(derived)

@@ -2,33 +2,34 @@
 
 Metric entries are scalar.TrigPoly values, the package's one scalar ring:
 polynomials over coordinates, sin(u) and cos(u) with sin^2 = 1 - cos^2
-applied.  Canonical entries make the symmetry check an equality test.
-Christoffel symbols involve the inverse metric, whose entries are
-quotients that the ring cannot hold, so this module computes with
-numerators over powers of det(g) and divides, with scalar.exact_divide,
-only where a quotient is printed.  A metric holds its inverse as
-numerators over one power det^p: the supplied rows with p = 0, or the
-adjugate with p = 1.  So every Christoffel symbol sits over det^p and
-every curvature entry over det^2p, and no sum lifts a term to a common
-denominator.  det(g) and the cofactors are minors of g, read from one
-memoized Laplace expansion that needs no division, so each minor is
-computed once per metric.  Flatness certificates run on the
-numerators, the connection form tau and the curvature form S, which
-leaves every verdict unchanged because det(g) vanishes nowhere on the
-metric's domain.  S is the curvature d tau + tau ^ tau of the forms
-module under the quotient rule for the one power of det(g) under tau, so
-the package computes curvature with one kernel.
+applied.  Canonical entries make the symmetry check an equality test.  A
+metric clears its denominators once, as g' = lambda g, which has the
+connection of g.  The inverse metric's entries are quotients that the
+ring cannot hold, so this module keeps integral numerators over det(g')^p
+(the supplied rows with p = 0, or the adjugate with p = 1) and the
+brackets unhalved: every Christoffel symbol is tau / q and every
+curvature entry S / q^2, for q = c det(g)^p with one integer content c,
+and no sum lifts a term to a common denominator.  A quotient is divided out,
+with one scalar.Divisor prepared per Christoffel object, only where it is
+printed.  det and the cofactors are minors of g', read from one memoized
+Laplace expansion.  Flatness certificates run on tau and S, which leaves
+every verdict unchanged because q vanishes nowhere on the metric's
+domain.  S is the curvature d tau + tau ^ tau of the forms module under
+the quotient rule for q, so the package computes curvature with one
+kernel.
 
 Each derived object is computed once and kept in one shape on the object
 it derives from: a Metric, immutable once built, keeps tau, the
 Christoffel symbols with one numerator per unordered pair of lower
-indices, and tau keeps S, computed for k < l only.  Both live exactly as
-long as the metric, so nothing carries over from one metric to the next.
+indices, and tau keeps S, computed for k < l only, and its divisor.  All
+live exactly as long as the metric, so nothing carries over from one
+metric to the next.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -64,12 +65,7 @@ class DetFraction:
     def as_poly(self) -> Optional[TrigPoly]:
         """The exact quotient num / det^power, or None when it is not
         polynomial."""
-        value = self.num
-        for _ in range(self.power):
-            value = scalar.exact_divide(value, self.det)
-            if value is None:
-                return None
-        return value
+        return scalar.exact_divide(self.num, self.det.power(self.power))
 
     def as_pair(self) -> Tuple[TrigPoly, TrigPoly]:
         """(numerator, denominator) as polynomials."""
@@ -101,13 +97,14 @@ class Metric:
     """Symmetric coordinate metric with an exact inverse.
 
     Entries are TrigPoly values, or ints and Fractions taken as constants.
-    The inverse is held as numerators N over det(g)^p: the supplied rows
-    with inverse_power p = 0, or the adjugate with p = 1.  det(g) and the
-    adjugate's cofactors come from one table of minors (_minors) that
-    lives only while the metric is built; a supplied inverse pays for det
-    alone.  One certificate checks g N = det^p I with the zero test; for
-    the adjugate the residue is the zero polynomial, so the check is
-    exact."""
+    g' = lambda g, lambda the lcm of the coefficient denominators, and its
+    inverse are held integral, as numerators N = u g^-1 det(g)^p: the
+    supplied rows, u the lcm of their denominators, with inverse_power
+    p = 0, or the adjugate of g', u = lambda^(n-1), with p = 1.  det(g')
+    and the cofactors come from one table of minors (_minors) that lives
+    only while the metric is built.  One certificate checks g' N =
+    det(g')^p I, or lambda u I, with the zero test; for the adjugate it is
+    exact.  entry, det_poly and inverse_fraction read g as given."""
 
     def __init__(self, entries, inverse=None):
         rows = [list(r) for r in entries]
@@ -123,13 +120,16 @@ class Metric:
                         f"metric is not symmetric at ({i + 1},{j + 1}): "
                         f"{scalar.render(g[i][j])} vs {scalar.render(g[j][i])}"
                     )
+        lam = math.lcm(*(e.denominator() for row in g for e in row))
+        self._g = g = tuple(tuple(e.scale(lam) for e in row) for row in g) if lam > 1 else g
         minor, every = _minors(g), tuple(range(n))
-        self._det = minor(every, every)
-        if scalar.is_zero(self._det):
+        det = minor(every, every)
+        if scalar.is_zero(det):
             raise MetricError("metric is degenerate: det(g) = 0 identically")
+        self._det = det.scale(Fraction(1, lam ** n)) if lam > 1 else det
         if inverse is None:
             # g is symmetric, so is its adjugate: cofactor C_ij for i <= j, mirrored
-            numerators, self.inverse_power = [[None] * n for _ in range(n)], 1
+            numerators, self.inverse_power, u = [[None] * n for _ in range(n)], 1, lam ** (n - 1)
             for i in range(n):
                 for j in range(i, n):
                     cof = minor(every[:i] + every[i + 1:], every[:j] + every[j + 1:])
@@ -138,16 +138,24 @@ class Metric:
             numerators = [[scalar.as_poly(e) for e in row] for row in inverse]
             if len(numerators) != n or any(len(r) != n for r in numerators):
                 raise MetricError("inverse matrix must match the metric's shape")
+            u = math.lcm(*(e.denominator() for row in numerators for e in row))
+            numerators = [[e.scale(u) for e in row] for row in numerators] if u > 1 else numerators
             self.inverse_power = 0
-        scale = self._det.power(self.inverse_power)
-        for i, row in enumerate(forms.entries_mul(g, numerators)):
+        scale = det if self.inverse_power else TrigPoly.const(lam * u)
+        for i, row in enumerate([[_dot(zip(r, c)) for c in zip(*numerators)] for r in g]):
             for j, total in enumerate(row):
                 if not scalar.is_zero(total - scale if i == j else total):
                     raise MetricError(
                         "cofactor inversion failed its certificate" if inverse is None
                         else f"supplied inverse fails g g^-1 = I at ({i + 1},{j + 1})"
                     )
-        self.inverse_numerators = tuple(tuple(row) for row in numerators)
+        self._numerators = tuple(map(tuple, numerators))
+        self._u, self._content = u, 2 * lam * u  # Gamma = tau / (content det^p)
+
+    @functools.cached_property
+    def inverse_numerators(self) -> tuple:
+        """The numerators of g^-1 over det(g)^p."""
+        return tuple(tuple(e.scale(Fraction(1, self._u)) for e in row) for row in self._numerators)
 
     def entry(self, i: int, j: int) -> TrigPoly:
         return self.g[i - 1][j - 1]
@@ -169,17 +177,35 @@ class Metric:
 
 @dataclass(frozen=True)
 class Christoffel:
-    """The numerator connection form tau of Gamma over det^power, power
-    the metric's inverse power: component dx^k carries the matrix
-    (num Gamma^i_jk)_ij, and entry (i, j) of component k and entry (i, k)
-    of component j hold one object.  tau keeps the curvature S."""
+    """The integral connection form tau of Gamma = tau / q, q = content
+    det^power: component dx^k carries the matrix (num Gamma^i_jk)_ij, and
+    entry (i, j) of component k and entry (i, k) of component j hold one
+    object.  tau keeps the curvature S, and q as a scalar.Divisor."""
 
     form: MatrixForm
     det: TrigPoly
     power: int
+    content: int
 
     def entry(self, i: int, j: int, k: int) -> DetFraction:
-        return DetFraction(self.form.component((k,))[i - 1][j - 1], self.power, self.det)
+        num = self.form.component((k,))[i - 1][j - 1]
+        return DetFraction(num.scale(Fraction(1, self.content)), self.power, self.det)
+
+    def quotient(self, num: TrigPoly, k: int = 1) -> Optional[TrigPoly]:
+        """num / q^k, or None when it is not polynomial."""
+        for _ in range(k):
+            num = scalar.exact_divide(num, self._divisor)
+            if num is None:
+                return None
+        return num
+
+    @functools.cached_property
+    def q(self) -> TrigPoly:
+        return self.det.power(self.power).scale(self.content)
+
+    @functools.cached_property
+    def _divisor(self) -> scalar.Divisor:
+        return scalar.Divisor(self.q)
 
     @functools.cached_property
     def _curvature(self) -> MatrixForm:
@@ -204,25 +230,25 @@ def _dot(pairs) -> TrigPoly:
 
 def _christoffel_symbols(metric: Metric) -> Christoffel:
     """Gamma^i_jk = sum_l g^il [jk,l] with the first-kind brackets
-    [jk,l] = 1/2 (d_k g_lj + d_j g_lk - d_l g_jk), every symbol over the
-    one power of det(g) that the inverse numerators share.  g is
-    symmetric, so [jk,l] = [kj,l]: each symbol is computed for j <= k and
-    put in both components of tau."""
-    n, g, inverse = metric.dim, metric.g, metric.inverse_numerators
-    dg = [[[g[a][b].diff(c + 1) for b in range(n)] for a in range(n)] for c in range(n)]
-    half = Fraction(1, 2)
+    [jk,l] = 1/2 (d_k g_lj + d_j g_lk - d_l g_jk), held unhalved over g',
+    as 2 lambda [jk,l], and N = u g^-1 det^p: so Gamma = tau / (2 lambda u
+    det^p).  g is symmetric: d g_ab is taken for a <= b, and each symbol
+    for j <= k, put in both components of tau as [jk,l] = [kj,l]."""
+    n, g, inverse = metric.dim, metric._g, metric._numerators
+    d = {(a, b, c): g[a][b].diff(c + 1) for a in range(n) for b in range(a, n) for c in range(n)}
+    dg = [[[d[min(a, b), max(a, b), c] for b in range(n)] for a in range(n)] for c in range(n)]
     tau = [[[None] * n for _ in range(n)] for _ in range(n)]  # tau[k][i][j] = Gamma^i_jk
     for j in range(n):
         for k in range(j, n):
-            bracket = [(dg[k][l][j] + dg[j][l][k] - dg[l][j][k]).scale(half) for l in range(n)]
+            bracket = [dg[k][l][j] + dg[j][l][k] - dg[l][j][k] for l in range(n)]
             for i in range(n):
                 tau[k][i][j] = tau[j][i][k] = _dot(zip(inverse[i], bracket))
     form = MatrixForm(n, (n, n), {(k + 1,): tau[k] for k in range(n)})
-    return Christoffel(form, metric.det_poly(), metric.inverse_power)
+    return Christoffel(form, metric.det_poly(), metric.inverse_power, metric._content)
 
 
 def riemann_components(metric: Metric) -> MatrixForm:
-    """The curvature numerator 2-form S of the metric, over det^2p:
+    """The curvature numerator 2-form S of the metric, over q^2:
     component dx^k ^ dx^l (k < l) carries the matrix (num R^i_jkl)_ij.
     Built on first use and kept on its Christoffel symbols."""
     return christoffel(metric)._curvature
@@ -230,44 +256,40 @@ def riemann_components(metric: Metric) -> MatrixForm:
 
 def _riemann_entries(gamma: Christoffel) -> MatrixForm:
     """S, the forms curvature of tau under the quotient rule.  With
-    Gamma = tau / q and q = det^p, R = dGamma + Gamma ^ Gamma is S / q^2
-    for S = q dtau + (tau - dq I) ^ tau; a supplied inverse has q = 1 and
-    S = dtau + tau ^ tau, the curvature of the connection tau.  Component
-    dx^k ^ dx^l (k < l) holds (num R^i_jkl)_ij with R^i_jkl = d_k G^i_jl -
-    d_l G^i_jk + G^i_hk G^h_jl - G^i_hl G^h_jk."""
-    tau, n = gamma.form, gamma.form.base_dim
-    q = gamma.det.power(gamma.power)
-    dq = forms.exterior_d(forms.identity_form(n, n).scale(q))
+    Gamma = tau / q and q = content det^p, R = dGamma + Gamma ^ Gamma is
+    S / q^2 for S = q dtau + (tau - dq I) ^ tau, integral as tau and q
+    are.  Component dx^k ^ dx^l (k < l) holds (num R^i_jkl)_ij with
+    R^i_jkl = d_k G^i_jl - d_l G^i_jk + G^i_hk G^h_jl - G^i_hl G^h_jk."""
+    tau, n, q = gamma.form, gamma.form.base_dim, gamma.q
+    # one q object on the diagonal, so that exterior_d takes each d_j q once
+    dq = forms.exterior_d(MatrixForm(n, (n, n), {(): [[q if i == j else _ZERO for j in range(n)]
+                                                      for i in range(n)]}))
     return forms.exterior_d(tau).scale(q) + forms.wedge(tau - dq, tau)
 
 
 def riemann_form(metric: Metric) -> MatrixForm:
     """Curvature as an End(TM)-valued 2-form: component dx^k ^ dx^l (k < l)
-    carries the matrix (R^i_jkl)_ij, the entries of S divided by det^2p.
-    Raises GrammarError when an entry is not polynomial over the atoms."""
-    power, det = 2 * metric.inverse_power, metric.det_poly()
-    components = {}
-    for (k, l), entries in riemann_components(metric).components():
-        rows = []
-        for i, row in enumerate(entries, 1):
-            quotients = []
-            for j, num in enumerate(row, 1):
-                value = DetFraction(num, power, det).as_poly() if num.terms else num
-                if value is None:
-                    raise GrammarError(
-                        f"curvature entry R^{i}_{j}{k}{l} "
-                        "is not expressible in the scalar grammar"
-                    )
-                quotients.append(value)
-            rows.append(tuple(quotients))
-        components[(k, l)] = tuple(rows)
-    return MatrixForm(metric.dim, (metric.dim, metric.dim), components)
+    carries the matrix (R^i_jkl)_ij, the entries of S divided by q^2.
+    Raises GrammarError at the first entry that is not polynomial."""
+    gamma = christoffel(metric)
+
+    def quotient(num, i, j, k, l):
+        value = gamma.quotient(num, 2) if num.terms else num
+        if value is None:
+            raise GrammarError(f"curvature entry R^{i}_{j}{k}{l} "
+                               "is not expressible in the scalar grammar")
+        return value
+
+    return MatrixForm(metric.dim, (metric.dim, metric.dim), {
+        (k, l): [[quotient(num, i, j, k, l) for j, num in enumerate(row, 1)]
+                 for i, row in enumerate(entries, 1)]
+        for (k, l), entries in gamma._curvature.components()})
 
 
 def _cleared_forms(metric: Metric) -> Tuple[MatrixForm, MatrixForm]:
     """Denominator-cleared curvature and connection forms S and tau: the
-    numerators of R over det^2p and of Gamma over det^p are polynomial and
-    vanish where R and Gamma do."""
+    numerators of R over q^2 and of Gamma over q are polynomial and vanish
+    where R and Gamma do."""
     return riemann_components(metric), christoffel(metric).form
 
 

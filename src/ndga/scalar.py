@@ -20,7 +20,8 @@ MAX_TERMS terms.  The module's functools.lru_cache functions are
 normalize, sort_key, the key that orders monomials in rendered text and
 trig atoms by their arguments, and _factors, a monomial's atoms in that
 order.  render writes a TrigPoly back in the grammar, and exact_divide
-divides one TrigPoly by another when the quotient is again a TrigPoly.
+divides one TrigPoly by another, or by a Divisor prepared from one, when
+the quotient is again a TrigPoly.
 The monomial format is private to this module: other modules compute
 through TrigPoly's methods and the functions here.  Values are immutable,
 and every function here is pure, except that the atom table grows, and
@@ -167,8 +168,10 @@ for _node in (Rat, Var, Sin, Cos, Power, Product, Sum):
 # over fields of its own), which sends a product to the slow path,
 # _add_product, on one test against _CHECK, the guard bits and bit 1 of
 # every sin field: there each sin^2 is rewritten, and an exponent past the
-# field is refused with ScalarError.  Coefficients are ints when integral,
-# else Fractions: equal values compare and hash alike.
+# field is refused with ScalarError.  Coefficients are exact rationals: the
+# parser's expansion, scale and exact_divide hold an integral one as an int;
+# a sum or product of Fractions may leave an integral Fraction, which
+# compares and hashes as the int does.
 #
 # W = 16.  An exponent of up to 32767 is far beyond what the input bounds
 # let a cell reach (a power is at most MAX_EXPONENT = 512, and a cell at
@@ -502,6 +505,10 @@ class TrigPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def denominator(self) -> int:
+        """The lcm of the coefficient denominators."""
+        return math.lcm(*(c.denominator for c in self.terms.values() if type(c) is not int))
+
     def atoms(self) -> set:
         """The (tag, payload) atoms the monomials hold."""
         return {_ATOMS[slot] for slot, _ in _fields(_support(self.terms))}
@@ -591,53 +598,101 @@ def _trig(tag: int, argument: TrigPoly) -> TrigPoly:
 # exact division
 # ------------------------------------------------------------------
 
-def exact_divide(num: TrigPoly, den: TrigPoly) -> TrigPoly | None:
-    """num / den when the quotient is again a polynomial, else None.
+def _bounds(terms: dict, atoms) -> list:
+    """(shift, top, bottom) of each atom: its field and its degrees."""
+    return [(s, max(e), min(e)) for s in (_SLOTS[a] * W for a in atoms)
+            for e in [[m >> s & _FIELD for m in terms]]]
 
-    Each sin atom s of den is first cleared: with den = p + s*q, p and q
-    free of s, both sides are multiplied by the conjugate p - s*q =
-    den - 2*s*q, which makes den = p^2 - (1 - cos^2)*q^2.  The sin-free
-    den then divides num in lex order over the atoms of both; a leading
-    term that den's leading term does not divide means no quotient."""
-    if not den.terms:
-        raise ZeroDivisionError("division by the zero polynomial")
-    for atom in sorted(a for a in den.atoms() if a[0] == SIN):
-        if atom in den.atoms():  # an earlier conjugation may cancel it
-            field = _FIELD << _SLOTS[atom] * W
-            conjugate = _poly({m: -c if m & field else c for m, c in den.terms.items()})
-            num, den = num * conjugate, den * conjugate
-    # local fields over the atoms of both in canonical order, the first atom
-    # highest, so that ints compare as exponent vectors do in lex order
-    atoms = sorted(num.atoms() | den.atoms())
-    shifts = [(_SLOTS[a] * W, (len(atoms) - 1 - i) * W) for i, a in enumerate(atoms)]
-    guards = sum(_GUARD << local for _, local in shifts)
 
-    def repack(terms: dict, pairs) -> dict:
-        return {sum((m >> a & _FIELD) << b for a, b in pairs): c for m, c in terms.items()}
+def _refuted(terms: dict, bounds) -> bool:
+    """Whether the terms have a top or bottom degree below the bounds."""
+    return any(max(e) < top or min(e) < bottom for s, top, bottom in bounds
+               for e in [[m >> s & _FIELD for m in terms]])
 
-    divisor = repack(den.terms, shifts)
-    lead = max(divisor)
-    lead_coeff = divisor[lead]
-    remainder = repack(num.terms, shifts)
-    quotient: dict = {}
+
+def _repack(terms: dict, pairs) -> dict:
+    """The terms with each monomial's field at shift a moved to shift b."""
+    return {sum((m >> a & _FIELD) << b for a, b in pairs): c for m, c in terms.items()}
+
+
+class Divisor:
+    """den prepared once for exact_divide: each sin atom s is cleared by the
+    conjugate p - s*q of den = p + s*q (p, q free of s), and the product,
+    p^2 - (1 - cos^2)*q^2, held as a content times a primitive integer
+    polynomial packed over its atoms in lex order, the first highest."""
+
+    def __init__(self, den: TrigPoly):
+        if not den.terms:
+            raise ZeroDivisionError("division by the zero polynomial")
+        lcm = den.denominator()
+        den, self.conjugates = _poly({m: (c * lcm).numerator for m, c in den.terms.items()}), []
+        self.before = _bounds(den.terms, [a for a in den.atoms() if a[0] == VAR])
+        for atom in sorted(a for a in den.atoms() if a[0] == SIN):
+            if atom in den.atoms():  # an earlier conjugation may cancel it
+                field = _FIELD << _SLOTS[atom] * W
+                self.conjugates.append({m: -c if m & field else c for m, c in den.terms.items()})
+                den = den * _poly(self.conjugates[-1])
+        self.atoms = atoms = sorted(den.atoms())
+        self.after = _bounds(den.terms, [a for a in atoms if a[0] == COS])
+        self.shifts = [(_SLOTS[a] * W, (len(atoms) - 1 - i) * W) for i, a in enumerate(atoms)]
+        self.guards = sum(_GUARD << local for _, local in self.shifts)
+        packed = _repack(den.terms, self.shifts)
+        self.lead = max(packed)
+        gcd = math.gcd(*packed.values()) * (1 if packed[self.lead] > 0 else -1)
+        self.terms, self.content = {m: c // gcd for m, c in packed.items()}, Fraction(gcd, lcm)
+
+
+def exact_divide(num: TrigPoly, den: TrigPoly | Divisor) -> TrigPoly | None:
+    """num / den when the quotient is again a polynomial, else None; den is
+    a polynomial or its Divisor.  A top or bottom degree below den's, in a
+    coordinate or after the conjugation in a cos atom, refutes it.  Else
+    den divides num over the integers in lex order, den's atoms lowest; as
+    den is primitive, a quotient is integral (Gauss's lemma), so a leading
+    term or coefficient that den's does not divide means none."""
+    den = den if isinstance(den, Divisor) else Divisor(den)
+    if not num.terms:
+        return num
+    if _refuted(num.terms, den.before):
+        return None
+    lcm = num.denominator()
+    terms = num.terms if lcm == 1 else {m: (c * lcm).numerator for m, c in num.terms.items()}
+    for conjugate in den.conjugates:
+        product: dict = {}
+        _mul_into(product, terms, conjugate)
+        terms = product
+    if _refuted(terms, den.after):
+        return None
+    others = sorted(_poly(terms).atoms().difference(den.atoms))
+    top = len(den.shifts) + len(others) - 1
+    shifts = den.shifts + [(_SLOTS[a] * W, (top - i) * W) for i, a in enumerate(others)]
+    divisor, lead, guards, lead_coeff = den.terms, den.lead, den.guards, den.terms[den.lead]
+    remainder, quotient = _repack(terms, shifts), {}
+    if not den.atoms:  # a constant divides term by term, as a scaling
+        remainder, quotient = quotient, remainder
     while remainder:
-        _charge(len(remainder))
         mono = max(remainder)
-        # a field of mono below lead's borrows its guard bit, and only it
+        # a field of mono below lead's borrows its guard bit, and only it;
+        # lead is 0 in the fields of num's other atoms
         term = (mono | guards) - lead
-        if term & guards != guards:
+        coeff, rest = divmod(remainder[mono], lead_coeff)
+        if term & guards != guards or rest:
             return None
         term ^= guards
-        quotient[term] = coeff = _coeff(Fraction(remainder[mono]) / lead_coeff)
+        quotient[term] = coeff
         # remainder -= coeff * term * den; den is free of sin, so no product
         # reaches sin^2
+        _charge(len(remainder))
         _charge(len(divisor))
         for m, c in divisor.items():
             product = term + m
             if product & guards:
                 raise _overflow()
             _add_term(remainder, product, -coeff * c)
-    return _poly(repack(quotient, [(b, a) for a, b in shifts]))
+    quotient = _repack(quotient, [(b, a) for a, b in shifts])
+    n, d = lcm * den.content.numerator, den.content.denominator  # quotient = Q * d / n
+    if n == d == 1:
+        return _poly(quotient)
+    return _poly({m: c * d // n if not c * d % n else Fraction(c * d, n) for m, c in quotient.items()})
 
 
 # ------------------------------------------------------------------
@@ -657,9 +712,9 @@ def normalize(e: Expr) -> TrigPoly:
     if isinstance(e, Sum):
         total = TrigPoly.sum(map(normalize, e.terms))
         _check_terms(len(total.terms))
-        return total
+        return _ints(total)
     if isinstance(e, Product):
-        return functools.reduce(_bounded_product, map(normalize, e.factors))
+        return _ints(functools.reduce(_bounded_product, map(normalize, e.factors)))
     if isinstance(e, Power):
         _check_merged_exponent(e)
         base = normalize(e.base)
@@ -671,10 +726,17 @@ def normalize(e: Expr) -> TrigPoly:
             if e.exponent * (bits - 1) > _MAX_CONSTANT_BITS:
                 raise ScalarError(f"constant power above {MAX_CONSTANT_DIGITS} digits")
             return TrigPoly.const(value ** e.exponent)
-        return functools.reduce(_bounded_product, [base] * e.exponent, TrigPoly.one())
+        return _ints(functools.reduce(_bounded_product, [base] * e.exponent, TrigPoly.one()))
     if isinstance(e, (Sin, Cos)):
         return _trig(e._tag, normalize(e.argument))
     raise TypeError(type(e))
+
+
+def _ints(p: TrigPoly) -> TrigPoly:
+    """p with its integral Fraction coefficients held as ints."""
+    if all(type(c) is int for c in p.terms.values()):
+        return p
+    return _poly({m: _coeff(c) for m, c in p.terms.items()})
 
 
 def _check_terms(count: int) -> None:

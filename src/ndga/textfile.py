@@ -5,7 +5,8 @@ every other line is read stripped, under its physical line number, and each
 error names that number as `line N: ...`.  Headers are `keyword <int>`
 pairs, and matrix rows hold ';'-separated expressions of the scalar
 grammar, each read as its expanded polynomial (scalar.TrigPoly), which
-scalar.normalize holds to scalar.MAX_TERMS terms at every step.
+scalar.normalize holds to scalar.MAX_TERMS terms at every step; a bare 0
+cell is the shared zero polynomial, read without the parser.
 Input quoted back in an error is clipped to QUOTE_CHARS characters, so a
 hostile line still gives a short message.
 """
@@ -20,6 +21,7 @@ from . import scalar
 QUOTE_CHARS = 60
 # a header integer, in ASCII digits: int() also takes '1_0' and '١'
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_ZERO = scalar.TrigPoly.zero()
 
 
 class InputFileError(Exception):
@@ -110,7 +112,7 @@ class Lines:
                     # scalar.MAX_EXPONENT, an expansion above
                     # scalar.MAX_TERMS or work past the budget of
                     # scalar.work_budget is reported at its line
-                    row.append(scalar.expand(cell))
+                    row.append(_ZERO if cell == "0" else scalar.expand(cell))
                 except scalar.ScalarError as err:
                     raise self.error(f"bad expression {quote(cell)}: {err}")
             rows.append(tuple(row))

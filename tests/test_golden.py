@@ -39,6 +39,10 @@ CASES = [
     ("riemann_warped_sphere3", ["riemann", "@warped_sphere3.metric"]),
     # a dimension-8 product of a curved sphere with curved and flat factors
     ("riemann_product8", ["riemann", "@product8.metric"]),
+    # coefficients over the denominators 2 and 3, one Gamma a quotient
+    ("riemann_mixed_denominators", ["riemann", "@mixed_denominators.metric"]),
+    # a rational metric with a supplied rational inverse, over det^0
+    ("riemann_rational_inverse", ["riemann", "@rational_inverse.metric"]),
     ("knflat_expand", ["knflat", "expand", "--N", "5", "--K", "3"]),
     ("knflat_expand_infinitesimal",
      ["knflat", "expand", "--N", "5", "--K", "3", "--infinitesimal"]),

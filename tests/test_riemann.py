@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import io
+import os
 import random
 import re
 import weakref
@@ -15,7 +16,7 @@ from ndga.riemann import (
     parse_metric, riemann_components, riemann_form,
 )
 from ndga.scalar import exact_divide
-from conftest import least_accepted_order, sympy_reduced
+from conftest import DATA_DIR, least_accepted_order, sympy_reduced
 
 x1, x2 = TrigPoly.var(1), TrigPoly.var(2)
 SIN, COS = scalar.expand("sin(x2)"), scalar.expand("cos(x2)")
@@ -221,21 +222,30 @@ def _oracle_metrics():
 ORACLE_METRICS = _oracle_metrics()
 
 
+def _assert_same_quotient(num, den, r):
+    """num / den == r.num / det^r.power, by exact cross-multiplication."""
+    assert num * r.det.power(r.power) == r.num * den
+
+
 def _assert_kernel_equals_reference(metric):
-    """Same power and same numerator for every Gamma and R entry, R in
-    both orders of (k, l)."""
+    """Same power of det(g) and the same quotient for every Gamma and R
+    entry, R in both orders of (k, l): Gamma = tau / q and R = S / q^2, q
+    the content times det^p."""
     n = metric.dim
     G, R = _reference_riemann(metric)
     gamma = christoffel(metric)
     S = riemann_components(metric)
+    q, q2 = gamma.q, gamma.q.power(2)
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 r = G[i][j][k]
-                assert (gamma.power, gamma.form.component((k + 1,))[i][j]) == (r.power, r.num)
+                assert gamma.power == r.power
+                _assert_same_quotient(gamma.form.component((k + 1,))[i][j], q, r)
                 for l in range(n):
                     r = R[i][j][k][l]
-                    assert (2 * gamma.power, curvature_entry(S, i, j, k, l)) == (r.power, r.num)
+                    assert 2 * gamma.power == r.power
+                    _assert_same_quotient(curvature_entry(S, i, j, k, l), q2, r)
 
 
 @pytest.mark.parametrize("index", range(len(ORACLE_METRICS)))
@@ -258,9 +268,50 @@ def test_oracle_covers_every_family():
                    for j in range(1, m.dim + 1) if i != j) for m in metrics)
 
 
-@pytest.mark.parametrize("name", ["sphere_torus.metric", "round_sphere3.metric"])
+# the Levi-Civita connection of lam g is that of g: a homothety changes no
+# Christoffel symbol, no curvature entry and no verdict, while it changes
+# the denominators the metric clears
+SHIPPED_METRICS = sorted(name for name in os.listdir(DATA_DIR) if name.endswith(".metric"))
+
+
+def _homothetic(metric, lam):
+    """lam g, with a supplied inverse divided by lam."""
+    g = [[e.scale(lam) for e in row] for row in metric.g]
+    if metric.inverse_power:
+        return Metric(g)
+    return Metric(g, [[e.scale(1 / lam) for e in row] for row in metric.inverse_numerators])
+
+
+def _curvature_or_refusal(metric):
+    try:
+        return riemann_form(metric)
+    except GrammarError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("lam", [2, Fraction(1, 3)])
+@pytest.mark.parametrize("source", [f"oracle {i}" for i in range(len(ORACLE_METRICS))]
+                         + SHIPPED_METRICS)
+def test_homothety_keeps_symbols_curvature_and_verdict(source, lam):
+    if source.startswith("oracle"):
+        metric = parse_metric(ORACLE_METRICS[int(source.split()[1])])
+    else:
+        metric = riemann.load_metric(os.path.join(DATA_DIR, source))
+    scaled = _homothetic(metric, lam)
+    gamma, other = christoffel(metric), christoffel(scaled)
+    for k in range(1, metric.dim + 1):
+        for row, scaled_row in zip(gamma.form.component((k,)), other.form.component((k,))):
+            for tau, scaled_tau in zip(row, scaled_row):
+                assert tau * other.q == scaled_tau * gamma.q
+    assert _curvature_or_refusal(scaled) == _curvature_or_refusal(metric)
+    assert minimal_lc_flatness_order(scaled) == minimal_lc_flatness_order(metric)
+
+
+@pytest.mark.parametrize("name", ["sphere_torus.metric", "round_sphere3.metric",
+                                  "warped_sphere3.metric"])
 def test_kernels_keep_integer_coefficients(data_path, name):
-    # the brackets are halved, and an integral half stays an int
+    # the metric's denominators are cleared and the brackets held unhalved,
+    # so tau and S are integral, with 3/2 coefficients in warped_sphere3 too
     metric = riemann.load_metric(data_path(name))
     polys = [p for _, rows in christoffel(metric).form.components() for row in rows for p in row]
     polys += [p for _, rows in riemann_components(metric).components() for row in rows for p in row]
@@ -330,10 +381,10 @@ def test_kernel_agrees_with_sympy(index):
     def to_sympy(e):
         return sympy.sympify(scalar.render(e).replace("^", "**"), locals=names)
 
-    det = to_sympy(metric.det_poly())
-
-    def assert_equal(num, power, expected):
-        difference = sympy.together(to_sympy(num) / det**power - expected)
+    def assert_equal(num, den, expected):
+        # num / den - expected over one denominator: its numerator is the
+        # cross-multiplied difference
+        difference = sympy.together(to_sympy(num) / to_sympy(den) - expected)
         assert sympy_reduced(sympy.numer(difference)) == 0
 
     g = sympy.Matrix(n, n, lambda i, j: to_sympy(metric.entry(i + 1, j + 1)))
@@ -343,16 +394,17 @@ def test_kernel_agrees_with_sympy(index):
         for l in range(n)) / 2) for k in range(n)] for j in range(n)] for i in range(n)]
     gamma = christoffel(metric)
     S = riemann_components(metric)
+    q, q2 = gamma.q, gamma.q.power(2)  # Gamma = tau / q and R = S / q^2
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                assert_equal(gamma.form.component((k + 1,))[i][j], gamma.power, G[i][j][k])
+                assert_equal(gamma.form.component((k + 1,))[i][j], q, G[i][j][k])
                 for l in range(n):  # both orders of (k, l), S read with its sign
                     if l == k:
                         continue
                     expected = G[i][j][l].diff(x[k]) - G[i][j][k].diff(x[l]) + sum(
                         G[h][j][l] * G[i][h][k] - G[h][j][k] * G[i][h][l] for h in range(n))
-                    assert_equal(curvature_entry(S, i, j, k, l), 2 * gamma.power, expected)
+                    assert_equal(curvature_entry(S, i, j, k, l), q2, expected)
 
 
 def test_sympy_oracle_covers_the_trig_families():
@@ -502,7 +554,7 @@ def test_gamma_is_held_once_in_tau(data_path, name):
                for j, p in enumerate(row) if p.terms]
     assert nonzero
     assert all(tau[k][i][j] is tau[j][i][k] for i, j, k in nonzero)
-    assert [f.name for f in dataclasses.fields(gamma)] == ["form", "det", "power"]
+    assert [f.name for f in dataclasses.fields(gamma)] == ["form", "det", "power", "content"]
     assert not hasattr(gamma, "symbols")
 
 

@@ -565,6 +565,87 @@ def test_exact_divide_refuses_the_zero_divisor():
         scalar.exact_divide(x1, TrigPoly.zero())
 
 
+@pytest.mark.parametrize("quotient, divisor", [
+    ("3/2*x1 - 3/4", "1/3*x1 + 1/6"),
+    ("2/5*x1 - 1/7*cos(x1)", "1/2 + 1/3*sin(x1)"),
+    ("5/6*x2*sin(x1) + 1/4", "3/4*x1^2 - 2/9*cos(x2)"),
+])
+def test_exact_divide_with_fraction_coefficients_on_both_sides(quotient, divisor):
+    q, d = poly(quotient), poly(divisor)
+    assert {type(c) for p in (q, d) for c in p.terms.values()} >= {Fraction}
+    assert scalar.exact_divide(q * d, d) == q
+    assert scalar.exact_divide(q * d + Fraction(1, 3), d) is None
+    # one divisor, prepared once, divides several numerators
+    prepared = scalar.Divisor(d)
+    assert [scalar.exact_divide(q * d, prepared), scalar.exact_divide(d, prepared)] == [q, TrigPoly.one()]
+
+
+@given(polynomial_expressions, polynomial_expressions, st.booleans())
+def test_exact_divide_agrees_with_sympy_div(a, b, multiply):
+    sympy = pytest.importorskip("sympy")
+    den = normalize(b)
+    num = normalize(a) * den if multiply else normalize(a)
+    if not den.terms:
+        return
+    gens = sympy.symbols("x1:4")
+    quotient, remainder = sympy.div(sympy.Poly(sympy_of_text(render(num)), *gens, domain="QQ"),
+                                    sympy.Poly(sympy_of_text(render(den)), *gens, domain="QQ"))
+    result = scalar.exact_divide(num, den)
+    if remainder.is_zero:
+        assert sympy.expand(sympy_of_text(render(result)) - quotient.as_expr()) == 0
+    else:
+        assert result is None
+
+
+def _charges(monkeypatch, num, den):
+    """exact_divide(num, den) and its charges, den prepared beforehand."""
+    num, den, charges = poly(num), scalar.Divisor(poly(den)), []
+    monkeypatch.setattr(scalar, "_charge", charges.append)
+    result = scalar.exact_divide(num, den)
+    monkeypatch.undo()
+    return result, charges
+
+
+def test_a_division_that_degrees_refute_is_charged_nothing(monkeypatch):
+    # top degree 1 < 2 in x1, bottom degree 0 < 1 in x2: refused before
+    # the numerator is conjugated or scanned
+    for num, den in (("x1*sin(x2) + 1", "x1^2 + sin(x2)"), ("x1 + x2^3", "x2 + x2^2")):
+        assert _charges(monkeypatch, num, den) == (None, [])
+    # 2 + sin(x1) conjugates to 3 + cos(x1)^2, of cos degree 2; cos(x1)
+    # times the 2-term conjugate has cos degree 1, so only that product
+    # is charged
+    assert _charges(monkeypatch, "cos(x1)", "2 + sin(x1)") == (None, [2])
+    # cos(x1)*(2 + sin(x1)) conjugates to 3*cos(x1)^2 + cos(x1)^4, of bottom
+    # cos degree 2, and 1 + cos(x1)^3 times its conjugate has bottom degree
+    # 1, though its leading term s*cos(x1)^4 would divide
+    assert _charges(monkeypatch, "1 + cos(x1)^3", "cos(x1)*(2 + sin(x1))") == (None, [4])
+
+
+def test_gauss_exit_refuses_a_coefficient_the_leading_one_does_not_divide(monkeypatch):
+    # 2*x1 + 1 is primitive, so a quotient would be integral, and 1 is not
+    # a multiple of 2: refused at the first leading term, before a scan
+    assert _charges(monkeypatch, "x1 + 1", "2*x1 + 1") == (None, [])
+    assert _charges(monkeypatch, "2*x1^2 + 3*x1 + 1", "2*x1 + 1")[0] == poly("x1 + 1")
+
+
+def _rational_texts():
+    leaves = st.one_of(small_rationals.map(lambda r: f"{r.numerator}/{r.denominator}"),
+                       st.sampled_from(["x1", "x2", "sin(x1)", "cos(x2)"]))
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.tuples(children, children).map(lambda ab: f"({ab[0]} + {ab[1]})"),
+        st.tuples(children, children).map(lambda ab: f"{ab[0]}*{ab[1]}"),
+        st.tuples(children, st.integers(min_value=0, max_value=3)).map(
+            lambda bk: f"({bk[0]})^{bk[1]}")), max_leaves=8)
+
+
+@given(_rational_texts())
+@example("3/2*(2*x1)^2")
+@example("1/2*x1 + 1/2*x1")
+def test_expansion_holds_integral_coefficients_as_ints(text):
+    for coeff in scalar.expand(text).terms.values():
+        assert type(coeff) is int or coeff.denominator > 1
+
+
 def test_brute_force_on_integer_data_keeps_integer_coefficients(data_path, monkeypatch):
     from ndga import forms
 
