@@ -271,7 +271,7 @@ def riemann_form(metric: Metric) -> MatrixForm:
     """Curvature as an End(TM)-valued 2-form: component dx^k ^ dx^l (k < l)
     carries the matrix (R^i_jkl)_ij, the entries of S divided by q^2.
     Raises GrammarError at the first entry that is not polynomial."""
-    gamma = christoffel(metric)
+    S, gamma = riemann_components(metric), metric._christoffel
 
     def quotient(num, i, j, k, l):
         value = gamma.quotient(num, 2) if num.terms else num
@@ -283,7 +283,7 @@ def riemann_form(metric: Metric) -> MatrixForm:
     return MatrixForm(metric.dim, (metric.dim, metric.dim), {
         (k, l): [[quotient(num, i, j, k, l) for j, num in enumerate(row, 1)]
                  for i, row in enumerate(entries, 1)]
-        for (k, l), entries in gamma._curvature.components()})
+        for (k, l), entries in S.components()})
 
 
 def _cleared_forms(metric: Metric) -> Tuple[MatrixForm, MatrixForm]:
