@@ -109,7 +109,7 @@ def _riemann_report(metric, max_n) -> list:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(j, n + 1):
-                num = gamma.form.component((k,))[i - 1][j - 1]
+                num = gamma.numerator(i, j, k)
                 if not num.terms:
                     continue
                 value = gamma.quotient(num)

@@ -13,31 +13,30 @@ _shuffle_sign, and sum each entry of a product or derivative once
 depth forms against wedge and exterior_d.
 
 Matrix entries are scalar.TrigPoly values, the package's one scalar
-ring; an int or Fraction entry is taken as a constant.  Wedge, d, nabla,
-curvature and the certificates run on polynomial arithmetic alone, a
-structurally zero entry is an empty polynomial, and every accessor returns
-polynomial entries.
-
-nabla_apply is the one kernel of the covariant derivative, and curvature
-and the brute-force flatness oracle run on it.  It visits only the
-omega-alpha pairs whose two factors are nonzero; each zero-factor pair is
-counted and charged one term product, as TrigPoly.dot charges it, without
-being visited.  wedge still visits every pair.
+ring; an int or Fraction entry is taken as a constant.  A component is
+held as its nonzero cells, {(row, col): entry}, and component() and
+components() give the dense view.  Every sum of matrix products -- wedge,
+exterior_d, +, nabla_apply, the pairing sums and tensor_connection -- goes
+through one kernel, _matrix_sum, which builds its result one row at a time
+from the nonzero cells alone: a product with a zero factor is never formed,
+so it costs neither time nor the work budget.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, combinations, permutations
+from itertools import combinations, permutations
 from typing import Iterable, Mapping
 
-from . import linalg, scalar, textfile
+from . import scalar, textfile
 from .scalar import TrigPoly
 
 MultiIndex = tuple  # strictly increasing tuple of coordinate indices
-Matrix = tuple      # tuple of tuple of TrigPoly
+Matrix = tuple      # tuple of tuple of TrigPoly: the dense view
+Cells = dict        # {(row, col): TrigPoly}, the nonzero entries of a matrix
+Rows = dict         # {row: [(col, TrigPoly)]}, the same entries by row
 
 # entries are never mutated, so every zero and unit entry is one object
 _ZERO = TrigPoly.zero()
@@ -49,67 +48,69 @@ class FormError(Exception):
 
 
 # ------------------------------------------------------------------
-# matrices of polynomial entries
+# sparse matrices of polynomial entries
 # ------------------------------------------------------------------
 
-def _poly_entries(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(tuple(scalar.as_poly(e) for e in row) for row in rows)
+def _cells(rows: Iterable[Iterable]) -> Cells:
+    """The nonzero cells of a dense matrix."""
+    cells = {}
+    for r, row in enumerate(rows):
+        for c, e in enumerate(row):
+            e = scalar.as_poly(e)
+            if e.terms:
+                cells[r, c] = e
+    return cells
 
 
-def zero_entries(rows: int, cols: int) -> Matrix:
-    return tuple(tuple(_ZERO for _ in range(cols)) for _ in range(rows))
+def _dense(cells: Cells, shape) -> Matrix:
+    rows, cols = shape
+    return tuple(tuple(cells.get((r, c), _ZERO) for c in range(cols)) for r in range(rows))
 
 
-def identity_entries(n: int) -> Matrix:
-    return tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
+def _rows(cells: Cells, sign: int = 1) -> Rows:
+    """The cells by row, each entry times sign."""
+    rows = defaultdict(list)
+    for (r, c), e in cells.items():
+        rows[r].append((c, e if sign > 0 else -e))
+    return rows
 
 
-def entries_scale(c, a: Matrix) -> Matrix:
-    """c times a for a scalar c: a rational or a TrigPoly.  Zero entries
-    stay as they are."""
-    factor = scalar.as_poly(c)
-    return tuple(tuple(factor * x if x.terms else x for x in row) for row in a)
+def _is_zero(cells: Cells) -> bool:
+    """Exact for polynomial entries: a nonempty entry with no trig atom is
+    not zero.  Entries with trig atoms go to the sampled branch of
+    scalar.is_zero."""
+    return all(map(scalar.is_zero, cells.values()))
 
 
-def entries_neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x if x.terms else x for x in row) for row in a)
+def _matrix_sum(pairs: list, addends: list = ()) -> Cells:
+    """The nonzero cells of the sum of the products a b over the (a, b)
+    pairs and of the addends, every matrix given as Rows.  The sum is built
+    one row at a time (Gustavson, ACM TOMS 4(3), 1978): row r of a b meets
+    the rows k of b that row r of a holds, and each cell of the row is one
+    TrigPoly.dot, computed and charged before the next row is gathered.  No
+    product with a zero factor is formed."""
+    cells = {}
+    for r in sorted({r for a, _ in pairs for r in a}.union(*addends)):
+        products, sums = defaultdict(list), defaultdict(list)
+        for m in addends:
+            for c, e in m.get(r, ()):
+                sums[c].append(e)
+        for a, b in pairs:
+            for k, x in a.get(r, ()):
+                for c, y in b.get(k, ()):
+                    products[c].append((x, y))
+        for c in products.keys() | sums.keys():
+            e = TrigPoly.dot(products[c], sums[c]) if c in products else TrigPoly.sum(sums[c])
+            if e.terms:
+                cells[r, c] = e
+    return cells
 
 
-def entries_mul(a: Matrix, b: Matrix) -> Matrix:
-    if len(a[0]) != len(b):
-        raise FormError("matrix shape mismatch")
-    columns = list(zip(*b))
-    return tuple(tuple(TrigPoly.dot(zip(row, column)) for column in columns) for row in a)
-
-
-def _entries_dot(pairs: list) -> Matrix:
-    """The sum of the products a b over the (a, b) matrix pairs, all of one
-    shape, each entry accumulated by one TrigPoly.dot; a lone pair goes
-    through entries_mul, which is quicker to set up."""
-    if len(pairs) == 1:
-        return entries_mul(*pairs[0])
-    columns = [tuple(zip(*b)) for _, b in pairs]
-    return tuple(tuple(TrigPoly.dot(chain.from_iterable(map(zip, rows, cols)))
-                       for cols in zip(*columns))
-                 for rows in zip(*(a for a, _ in pairs)))
-
-
-def _entries_sum(matrices: list) -> Matrix:
-    """The sum of matrices of one shape, each entry by one TrigPoly.sum."""
-    if len(matrices) == 1:
-        return matrices[0]
-    return tuple(tuple(map(TrigPoly.sum, zip(*rows))) for rows in zip(*matrices))
-
-
-def entries_is_zero(a: Matrix) -> bool:
-    """Exact for polynomial entries: an empty entry is zero and, with no
-    trig atom, a nonempty one is not.  Entries with trig atoms go to the
-    sampled branch of scalar.is_zero."""
-    return all(scalar.is_zero(e) for row in a for e in row if e.terms)
-
-
-def _entries_nonzero_structurally(a: Matrix) -> bool:
-    return any(e.terms for row in a for e in row)
+def _combine(base_dim: int, shape, pairs: Mapping, addends: Mapping) -> "MatrixForm":
+    """The form whose component I is _matrix_sum(pairs[I], addends[I])."""
+    return _form(base_dim, shape, {
+        index: _matrix_sum(pairs.get(index, ()), addends.get(index, ()))
+        for index in sorted(pairs.keys() | addends.keys())})
 
 
 # ------------------------------------------------------------------
@@ -125,22 +126,21 @@ def _shuffle_sign(left, right) -> int:
 
 
 def _form(base_dim: int, shape, components: dict) -> "MatrixForm":
-    """A form from valid polynomial components, all-zero matrices dropped."""
+    """A form from valid components given as cells, empty ones dropped."""
     form = object.__new__(MatrixForm)
     form.base_dim = base_dim
     form.shape = shape
-    form._components = {
-        index: m for index, m in components.items() if _entries_nonzero_structurally(m)
-    }
+    form._components = {index: cells for index, cells in components.items() if cells}
     return form
 
 
 class MatrixForm:
     """Immutable graded form with polynomial matrix coefficients.
 
-    components: {multi-index: matrix}; all-zero matrices are dropped and
-    entries are canonical polynomials, so `==` is equality of forms up to
-    the identities TrigPoly reduces (sin^2 = 1 - cos^2).
+    components: {multi-index: matrix}, each matrix given dense; it is held
+    as its nonzero cells, and all-zero matrices are dropped.  Entries are
+    canonical polynomials, so `==` is equality of forms up to the
+    identities TrigPoly reduces (sin^2 = 1 - cos^2).
     """
 
     __slots__ = ("base_dim", "shape", "_components")
@@ -154,11 +154,12 @@ class MatrixForm:
                 raise FormError(f"index {index} outside base dimension {base_dim}")
             if list(index) != sorted(set(index)):
                 raise FormError(f"multi-index {index} is not strictly increasing")
-            entries = _poly_entries(entries)
+            entries = [list(row) for row in entries]
             if len(entries) != rows or any(len(r) != cols for r in entries):
                 raise FormError("component has the wrong matrix shape")
-            if _entries_nonzero_structurally(entries):
-                comp[index] = entries
+            cells = _cells(entries)
+            if cells:
+                comp[index] = cells
         self.base_dim = base_dim
         self.shape = (rows, cols)
         self._components = comp
@@ -167,11 +168,12 @@ class MatrixForm:
 
     def components(self):
         """Sorted (multi-index, matrix) pairs of the nonzero part."""
-        return sorted(self._components.items())
+        return sorted((index, _dense(cells, self.shape))
+                      for index, cells in self._components.items())
 
     def component(self, index) -> Matrix:
         """The matrix at a multi-index."""
-        return self._components.get(tuple(index)) or zero_entries(*self.shape)
+        return _dense(self._components.get(tuple(index), {}), self.shape)
 
     def is_structurally_zero(self) -> bool:
         return not self._components
@@ -179,7 +181,7 @@ class MatrixForm:
     def is_zero(self) -> bool:
         """Semantic zero test (exact for polynomial entries, seeded
         sampling for trigonometric ones)."""
-        return all(entries_is_zero(m) for m in self._components.values())
+        return all(map(_is_zero, self._components.values()))
 
     def __eq__(self, other):
         if not isinstance(other, MatrixForm):
@@ -191,9 +193,8 @@ class MatrixForm:
         )
 
     def __hash__(self):
-        return hash(
-            (self.base_dim, self.shape, tuple(sorted(self._components.items())))
-        )
+        return hash((self.base_dim, self.shape, frozenset(
+            (index, frozenset(cells.items())) for index, cells in self._components.items())))
 
     def __repr__(self):
         if not self._components:
@@ -214,39 +215,40 @@ class MatrixForm:
         self._check_compatible(other)
         if self.shape != other.shape:
             raise FormError("shape mismatch")
-        comp = dict(self._components)
-        for index, entries in other._components.items():
-            if index in comp:
-                comp[index] = _entries_sum([comp[index], entries])
-            else:
-                comp[index] = entries
-        return _form(self.base_dim, self.shape, comp)
+        addends = defaultdict(list)
+        for form in (self, other):
+            for index, cells in form._components.items():
+                addends[index].append(_rows(cells))
+        return _combine(self.base_dim, self.shape, {}, addends)
 
     def __sub__(self, other: "MatrixForm") -> "MatrixForm":
         return self + -other
 
     def scale(self, c) -> "MatrixForm":
         """c times the form for a scalar c: a rational or a TrigPoly."""
-        return _form(
-            self.base_dim,
-            self.shape,
-            {i: entries_scale(c, m) for i, m in self._components.items()},
-        )
+        factor = scalar.as_poly(c)
+        if not factor.terms:
+            return zero_form(self.base_dim, self.shape)
+        return _form(self.base_dim, self.shape, {
+            index: {rc: factor * e for rc, e in cells.items()}
+            for index, cells in self._components.items()})
 
     def __neg__(self) -> "MatrixForm":
-        return _form(
-            self.base_dim,
-            self.shape,
-            {i: entries_neg(m) for i, m in self._components.items()},
-        )
+        return _form(self.base_dim, self.shape, {
+            index: {rc: -e for rc, e in cells.items()}
+            for index, cells in self._components.items()})
 
 
 def zero_form(base_dim: int, shape) -> MatrixForm:
     return _form(base_dim, tuple(shape), {})
 
 
+def _identity(n: int) -> Cells:
+    return {(r, r): _ONE for r in range(n)}
+
+
 def identity_form(base_dim: int, fiber_dim: int) -> MatrixForm:
-    return _form(base_dim, (fiber_dim, fiber_dim), {(): identity_entries(fiber_dim)})
+    return _form(base_dim, (fiber_dim, fiber_dim), {(): _identity(fiber_dim)})
 
 
 def scalar_form(base_dim: int, components: Mapping[MultiIndex, object]) -> MatrixForm:
@@ -255,31 +257,33 @@ def scalar_form(base_dim: int, components: Mapping[MultiIndex, object]) -> Matri
 
 def basis_one_form(base_dim: int, index: int, fiber_dim: int = 1) -> MatrixForm:
     """dx_index times the identity on the fiber."""
-    return _form(base_dim, (fiber_dim, fiber_dim), {(index,): identity_entries(fiber_dim)})
+    return _form(base_dim, (fiber_dim, fiber_dim), {(index,): _identity(fiber_dim)})
 
 
 def _wedge_pairs(a: MatrixForm, b: MatrixForm) -> dict:
-    """{multi-index: [(ma, signed mb)]}: the matrix pairs whose products
-    sum to each component of a ^ b."""
+    """{multi-index: [(a's rows, b's rows)]}: the pairs whose products sum
+    to each component of a ^ b.  The shuffle sign goes on a's factor, and
+    each component of a and b is put in rows, or negated, at most once."""
     a._check_compatible(b)
     if a.shape[1] != b.shape[0]:
         raise FormError(f"fiber shape mismatch: {a.shape} then {b.shape}")
-    pairs: dict = {}
+    right = {ib: _rows(mb) for ib, mb in b._components.items()}
+    pairs = defaultdict(list)
     for ia, ma in a._components.items():
-        held = set(ia)
-        for ib, mb in b._components.items():
+        held, signed = set(ia), {}
+        for ib, rb in right.items():
             if held.isdisjoint(ib):
-                signed = mb if _shuffle_sign(ia, ib) > 0 else entries_neg(mb)
-                pairs.setdefault(tuple(sorted(ia + ib)), []).append((ma, signed))
+                sign = _shuffle_sign(ia, ib)
+                if sign not in signed:
+                    signed[sign] = _rows(ma, sign)
+                pairs[tuple(sorted(ia + ib))].append((signed[sign], rb))
     return pairs
 
 
 def wedge(a: MatrixForm, b: MatrixForm) -> MatrixForm:
     """Graded product: basis forms shuffle with a sign, matrices multiply
     in order, repeated coordinate indices kill the term."""
-    pairs = _wedge_pairs(a, b)
-    return _form(a.base_dim, (a.shape[0], b.shape[1]),
-                 {index: _entries_dot(p) for index, p in pairs.items()})
+    return _combine(a.base_dim, (a.shape[0], b.shape[1]), _wedge_pairs(a, b), {})
 
 
 def wedge_power(a: MatrixForm, k: int) -> MatrixForm:
@@ -293,32 +297,30 @@ def wedge_power(a: MatrixForm, k: int) -> MatrixForm:
 
 
 def _d_addends(a: MatrixForm) -> dict:
-    """{multi-index: [matrices]}: the signed derivative matrices that sum
-    to each component of d a; an entry held in several places is
+    """{multi-index: [rows]}: the signed derivative matrices that sum to
+    each component of d a; an entry held in several places is
     differentiated once by each coordinate."""
-    addends: dict = {}
+    addends = defaultdict(list)
     derivatives: dict = {}  # (id(e), j) -> d_j e, for the entries e that a holds
-
-    def diff(e, j):
-        if (id(e), j) not in derivatives:
-            derivatives[id(e), j] = e.diff(j)
-        return derivatives[id(e), j]
-
-    for index, entries in a._components.items():
+    for index, cells in a._components.items():
         for j in range(1, a.base_dim + 1):
             if j in index:
                 continue
-            derived = tuple(tuple(diff(e, j) if e.terms else e for e in row) for row in entries)
-            if _entries_nonzero_structurally(derived):
-                if _shuffle_sign((j,), index) < 0:
-                    derived = entries_neg(derived)
-                addends.setdefault(tuple(sorted(index + (j,))), []).append(derived)
+            negative, derived = _shuffle_sign((j,), index) < 0, defaultdict(list)
+            for (r, c), e in cells.items():
+                d = derivatives.get((id(e), j))
+                if d is None:
+                    d = derivatives[id(e), j] = e.diff(j)
+                if d.terms:
+                    derived[r].append((c, -d if negative else d))
+            if derived:
+                addends[tuple(sorted(index + (j,)))].append(derived)
     return addends
 
 
 def exterior_d(a: MatrixForm) -> MatrixForm:
     """Componentwise exterior derivative d(A dx^I) = sum_j (d_j A) dx^j ^ dx^I."""
-    return _form(a.base_dim, a.shape, {i: _entries_sum(m) for i, m in _d_addends(a).items()})
+    return _combine(a.base_dim, a.shape, {}, _d_addends(a))
 
 
 # ------------------------------------------------------------------
@@ -368,69 +370,12 @@ def nabla_apply(conn: Connection, alpha: MatrixForm) -> MatrixForm:
     """Covariant derivative (d + omega)(alpha) on vector- or
     endomorphism-valued forms; it acts column by column.  Each component
     alpha_I adds s (d_i alpha_I + omega_i alpha_I) to component I u {i}
-    for every i not in I, s the shuffle sign of dx_i past dx^I.  The sign
-    goes on d_i alpha_I and on omega_i, and -omega_i is built at most once
-    per call.  Each entry is one TrigPoly.dot over its derivative addends
-    and the pairs whose two factors are both nonzero.  The zero-factor
-    pairs are counted, not visited, and charged one term product each
-    before the component's products, as TrigPoly.dot charges them."""
+    for every i not in I, s the shuffle sign of dx_i past dx^I: the
+    addends of exterior_d and the pairs of wedge(omega, alpha), summed
+    together by one _matrix_sum per component."""
     if conn.fiber_dim != alpha.shape[0]:
         raise FormError("fiber dimension mismatch")
-    omega = conn.form
-    omega._check_compatible(alpha)
-    m, cols = alpha.shape
-    # the nonzero entries of alpha_I as (row, column, entry), column by column
-    nonzero = {index: [(k, c, e) for c, column in enumerate(zip(*a))
-                       for k, e in enumerate(column) if e.terms]
-               for index, a in alpha._components.items()}
-    # per component of the result, each entry's addends and pairs
-    cells: dict = {}
-
-    def cells_of(index):
-        if index not in cells:
-            cells[index] = [[([], []) for _ in range(cols)] for _ in range(m)]
-        return cells[index]
-
-    for index, a in nonzero.items():
-        for i in range(1, alpha.base_dim + 1):
-            if i in index:
-                continue
-            negative = _shuffle_sign((i,), index) < 0
-            table = None
-            for k, c, e in a:
-                derived = e.diff(i)
-                if derived.terms:
-                    if table is None:
-                        table = cells_of(tuple(sorted(index + (i,))))
-                    table[k][c][0].append(-derived if negative else derived)
-    # omega_i and -omega_i column by column, as (row, entry) over the nonzero entries
-    zeros: dict = {}
-    for (i,), w in omega._components.items():
-        plus = [[(r, e) for r, e in enumerate(column) if e.terms] for column in zip(*w)]
-        minus = None
-        for index, a in nonzero.items():
-            if i in index:
-                continue
-            if _shuffle_sign((i,), index) > 0:
-                signed = plus
-            else:
-                if minus is None:
-                    minus = [[(r, -e) for r, e in column] for column in plus]
-                signed = minus
-            target = tuple(sorted(index + (i,)))
-            zeros[target] = zeros.get(target, 0) + m * m * cols
-            table = cells_of(target)
-            for k, c, x in a:
-                for r, e in signed[k]:
-                    table[r][c][1].append((e, x))
-    components = {}
-    for index, table in cells.items():
-        visited = sum(len(pairs) for row in table for _, pairs in row)
-        scalar.charge(zeros.get(index, 0) - visited)
-        components[index] = tuple(tuple(TrigPoly.dot(pairs, addends) if pairs or addends else _ZERO
-                                        for addends, pairs in row)
-                                  for row in table)
-    return _form(alpha.base_dim, alpha.shape, components)
+    return _combine(alpha.base_dim, alpha.shape, _wedge_pairs(conn.form, alpha), _d_addends(alpha))
 
 
 def nabla_power(conn: Connection, alpha: MatrixForm, n: int) -> MatrixForm:
@@ -481,7 +426,7 @@ def minimal_order_from_curvature(F: MatrixForm, omega_form: MatrixForm, max_n: i
             power = F if n == 2 else wedge(power, F)
             if power.is_zero():
                 return n
-        elif all(entries_is_zero(m) for index, m in power._components.items()
+        elif all(_is_zero(cells) for index, cells in power._components.items()
                  if len(index) < F.base_dim) and wedge(power, omega_form).is_zero():
             return n
     return None
@@ -500,28 +445,24 @@ def probe_forms(conn: Connection):
     F^K ^ dx_i direction visible through F^K ^ df."""
     n, m = conn.base_dim, conn.fiber_dim
     fs = [_ONE] + [TrigPoly.var(i) for i in range(1, n + 1)]
-    functions = tuple(tuple(f if j == r else _ZERO for f in fs for j in range(m))
-                      for r in range(m))
-    one_forms = {(i,): tuple(tuple(_ONE if b == i and j == r else _ZERO
-                                   for b in range(1, n + 1) for j in range(m))
-                             for r in range(m))
-                 for i in range(1, n + 1)}
+    functions = {(r, f * m + r): e for f, e in enumerate(fs) for r in range(m)}
+    one_forms = {(i,): {(r, (i - 1) * m + r): _ONE for r in range(m)} for i in range(1, n + 1)}
     return [_form(n, (m, (n + 1) * m), {(): functions}), _form(n, (m, n * m), one_forms)]
 
 
 def _nonzero_columns(a: MatrixForm) -> MatrixForm:
     """The columns of a that the zero test does not read as zero, as a form."""
     live = set()
-    for entries in a._components.values():
-        for c, column in enumerate(zip(*entries)):
-            if c not in live and not all(scalar.is_zero(e) for e in column if e.terms):
+    for cells in a._components.values():
+        for (_, c), e in cells.items():
+            if c not in live and not scalar.is_zero(e):
                 live.add(c)
     if len(live) == a.shape[1]:
         return a
-    keep = sorted(live)
-    return _form(a.base_dim, (a.shape[0], len(keep)),
-                 {index: tuple(tuple(row[c] for c in keep) for row in entries)
-                  for index, entries in a._components.items()})
+    kept = {c: k for k, c in enumerate(sorted(live))}
+    return _form(a.base_dim, (a.shape[0], len(kept)),
+                 {index: {(r, kept[c]): e for (r, c), e in cells.items() if c in kept}
+                  for index, cells in a._components.items()})
 
 
 def brute_force_flatness_order(conn: Connection, max_n: int = 8):
@@ -582,14 +523,27 @@ def ordered_pairings(index_set: Iterable[int]):
     return result
 
 
-def curvature_components(F: MatrixForm) -> dict:
-    """The matrices F_ij for i < j from a degree-2 form."""
-    comp = {}
-    for index, entries in F._components.items():
-        if len(index) != 2:
-            raise FormError("curvature component extraction needs a 2-form")
-        comp[index] = entries
-    return comp
+def _curvature_cells(F: MatrixForm) -> dict:
+    """The cells of F_ij for i < j from a degree-2 form."""
+    if any(len(index) != 2 for index in F._components):
+        raise FormError("curvature component extraction needs a 2-form")
+    return F._components
+
+
+def _pairing_cells(components: Mapping, elements: list, fiber_dim: int) -> Cells:
+    """pairing_sum over sorted elements, on components given as cells."""
+    if len(elements) < 4:
+        # the empty product, or the one pairing's single factor
+        return components.get(tuple(elements), {}) if elements else _identity(fiber_dim)
+    rows = {pair: _rows(components.get(pair, {})) for pair in combinations(elements, 2)}
+    pairs = []
+    for pairing in ordered_pairings(elements):
+        for order in permutations(pairing.pairs):
+            prefix = components.get(order[0], {})
+            for pair in order[1:-1]:
+                prefix = _matrix_sum([(_rows(prefix), rows[pair])])
+            pairs.append((_rows(prefix, pairing.sign), rows[order[-1]]))
+    return _matrix_sum(pairs)
 
 
 def pairing_sum(components: Mapping, index_set: Iterable[int], fiber_dim: int) -> Matrix:
@@ -599,30 +553,16 @@ def pairing_sum(components: Mapping, index_set: Iterable[int], fiber_dim: int) -
     sum_{i<j} F_ij dx^i ^ dx^j.  Entries may be rationals.  Each entry is
     one TrigPoly.dot of the signed prefix products against the last
     factors."""
-    elements = sorted(index_set)
-    pairings = ordered_pairings(elements)
-    zero = zero_entries(fiber_dim, fiber_dim)
-    polys = {pair: _poly_entries(components.get(pair, zero)) for pair in combinations(elements, 2)}
-    if len(elements) < 4:
-        # the empty product, or the one pairing's single factor
-        return polys[tuple(elements)] if elements else identity_entries(fiber_dim)
-    pairs = []
-    for pairing in pairings:
-        for order in permutations(pairing.pairs):
-            factors = [polys[pair] for pair in order]
-            prefix = reduce(entries_mul, factors[:-1])
-            pairs.append((prefix if pairing.sign > 0 else entries_neg(prefix), factors[-1]))
-    return _entries_dot(pairs)
+    cells = {pair: _cells(m) for pair, m in components.items()}
+    return _dense(_pairing_cells(cells, sorted(index_set), fiber_dim), (fiber_dim, fiber_dim))
 
 
 def pairing_power_form(F: MatrixForm, k: int) -> MatrixForm:
     """Reassembles sum_A pairing_sum(A) dx^A; equals wedge_power(F, k)."""
-    comps = curvature_components(F)
-    m = F.shape[0]
-    out = {}
-    for A in combinations(range(1, F.base_dim + 1), 2 * k):
-        out[A] = pairing_sum(comps, A, m)
-    return _form(F.base_dim, F.shape, out)
+    comps = _curvature_cells(F)
+    return _form(F.base_dim, F.shape, {
+        A: _pairing_cells(comps, list(A), F.shape[0])
+        for A in combinations(range(1, F.base_dim + 1), 2 * k)})
 
 
 def pairing_flatness_certificate(conn: Connection, k: int):
@@ -631,13 +571,9 @@ def pairing_flatness_certificate(conn: Connection, k: int):
     coordinates.  Returns (verdict, failing subsets)."""
     if k < 1:
         raise FormError("k must be at least 1")
-    F = curvature(conn)
-    comps = curvature_components(F)
-    failures = []
-    for A in combinations(range(1, conn.base_dim + 1), 2 * k):
-        total = pairing_sum(comps, A, conn.fiber_dim)
-        if not entries_is_zero(total):
-            failures.append(A)
+    comps = _curvature_cells(curvature(conn))
+    failures = [A for A in combinations(range(1, conn.base_dim + 1), 2 * k)
+                if not _is_zero(_pairing_cells(comps, list(A), conn.fiber_dim))]
     return not failures, failures
 
 
@@ -662,14 +598,15 @@ def tensor_connection(c1: Connection, c2: Connection) -> Connection:
     if c1.base_dim != c2.base_dim:
         raise FormError("base dimension mismatch")
     m1, m2 = c1.fiber_dim, c2.fiber_dim
-    id1, id2 = identity_entries(m1), identity_entries(m2)
-    zero1, zero2 = zero_entries(m1, m1), zero_entries(m2, m2)
-    comps = {}
-    for i in range(1, c1.base_dim + 1):
-        left = linalg.kronecker(c1.form._components.get((i,), zero1), id2)
-        right = linalg.kronecker(id1, c2.form._components.get((i,), zero2))
-        comps[(i,)] = _entries_sum([left, right])
-    return Connection(_form(c1.base_dim, (m1 * m2, m1 * m2), comps))
+    addends = defaultdict(list)
+    # omega_1 (x) I and I (x) omega_2, placed cell by cell
+    for (i,), cells in c1.form._components.items():
+        addends[i,].append(_rows({(r * m2 + s, c * m2 + s): e
+                                   for (r, c), e in cells.items() for s in range(m2)}))
+    for (i,), cells in c2.form._components.items():
+        addends[i,].append(_rows({(s * m2 + r, s * m2 + c): e
+                                   for (r, c), e in cells.items() for s in range(m1)}))
+    return Connection(_combine(c1.base_dim, (m1 * m2, m1 * m2), {}, addends))
 
 
 # ------------------------------------------------------------------

@@ -54,7 +54,7 @@ def mat_mul(a: FracMatrix, b: FracMatrix, cols: int | None = None) -> FracMatrix
 
 
 def kronecker(a: FracMatrix, b: FracMatrix) -> FracMatrix:
-    """The Kronecker product, over any ring (forms passes TrigPoly entries)."""
+    """The Kronecker product."""
     rows = []
     for ra in a:
         for rb in b:

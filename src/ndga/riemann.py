@@ -142,7 +142,7 @@ class Metric:
             numerators = [[e.scale(u) for e in row] for row in numerators] if u > 1 else numerators
             self.inverse_power = 0
         scale = det if self.inverse_power else TrigPoly.const(lam * u)
-        for i, row in enumerate([[_dot(zip(r, c)) for c in zip(*numerators)] for r in g]):
+        for i, row in enumerate([[TrigPoly.dot(zip(r, c)) for c in zip(*numerators)] for r in g]):
             for j, total in enumerate(row):
                 if not scalar.is_zero(total - scale if i == j else total):
                     raise MetricError(
@@ -187,8 +187,17 @@ class Christoffel:
     power: int
     content: int
 
+    @functools.cached_property
+    def _matrices(self) -> tuple:
+        """The dense view of each component of tau, dx^k at k - 1."""
+        return tuple(self.form.component((k,)) for k in range(1, self.form.base_dim + 1))
+
+    def numerator(self, i: int, j: int, k: int) -> TrigPoly:
+        """tau's entry for Gamma^i_jk: the symbol times q."""
+        return self._matrices[k - 1][i - 1][j - 1]
+
     def entry(self, i: int, j: int, k: int) -> DetFraction:
-        num = self.form.component((k,))[i - 1][j - 1]
+        num = self.numerator(i, j, k)
         return DetFraction(num.scale(Fraction(1, self.content)), self.power, self.det)
 
     def quotient(self, num: TrigPoly, k: int = 1) -> Optional[TrigPoly]:
@@ -218,16 +227,6 @@ def christoffel(metric: Metric) -> Christoffel:
     return metric._christoffel
 
 
-# a sum of products is one dot over the pairs whose two factors are both
-# nonzero, so no zero product is charged; with no such pair it is this zero
-_ZERO = TrigPoly.zero()
-
-
-def _dot(pairs) -> TrigPoly:
-    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
-    return TrigPoly.dot(pairs) if pairs else _ZERO
-
-
 def _christoffel_symbols(metric: Metric) -> Christoffel:
     """Gamma^i_jk = sum_l g^il [jk,l] with the first-kind brackets
     [jk,l] = 1/2 (d_k g_lj + d_j g_lk - d_l g_jk), held unhalved over g',
@@ -242,7 +241,7 @@ def _christoffel_symbols(metric: Metric) -> Christoffel:
         for k in range(j, n):
             bracket = [dg[k][l][j] + dg[j][l][k] - dg[l][j][k] for l in range(n)]
             for i in range(n):
-                tau[k][i][j] = tau[j][i][k] = _dot(zip(inverse[i], bracket))
+                tau[k][i][j] = tau[j][i][k] = TrigPoly.dot(zip(inverse[i], bracket))
     form = MatrixForm(n, (n, n), {(k + 1,): tau[k] for k in range(n)})
     return Christoffel(form, metric.det_poly(), metric.inverse_power, metric._content)
 
@@ -262,7 +261,7 @@ def _riemann_entries(gamma: Christoffel) -> MatrixForm:
     R^i_jkl = d_k G^i_jl - d_l G^i_jk + G^i_hk G^h_jl - G^i_hl G^h_jk."""
     tau, n, q = gamma.form, gamma.form.base_dim, gamma.q
     # one q object on the diagonal, so that exterior_d takes each d_j q once
-    dq = forms.exterior_d(MatrixForm(n, (n, n), {(): [[q if i == j else _ZERO for j in range(n)]
+    dq = forms.exterior_d(MatrixForm(n, (n, n), {(): [[q if i == j else 0 for j in range(n)]
                                                       for i in range(n)]}))
     return forms.exterior_d(tau).scale(q) + forms.wedge(tau - dq, tau)
 
@@ -317,11 +316,12 @@ def minimal_lc_flatness_order(metric: Metric, max_n: int = 8):
 MetricFileError = textfile.InputFileError
 
 # largest dimension a metric file may declare.  Det and adjugate read each
-# minor of g once, and on a dense metric of constants that costs 157,366
-# term products at dim 12 (0.3 s on a 2-vCPU machine), 366,730 at dim 13,
-# and more than scalar.WORK_BUDGET at dim 14.  So a dense metric above 12
-# leaves no budget for the curvature, and the header refuses it at once.
-# Sparse metrics stay cheap: the report on the dim-12 identity takes 0.1 s.
+# minor of g once, and on a dense metric of constants that costs 155,984
+# term products at dim 12 (0.6 s in process on a 2-vCPU machine), 360,616
+# at dim 13, and 823,139, more than scalar.WORK_BUDGET, at dim 14.  So a
+# dense metric above 12 leaves no budget for the curvature, and the header
+# refuses it at once.  Sparse metrics stay cheap: the report on the dim-12
+# identity is charged 88 term products and takes 0.01 s.
 MAX_DIM = 12
 
 

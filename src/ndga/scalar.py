@@ -94,7 +94,7 @@ class Expr:
 
 @dataclass(frozen=True, slots=True)
 class Rat(Expr):
-    value: Fraction
+    value: int | Fraction
     _tag = 0
 
 
@@ -317,15 +317,14 @@ def _add_product(terms: dict, mono: Mono, coeff) -> None:
 
 # Input bounds hold each cell, not the arithmetic on the cells.  Inside
 # work_budget() the ring counts term products, len(a) * len(b) per _mul_into
-# call (one when a factor is zero, so work on zero entries is not free) and
-# one per remainder term exact_divide scans, and refuses with ScalarError,
-# before the work, a call that would pass WORK_BUDGET.  linalg charges one
-# per entry product or entry update through charge, so that the ring's own
-# loops call no public, and so traced, name.
+# call and one per remainder term exact_divide scans, and refuses with
+# ScalarError, before the work, a call that would pass WORK_BUDGET.  linalg
+# charges one per entry product or entry update through charge, so that the
+# ring's own loops call no public, and so traced, name.
 # One term product costs 0.25-2.2 us in process on a 2-vCPU x86-64 machine,
 # so a refusal comes after 0.1-0.9 s: integer products of polynomials are
-# the cheapest, and Fraction coefficients, sin^2 rewrites and zero entries
-# (one call each) the dearest.  Outside the scope work is unbounded.
+# the cheapest, and Fraction coefficients and sin^2 rewrites the dearest.
+# Outside the scope work is unbounded.
 
 WORK_BUDGET = 400_000
 _work_left = math.inf
@@ -360,7 +359,7 @@ def work_budget():
 
 def _mul_into(terms: dict, a: dict, b: dict) -> None:
     """terms += a * b for two term dicts: the ring's one multiply-accumulate."""
-    _charge(len(a) * len(b) or 1)
+    _charge(len(a) * len(b))
     check = _CHECK
     for m1, c1 in a.items():
         for m2, c2 in b.items():
@@ -487,7 +486,8 @@ class TrigPoly:
     @staticmethod
     def dot(pairs, addends=()) -> "TrigPoly":
         """The sum of the addends and of a * b over the (a, b) pairs,
-        accumulated in one dict."""
+        accumulated in one dict.  A pair with a zero factor is skipped, and
+        so costs no term product."""
         terms: dict = {}
         for p in addends:
             for mono, coeff in p.terms.items():
@@ -495,8 +495,6 @@ class TrigPoly:
         for a, b in pairs:
             if a.terms and b.terms:
                 _mul_into(terms, a.terms, b.terms)
-            else:
-                _charge(1)  # _mul_into's charge for a zero factor, without the call
         return _poly(terms)
 
     def power(self, k: int) -> "TrigPoly":
@@ -996,7 +994,7 @@ MAX_EXPONENT = 512
 MAX_TERMS = 1000
 MAX_CONSTANT_DIGITS = 4300
 _MAX_CONSTANT_BITS = int(MAX_CONSTANT_DIGITS / math.log10(2))
-_MINUS_ONE = Rat(Fraction(-1))
+_MINUS_ONE = Rat(-1)
 # ASCII digits only: str.isdigit also takes '²', which int() refuses, and
 # '١', which int() reads as 1
 _DIGITS = frozenset("0123456789")
@@ -1119,13 +1117,15 @@ class _Parser:
         return int(self.text[start:self.pos])
 
     def parse_rational(self) -> Rat:
-        numerator, denominator = self.parse_integer(allow_sign=True), 1
-        if self.peek() == "/":
-            self.pos += 1
-            denominator = self.parse_integer(allow_sign=False)
-            if denominator == 0:
-                self.error("zero denominator")
-        return Rat(Fraction(numerator, denominator))
+        """A literal n or n/d, held as an int when it is integral."""
+        numerator = self.parse_integer(allow_sign=True)
+        if self.peek() != "/":
+            return Rat(numerator)
+        self.pos += 1
+        denominator = self.parse_integer(allow_sign=False)
+        if denominator == 0:
+            self.error("zero denominator")
+        return Rat(_coeff(Fraction(numerator, denominator)))
 
 
 def parse(text: str) -> Expr:

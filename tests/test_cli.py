@@ -419,14 +419,38 @@ BUDGET = f"work above the budget of {scalar.WORK_BUDGET} term products"
 LONG_SUM = "+".join(f"(x1+{k})^512" for k in range(1, 21))
 
 
+def connection_text(base, fiber, cells):
+    """A connection file whose omega_i holds x_i in the (row, col) cells,
+    counted from 1, that cells(i) names, and 0 elsewhere."""
+    lines = [f"base {base}", f"fiber {fiber}"]
+    for i in range(1, base + 1):
+        held = set(cells(i))
+        lines.append(f"omega {i}")
+        lines += [";".join(f"x{i}" if (r, c) in held else "0" for c in range(1, fiber + 1))
+                  for r in range(1, fiber + 1)]
+    return "\n".join(lines) + "\n"
+
+
 def sparse_connection(fiber):
     """A base-3 connection whose omega_i is a fiber x fiber matrix with x_i
-    in its first cell and zeros elsewhere."""
-    zeros = ";".join(["0"] * fiber)
-    lines = ["base 3", f"fiber {fiber}"]
-    for i in (1, 2, 3):
-        lines += [f"omega {i}", f"x{i}" + zeros[1:]] + [zeros] * (fiber - 1)
-    return "\n".join(lines) + "\n"
+    in its first cell and zeros elsewhere: its curvature is 0."""
+    return connection_text(3, fiber, lambda i: [(1, 1)])
+
+
+def halves_connection():
+    """Base 2, fiber 120: x1 in every cell of columns 1-60 of omega_1, x2
+    in every cell of rows 61-120 of omega_2.  omega_2 omega_1 holds
+    60 * 60 * 120 real term products."""
+    return connection_text(2, 120, lambda i: [(r, c) for r in range(1, 121) for c in range(1, 61)]
+                           if i == 1 else [(r, c) for r in range(61, 121) for c in range(1, 121)])
+
+
+def crosses_connection():
+    """Base 4, fiber 120: omega_1 and omega_3 fill the first column, omega_2
+    and omega_4 the first row, so the curvature has dense 120 x 120
+    components and its square holds millions of real term products."""
+    return connection_text(4, 120, lambda i: [(r, 1) for r in range(1, 121)] if i % 2
+                           else [(1, c) for c in range(1, 121)])
 
 
 _DENSE = random.Random(0)
@@ -467,9 +491,9 @@ HOSTILE_ENTRIES = {
                             "", BUDGET),
     "long_sum.conn": (["flatness"], "base 1\nfiber 1\nomega 1\n" + LONG_SUM + "\n",
                       "line 4: ", BUDGET),
-    # the curvature holds millions of pairs with a zero factor; nabla counts
-    # them without visiting them, and charges each as one term product
-    "sparse_fiber.conn": (["flatness"], sparse_connection(120), "", BUDGET),
+    # real work, refused row by row before the whole product is gathered
+    "halves.conn": (["flatness"], halves_connection(), "", BUDGET),
+    "crosses.conn": (["flatness"], crosses_connection(), "", BUDGET),
     "long_integer.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n" + "7" * 5000 + "*x1\n",
                           "line 4: ", "integer longer than 1000 digits"),
     "constant_power.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n((10^512)^512)^64\n",
@@ -522,6 +546,19 @@ def test_hostile_entry_is_a_quick_input_error(tmp_path, name):
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("fiber", [60, 120])
+def test_a_sparse_wide_fiber_is_answered(tmp_path, fiber):
+    # only nonzero cells are multiplied, and charged: the zero cells of
+    # the fiber x fiber matrices cost neither time nor budget
+    path = tmp_path / "sparse_fiber.conn"
+    path.write_text(sparse_connection(fiber))
+    start = time.perf_counter()
+    proc = run_module("flatness", str(path))
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 0
+    assert proc.stdout == "2-flat\n"
 
 
 # (argv, exit code, start of the one error line); before they were

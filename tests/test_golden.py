@@ -139,6 +139,25 @@ def run_fresh(prelude, cases):
     return json.loads(proc.stdout)
 
 
+# term products charged to each flatness and riemann golden when every
+# pair with a zero factor was charged one; no golden may be charged more
+ZERO_PAIR_CHARGES = {
+    "flatness_rotation": 3,
+    "flatness_triangular_pair": 16,
+    "flatness_generic_c08": 1541,
+    "flatness_trig_pair": 23,
+    "riemann_sphere_torus": 230,
+    "riemann_round_sphere3": 2579,
+    "riemann_supplied_inverse": 50,
+    "riemann_quotient": 96,
+    "riemann_diag_trig": 39209,
+    "riemann_warped_sphere3": 2583,
+    "riemann_product8": 17312,
+    "riemann_mixed_denominators": 98,
+    "riemann_rational_inverse": 53,
+}
+
+
 def test_goldens_do_not_depend_on_atom_order():
     # monomials pack exponents in the order atoms were first met; interning
     # every golden's atoms in reverse order first must change no byte of
@@ -149,6 +168,11 @@ def test_goldens_do_not_depend_on_atom_order():
     assert reverse["atoms"] != clean["atoms"]
     assert sorted(reverse["atoms"]) == sorted(clean["atoms"])
     assert reverse["charges"] == clean["charges"]
+    assert sorted(clean["charges"]) == sorted(ZERO_PAIR_CHARGES)
+    for name, charge in clean["charges"].items():
+        assert charge <= ZERO_PAIR_CHARGES[name], name
+    # the charge of riemann_product8 before its curvature moved onto forms
+    assert clean["charges"]["riemann_product8"] <= 2437
     assert reverse["outputs"] == clean["outputs"]
     for name, _ in cases:
         with open(os.path.join(GOLDEN_DIR, f"{name}.out"), "rb") as handle:

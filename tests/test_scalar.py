@@ -167,6 +167,9 @@ def test_expansion_never_exceeds_max_terms(e):
 
 def test_parse_rationals_and_signs():
     assert parse("-3/4") == Rat(Fraction(-3, 4))
+    # an integral literal is held as an int, not as a Fraction
+    for text, value in (("7", 7), ("-2", -2), ("6/3", 2)):
+        assert type(parse(text).value) is int and parse(text) == Rat(value)
     assert poly("-x1") == -x1
     assert poly("x1 - x2") == x1 - x2
 
@@ -660,7 +663,7 @@ def test_brute_force_on_integer_data_keeps_integer_coefficients(data_path, monke
 
     monkeypatch.setattr(forms, "nabla_apply", recording)
     assert forms.brute_force_flatness_order(conn, 8) is not None
-    entries = [e for form in reached for m in form._components.values()
+    entries = [e for form in reached for _, m in form.components()
                for row in m for e in row if e.terms]
     # the nonzero entries of the connection, the probes and every nabla
     # step; the probes are batched as columns, so this is the count that
