@@ -8,18 +8,18 @@ certificates via ordered-pairing expansions of curvature powers, and
 tensor products of connections.
 
 These forms and the depth forms of ndga.depth share one Koszul sign,
-_shuffle_sign, and sum each entry of a product or derivative once
-(TrigPoly.dot, TrigPoly.sum).  tests/test_depth.py checks the all-twos
-depth forms against wedge and exterior_d.
+_shuffle_sign.  tests/test_depth.py checks the all-twos depth forms
+against wedge and exterior_d.
 
 Matrix entries are scalar.TrigPoly values, the package's one scalar
 ring; an int or Fraction entry is taken as a constant.  A component is
 held as its nonzero cells, {(row, col): entry}, and component() and
-components() give the dense view.  Every sum of matrix products -- wedge,
-exterior_d, +, nabla_apply, the pairing sums and tensor_connection -- goes
-through one kernel, _matrix_sum, which builds its result one row at a time
-from the nonzero cells alone: a product with a zero factor is never formed,
-so it costs neither time nor the work budget.
+components() give the dense view.  Every sum of matrices -- wedge,
+exterior_d, +, nabla_apply, the pairing sums and tensor_connection -- is
+one call of scalar's kernel, TrigPoly.matrix_sum, per component.  It sums
+each cell in one term dict from the nonzero cells alone: a product with a
+zero factor is never formed, so it costs neither time nor the work
+budget, and a derivative is lowered into its cell without being built.
 """
 
 from __future__ import annotations
@@ -67,12 +67,16 @@ def _dense(cells: Cells, shape) -> Matrix:
     return tuple(tuple(cells.get((r, c), _ZERO) for c in range(cols)) for r in range(rows))
 
 
-def _rows(cells: Cells, sign: int = 1) -> Rows:
-    """The cells by row, each entry times sign."""
+def _rows(cells: Cells) -> Rows:
+    """The cells by row."""
     rows = defaultdict(list)
     for (r, c), e in cells.items():
-        rows[r].append((c, e if sign > 0 else -e))
+        rows[r].append((c, e))
     return rows
+
+
+def _negated(cells: Cells) -> Cells:
+    return {rc: -e for rc, e in cells.items()}
 
 
 def _is_zero(cells: Cells) -> bool:
@@ -82,35 +86,16 @@ def _is_zero(cells: Cells) -> bool:
     return all(map(scalar.is_zero, cells.values()))
 
 
-def _matrix_sum(pairs: list, addends: list = ()) -> Cells:
-    """The nonzero cells of the sum of the products a b over the (a, b)
-    pairs and of the addends, every matrix given as Rows.  The sum is built
-    one row at a time (Gustavson, ACM TOMS 4(3), 1978): row r of a b meets
-    the rows k of b that row r of a holds, and each cell of the row is one
-    TrigPoly.dot, computed and charged before the next row is gathered.  No
-    product with a zero factor is formed."""
-    cells = {}
-    for r in sorted({r for a, _ in pairs for r in a}.union(*addends)):
-        products, sums = defaultdict(list), defaultdict(list)
-        for m in addends:
-            for c, e in m.get(r, ()):
-                sums[c].append(e)
-        for a, b in pairs:
-            for k, x in a.get(r, ()):
-                for c, y in b.get(k, ()):
-                    products[c].append((x, y))
-        for c in products.keys() | sums.keys():
-            e = TrigPoly.dot(products[c], sums[c]) if c in products else TrigPoly.sum(sums[c])
-            if e.terms:
-                cells[r, c] = e
-    return cells
-
-
-def _combine(base_dim: int, shape, pairs: Mapping, addends: Mapping) -> "MatrixForm":
-    """The form whose component I is _matrix_sum(pairs[I], addends[I])."""
+def _combine(base_dim: int, shape, pairs: Mapping, addends: Mapping,
+             derivatives: Mapping) -> "MatrixForm":
+    """The form whose component I is TrigPoly.matrix_sum of pairs[I],
+    addends[I] and derivatives[I]; one memo serves every component, so an
+    entry with a trig atom is differentiated once by each coordinate."""
+    derived: dict = {}
     return _form(base_dim, shape, {
-        index: _matrix_sum(pairs.get(index, ()), addends.get(index, ()))
-        for index in sorted(pairs.keys() | addends.keys())})
+        index: TrigPoly.matrix_sum(pairs.get(index, ()), addends.get(index, ()),
+                                   derivatives.get(index, ()), derived)
+        for index in sorted(pairs.keys() | addends.keys() | derivatives.keys())})
 
 
 # ------------------------------------------------------------------
@@ -131,7 +116,19 @@ def _form(base_dim: int, shape, components: dict) -> "MatrixForm":
     form.base_dim = base_dim
     form.shape = shape
     form._components = {index: cells for index, cells in components.items() if cells}
+    form._views = {}
     return form
+
+
+def _view(form: "MatrixForm", index, sign: int) -> dict:
+    """Component index of the form as TrigPoly.matrix_sum reads it, built
+    once per form: its cells times a sign 1 or -1, or by row for sign 0."""
+    if sign > 0:
+        return form._components[index]
+    if (index, sign) not in form._views:
+        cells = form._components[index]
+        form._views[index, sign] = _negated(cells) if sign else _rows(cells)
+    return form._views[index, sign]
 
 
 class MatrixForm:
@@ -143,7 +140,7 @@ class MatrixForm:
     identities TrigPoly reduces (sin^2 = 1 - cos^2).
     """
 
-    __slots__ = ("base_dim", "shape", "_components")
+    __slots__ = ("base_dim", "shape", "_components", "_views")
 
     def __init__(self, base_dim: int, shape, components: Mapping[MultiIndex, Matrix]):
         rows, cols = shape
@@ -163,6 +160,7 @@ class MatrixForm:
         self.base_dim = base_dim
         self.shape = (rows, cols)
         self._components = comp
+        self._views = {}
 
     # -- inspection ------------------------------------------------
 
@@ -218,8 +216,8 @@ class MatrixForm:
         addends = defaultdict(list)
         for form in (self, other):
             for index, cells in form._components.items():
-                addends[index].append(_rows(cells))
-        return _combine(self.base_dim, self.shape, {}, addends)
+                addends[index].append(cells)
+        return _combine(self.base_dim, self.shape, {}, addends, {})
 
     def __sub__(self, other: "MatrixForm") -> "MatrixForm":
         return self + -other
@@ -261,29 +259,25 @@ def basis_one_form(base_dim: int, index: int, fiber_dim: int = 1) -> MatrixForm:
 
 
 def _wedge_pairs(a: MatrixForm, b: MatrixForm) -> dict:
-    """{multi-index: [(a's rows, b's rows)]}: the pairs whose products sum
-    to each component of a ^ b.  The shuffle sign goes on a's factor, and
-    each component of a and b is put in rows, or negated, at most once."""
+    """{multi-index: [(a's cells, b's rows)]}: the pairs whose products
+    sum to each component of a ^ b, the shuffle sign on a's cells."""
     a._check_compatible(b)
     if a.shape[1] != b.shape[0]:
         raise FormError(f"fiber shape mismatch: {a.shape} then {b.shape}")
-    right = {ib: _rows(mb) for ib, mb in b._components.items()}
     pairs = defaultdict(list)
-    for ia, ma in a._components.items():
-        held, signed = set(ia), {}
-        for ib, rb in right.items():
+    for ia in a._components:
+        held = set(ia)
+        for ib in b._components:
             if held.isdisjoint(ib):
-                sign = _shuffle_sign(ia, ib)
-                if sign not in signed:
-                    signed[sign] = _rows(ma, sign)
-                pairs[tuple(sorted(ia + ib))].append((signed[sign], rb))
+                pairs[tuple(sorted(ia + ib))].append(
+                    (_view(a, ia, _shuffle_sign(ia, ib)), _view(b, ib, 0)))
     return pairs
 
 
 def wedge(a: MatrixForm, b: MatrixForm) -> MatrixForm:
     """Graded product: basis forms shuffle with a sign, matrices multiply
     in order, repeated coordinate indices kill the term."""
-    return _combine(a.base_dim, (a.shape[0], b.shape[1]), _wedge_pairs(a, b), {})
+    return _combine(a.base_dim, (a.shape[0], b.shape[1]), _wedge_pairs(a, b), {}, {})
 
 
 def wedge_power(a: MatrixForm, k: int) -> MatrixForm:
@@ -297,30 +291,21 @@ def wedge_power(a: MatrixForm, k: int) -> MatrixForm:
 
 
 def _d_addends(a: MatrixForm) -> dict:
-    """{multi-index: [rows]}: the signed derivative matrices that sum to
-    each component of d a; an entry held in several places is
-    differentiated once by each coordinate."""
+    """{multi-index: [(cells, j, sign)]}: d a, as the components A_I of a
+    whose d_j A_I, times the shuffle sign s of dx_j past dx^I, sum to each
+    component I u {j}.  TrigPoly.matrix_sum lowers each entry into its cell
+    with s folded in, so no derivative matrix is built."""
     addends = defaultdict(list)
-    derivatives: dict = {}  # (id(e), j) -> d_j e, for the entries e that a holds
     for index, cells in a._components.items():
         for j in range(1, a.base_dim + 1):
-            if j in index:
-                continue
-            negative, derived = _shuffle_sign((j,), index) < 0, defaultdict(list)
-            for (r, c), e in cells.items():
-                d = derivatives.get((id(e), j))
-                if d is None:
-                    d = derivatives[id(e), j] = e.diff(j)
-                if d.terms:
-                    derived[r].append((c, -d if negative else d))
-            if derived:
-                addends[tuple(sorted(index + (j,)))].append(derived)
+            if j not in index:
+                addends[tuple(sorted(index + (j,)))].append((cells, j, _shuffle_sign((j,), index)))
     return addends
 
 
 def exterior_d(a: MatrixForm) -> MatrixForm:
     """Componentwise exterior derivative d(A dx^I) = sum_j (d_j A) dx^j ^ dx^I."""
-    return _combine(a.base_dim, a.shape, {}, _d_addends(a))
+    return _combine(a.base_dim, a.shape, {}, {}, _d_addends(a))
 
 
 # ------------------------------------------------------------------
@@ -372,10 +357,11 @@ def nabla_apply(conn: Connection, alpha: MatrixForm) -> MatrixForm:
     alpha_I adds s (d_i alpha_I + omega_i alpha_I) to component I u {i}
     for every i not in I, s the shuffle sign of dx_i past dx^I: the
     addends of exterior_d and the pairs of wedge(omega, alpha), summed
-    together by one _matrix_sum per component."""
+    together by one TrigPoly.matrix_sum per component."""
     if conn.fiber_dim != alpha.shape[0]:
         raise FormError("fiber dimension mismatch")
-    return _combine(alpha.base_dim, alpha.shape, _wedge_pairs(conn.form, alpha), _d_addends(alpha))
+    return _combine(alpha.base_dim, alpha.shape, _wedge_pairs(conn.form, alpha), {},
+                    _d_addends(alpha))
 
 
 def nabla_power(conn: Connection, alpha: MatrixForm, n: int) -> MatrixForm:
@@ -541,9 +527,9 @@ def _pairing_cells(components: Mapping, elements: list, fiber_dim: int) -> Cells
         for order in permutations(pairing.pairs):
             prefix = components.get(order[0], {})
             for pair in order[1:-1]:
-                prefix = _matrix_sum([(_rows(prefix), rows[pair])])
-            pairs.append((_rows(prefix, pairing.sign), rows[order[-1]]))
-    return _matrix_sum(pairs)
+                prefix = TrigPoly.matrix_sum([(prefix, rows[pair])], (), (), {})
+            pairs.append((prefix if pairing.sign > 0 else _negated(prefix), rows[order[-1]]))
+    return TrigPoly.matrix_sum(pairs, (), (), {})
 
 
 def pairing_sum(components: Mapping, index_set: Iterable[int], fiber_dim: int) -> Matrix:
@@ -551,8 +537,8 @@ def pairing_sum(components: Mapping, index_set: Iterable[int], fiber_dim: int) -
     pairs, of the ordered matrix products of paired components.  This is
     exactly the dx^A coefficient of the corresponding power of
     sum_{i<j} F_ij dx^i ^ dx^j.  Entries may be rationals.  Each entry is
-    one TrigPoly.dot of the signed prefix products against the last
-    factors."""
+    summed in one term dict, from the signed prefix products against the
+    last factors."""
     cells = {pair: _cells(m) for pair, m in components.items()}
     return _dense(_pairing_cells(cells, sorted(index_set), fiber_dim), (fiber_dim, fiber_dim))
 
@@ -601,12 +587,12 @@ def tensor_connection(c1: Connection, c2: Connection) -> Connection:
     addends = defaultdict(list)
     # omega_1 (x) I and I (x) omega_2, placed cell by cell
     for (i,), cells in c1.form._components.items():
-        addends[i,].append(_rows({(r * m2 + s, c * m2 + s): e
-                                   for (r, c), e in cells.items() for s in range(m2)}))
+        addends[i,].append({(r * m2 + s, c * m2 + s): e
+                            for (r, c), e in cells.items() for s in range(m2)})
     for (i,), cells in c2.form._components.items():
-        addends[i,].append(_rows({(s * m2 + r, s * m2 + c): e
-                                   for (r, c), e in cells.items() for s in range(m1)}))
-    return Connection(_combine(c1.base_dim, (m1 * m2, m1 * m2), {}, addends))
+        addends[i,].append({(s * m2 + r, s * m2 + c): e
+                            for (r, c), e in cells.items() for s in range(m1)})
+    return Connection(_combine(c1.base_dim, (m1 * m2, m1 * m2), {}, addends, {}))
 
 
 # ------------------------------------------------------------------

@@ -16,12 +16,15 @@ never in slot order.
 Expressions exist only as parse trees: parse reads the grammar below into
 Rat, Var, Sum, Product, Power, Sin and Cos nodes, and normalize expands a
 tree, once, into its TrigPoly, refusing any step that holds more than
-MAX_TERMS terms.  The module's functools.lru_cache functions are
-normalize, sort_key, the key that orders monomials in rendered text and
-trig atoms by their arguments, and _factors, a monomial's atoms in that
-order.  render writes a TrigPoly back in the grammar, and exact_divide
-divides one TrigPoly by another, or by a Divisor prepared from one, when
-the quotient is again a TrigPoly.
+MAX_TERMS terms.  The module's functools.lru_cache functions are expand,
+the polynomial of an input text, normalize, sort_key, the key that orders
+monomials in rendered text and trig atoms by their arguments, and
+_factors, a monomial's atoms in that order.  render writes a TrigPoly
+back in the grammar, and exact_divide divides one TrigPoly by another, or
+by a Divisor prepared from one, when the quotient is again a TrigPoly.
+TrigPoly.matrix_sum is the kernel of every matrix sum in ndga.forms: it
+builds each cell of a product, exterior derivative or sum in one term
+dict, and lowers a derivative into it without building it.
 The monomial format is private to this module: other modules compute
 through TrigPoly's methods and the functions here.  Values are immutable,
 and every function here is pure, except that the atom table grows, and
@@ -346,10 +349,11 @@ def charge(work: int) -> None:
 @contextlib.contextmanager
 def work_budget():
     """Hold the ring's work inside the block to WORK_BUDGET term products.
-    normalize's cache is cleared on entry, so a cached expansion is never
-    free and a refusal does not depend on earlier calls."""
+    expand's and normalize's caches are cleared on entry, so a cached
+    expansion is never free and a refusal does not depend on earlier calls."""
     global _work_left
     normalize.cache_clear()
+    expand.cache_clear()
     _work_left = WORK_BUDGET
     try:
         yield
@@ -484,18 +488,64 @@ class TrigPoly:
         return _poly(terms)
 
     @staticmethod
-    def dot(pairs, addends=()) -> "TrigPoly":
-        """The sum of the addends and of a * b over the (a, b) pairs,
-        accumulated in one dict.  A pair with a zero factor is skipped, and
-        so costs no term product."""
+    def dot(pairs) -> "TrigPoly":
+        """The sum of a * b over the (a, b) pairs, accumulated in one dict.
+        A pair with a zero factor is skipped, and so costs no term product."""
         terms: dict = {}
-        for p in addends:
-            for mono, coeff in p.terms.items():
-                _add_term(terms, mono, coeff)
         for a, b in pairs:
             if a.terms and b.terms:
                 _mul_into(terms, a.terms, b.terms)
         return _poly(terms)
+
+    @staticmethod
+    def matrix_sum(pairs, addends, derivatives, derived: dict) -> dict:
+        """The nonzero cells {(row, col): TrigPoly} of a sum of matrices:
+        the addends, each given as its cells; sign * d_j e over the cells e
+        of each (cells, j, sign) in derivatives; and a b over the (a, b)
+        pairs, a given as cells and b by row, {k: [(col, entry)]}.  Each cell
+        is summed in one term dict, in that order, and a cell that one
+        addend alone holds is that addend's entry.  Each product is one
+        _mul_into, charged as it is made.  A derivative is lowered into its
+        cell term by term with its sign folded in, except that an entry with
+        a trig atom goes through diff once per (entry, j), memoized in
+        derived by id, so that its chain rule is charged once."""
+        held, sums = {}, {}
+
+        def owned(cell) -> dict:
+            sums[cell] = dict(held.pop(cell).terms) if cell in held else {}
+            return sums[cell]
+
+        for cells in addends:
+            for cell, e in cells.items():
+                if cell not in sums and cell not in held:
+                    held[cell] = e
+                    continue
+                terms = sums.get(cell) or owned(cell)
+                for mono, coeff in e.terms.items():
+                    _add_term(terms, mono, coeff)
+        for cells, j, sign in derivatives:
+            slot = _SLOTS.get((VAR, j))
+            if slot is None:  # no polynomial holds x_j, in a trig argument or not
+                continue
+            shift, one = slot * W, 1 << slot * W
+            for cell, e in cells.items():
+                terms = sums.get(cell) or owned(cell)
+                if _TRIG and _support(e.terms) & _TRIG:
+                    if (id(e), j) not in derived:
+                        derived[id(e), j] = e.diff(j)
+                    for mono, coeff in derived[id(e), j].terms.items():
+                        _add_term(terms, mono, coeff if sign > 0 else -coeff)
+                    continue
+                for mono, coeff in e.terms.items():
+                    exp = mono >> shift & _FIELD
+                    if exp:
+                        _add_term(terms, mono - one, coeff * (exp if sign > 0 else -exp))
+        for a, b in pairs:
+            for (r, k), x in a.items():
+                for c, y in b.get(k, ()):
+                    _mul_into(sums.get((r, c)) or owned((r, c)), x.terms, y.terms)
+        held.update((cell, _poly(terms)) for cell, terms in sums.items() if terms)
+        return held
 
     def power(self, k: int) -> "TrigPoly":
         return functools.reduce(TrigPoly.__mul__, [self] * k) if k > 0 else TrigPoly.one()
@@ -763,8 +813,10 @@ def _check_merged_exponent(e: Power) -> None:
         raise ScalarError(f"exponent {merged} is above {MAX_EXPONENT}")
 
 
+@functools.lru_cache(maxsize=65536)
 def expand(text: str) -> TrigPoly:
-    """The polynomial of an input expression, parsed and expanded once."""
+    """The polynomial of an input expression, parsed and expanded once per
+    distinct text."""
     return normalize(parse(text))
 
 
@@ -894,7 +946,7 @@ def is_zero(p: TrigPoly) -> bool:
     the seed of set_zero_seed."""
     if not p.terms:
         return True
-    if not _support(p.terms) & _TRIG:
+    if not (_TRIG and _support(p.terms) & _TRIG):
         return False
     atoms = sorted(p.atoms())
     position = {atom: i for i, atom in enumerate(atoms)}

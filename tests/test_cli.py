@@ -666,9 +666,12 @@ def test_long_cohomology_table_is_refused_before_printing(tmp_path, capsys):
 
 def test_budget_refusal_does_not_depend_on_earlier_calls(tmp_path, capsys):
     # an expansion cached by a library call is charged again in the CLI:
-    # with (x1+1)^512 free, the second cell would fit in the budget
+    # with (x1+1)^512 free, the second cell would fit in the budget, and
+    # with the cell's own text cached it would cost nothing
+    cached = "(x1+1)^512+(x1+2)^512"
     scalar.expand("(x1+1)^512")
-    for cell in (LONG_SUM, "(x1+1)^512+(x1+2)^512"):
+    assert scalar.expand(cached) is scalar.expand(cached)
+    for cell in (LONG_SUM, cached):
         path = tmp_path / "sum.conn"
         path.write_text(f"base 1\nfiber 1\nomega 1\n{cell}\n")
         results = []

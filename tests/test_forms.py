@@ -600,6 +600,94 @@ def test_form_arithmetic_matches_the_expression_oracle(data):
     assert_matches(wedge(curvature(conn), alpha), oracle_wedge(F, probe))
 
 
+def charged(fn, *args):
+    """fn(*args) and the term products it charged."""
+    spent, charge = [], scalar._charge
+    scalar._charge = lambda work: (spent.append(work), charge(work))
+    try:
+        return fn(*args), sum(spent)
+    finally:
+        scalar._charge = charge
+
+
+def dense_wedge(a, b):
+    """a ^ b by the triple loop over every dense entry, zeros included."""
+    out = {}
+    rows, inner, cols = a.shape[0], a.shape[1], b.shape[1]
+    for ia, ma in a.components():
+        for ib, mb in b.components():
+            merged = oracle_shuffle(ia, ib)
+            if merged is not None:
+                sign, index = merged
+                m = out.setdefault(index, [[ZERO] * cols for _ in range(rows)])
+                for i in range(rows):
+                    for j in range(cols):
+                        for k in range(inner):
+                            m[i][j] = m[i][j] + (ma[i][k] * mb[k][j]).scale(sign)
+    return MatrixForm(a.base_dim, (rows, cols), out)
+
+
+def dense_d(a, derived):
+    """d a over every dense entry; derived memoizes d_j e by (id(e), j), so
+    each distinct entry object pays for its chain rule once."""
+    out = {}
+    rows, cols = a.shape
+    for index, m in a.components():
+        for j in range(1, a.base_dim + 1):
+            merged = oracle_shuffle((j,), index)
+            if merged is not None:
+                sign, target = merged
+                acc = out.setdefault(target, [[ZERO] * cols for _ in range(rows)])
+                for i in range(rows):
+                    for c in range(cols):
+                        e = m[i][c]
+                        if (id(e), j) not in derived:
+                            derived[id(e), j] = e.diff(j)
+                        acc[i][c] = acc[i][c] + derived[id(e), j].scale(sign)
+    return MatrixForm(a.base_dim, a.shape, out)
+
+
+@given(st.data())
+def test_the_sparse_kernel_matches_a_dense_triple_loop(data):
+    # one trig entry object sits in several cells and components; it is
+    # differentiated, and its chain rule charged, once per coordinate
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=10**6)))
+    n = data.draw(st.integers(min_value=2, max_value=3))
+    m, p = data.draw(st.integers(min_value=1, max_value=3)), data.draw(st.integers(1, 3))
+    shared = scalar.expand(f"sin(x1*x2) - 2*x{n}*cos(x1 + x2^2)")
+
+    def entry():
+        terms = [f"{rng.randint(-3, 3)}/{rng.choice((1, 2))}" + "".join(
+            f"*x{rng.randint(1, n)}^{rng.randint(1, 3)}" for _ in range(rng.randint(0, 2)))
+            for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            terms.append(rng.choice(TRIG_FACTORS).format(rng.randint(1, n)))
+        return scalar.expand(" + ".join(terms))
+
+    pool = [ZERO, ZERO, ZERO, shared] + [entry() for _ in range(4)]
+
+    def sparse_form(shape, degrees):
+        comps = {}
+        for degree in degrees:
+            for index in combinations(range(1, n + 1), degree):
+                if rng.random() < 0.7:
+                    cells = [[rng.choice(pool) for _ in range(shape[1])] for _ in range(shape[0])]
+                    cells[0][0] = shared
+                    comps[index] = cells
+        return MatrixForm(n, shape, comps)
+
+    conn = Connection(sparse_form((m, m), [1]))
+    alpha = sparse_form((m, p), [0, 1, 2])
+    beta = sparse_form((p, m), [1, 2])
+    for got, expected in [
+        (charged(exterior_d, alpha), charged(dense_d, alpha, {})),
+        (charged(wedge, alpha, beta), charged(dense_wedge, alpha, beta)),
+        (charged(nabla_apply, conn, alpha),
+         charged(lambda: dense_d(alpha, {}) + dense_wedge(conn.form, alpha))),
+    ]:
+        assert got == expected
+
+
 def test_block_connections_are_flat_beyond_the_block():
     # curvature supported on the first two coordinates: 2N-flat for N > 2
     conn = connection_from_coefficients(6, {

@@ -157,6 +157,24 @@ ZERO_PAIR_CHARGES = {
     "riemann_rational_inverse": 53,
 }
 
+# term products charged to each flatness and riemann golden once a product
+# with a zero factor is charged nothing; no golden may be charged more
+GOLDEN_CHARGES = {
+    "flatness_rotation": 3,
+    "flatness_triangular_pair": 1,
+    "flatness_generic_c08": 1529,
+    "flatness_trig_pair": 11,
+    "riemann_sphere_torus": 97,
+    "riemann_round_sphere3": 2438,
+    "riemann_supplied_inverse": 50,
+    "riemann_quotient": 83,
+    "riemann_diag_trig": 38321,
+    "riemann_warped_sphere3": 2442,
+    "riemann_product8": 843,
+    "riemann_mixed_denominators": 85,
+    "riemann_rational_inverse": 53,
+}
+
 
 def test_goldens_do_not_depend_on_atom_order():
     # monomials pack exponents in the order atoms were first met; interning
@@ -169,8 +187,9 @@ def test_goldens_do_not_depend_on_atom_order():
     assert sorted(reverse["atoms"]) == sorted(clean["atoms"])
     assert reverse["charges"] == clean["charges"]
     assert sorted(clean["charges"]) == sorted(ZERO_PAIR_CHARGES)
+    assert sorted(GOLDEN_CHARGES) == sorted(ZERO_PAIR_CHARGES)
     for name, charge in clean["charges"].items():
-        assert charge <= ZERO_PAIR_CHARGES[name], name
+        assert charge <= GOLDEN_CHARGES[name] <= ZERO_PAIR_CHARGES[name], name
     # the charge of riemann_product8 before its curvature moved onto forms
     assert clean["charges"]["riemann_product8"] <= 2437
     assert reverse["outputs"] == clean["outputs"]
