@@ -491,7 +491,8 @@ HOSTILE_ENTRIES = {
                             "", BUDGET),
     "long_sum.conn": (["flatness"], "base 1\nfiber 1\nomega 1\n" + LONG_SUM + "\n",
                       "line 4: ", BUDGET),
-    # real work, refused row by row before the whole product is gathered
+    # real work, refused at the product that passes the budget, before the
+    # whole product is built
     "halves.conn": (["flatness"], halves_connection(), "", BUDGET),
     "crosses.conn": (["flatness"], crosses_connection(), "", BUDGET),
     "long_integer.conn": (["flatness"], "base 2\nfiber 1\nomega 1\n" + "7" * 5000 + "*x1\n",

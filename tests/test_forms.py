@@ -653,7 +653,8 @@ def test_the_sparse_kernel_matches_a_dense_triple_loop(data):
     # differentiated, and its chain rule charged, once per coordinate
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=10**6)))
     n = data.draw(st.integers(min_value=2, max_value=3))
-    m, p = data.draw(st.integers(min_value=1, max_value=3)), data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(min_value=1, max_value=3))
+    p = data.draw(st.integers(min_value=1, max_value=3))
     shared = scalar.expand(f"sin(x1*x2) - 2*x{n}*cos(x1 + x2^2)")
 
     def entry():
