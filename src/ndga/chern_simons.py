@@ -88,7 +88,7 @@ def sharp_inverse(element: FreeElement) -> FreeElement:
     for word, coeff in element.items():
         if not word:
             raise FreeAlgebraError("the empty word has no letter-count inverse")
-        out[word] = coeff / len(word)
+        out[word] = Fraction(coeff, len(word))
     return out
 
 
@@ -212,17 +212,6 @@ def _h_linear_words(total_degree: int):
     return results
 
 
-def _vectorize(elements, basis):
-    index = {word: i for i, word in enumerate(basis)}
-    vectors = []
-    for element in elements:
-        vec = [Fraction(0)] * len(basis)
-        for word, coeff in element.items():
-            vec[index[word]] = coeff
-        vectors.append(tuple(vec))
-    return vectors
-
-
 @dataclass(frozen=True)
 class VariationReport:
     variation: FreeElement
@@ -248,17 +237,10 @@ def formal_variation(k: int) -> VariationReport:
         if relation:
             relations.append(relation)
 
-    words = set(variation) | set(target)
-    for relation in relations:
-        words |= set(relation)
-    basis = sorted(words, key=_word_key)
-    vectors = _vectorize(relations + [target, variation], basis)
-    relation_vectors = vectors[: len(relations)]
-    target_vector, variation_vector = vectors[len(relations):]
-
-    if linalg.in_span(relation_vectors, target_vector):
+    # each element is a sparse vector over the words, as linalg reads one
+    if linalg.in_span(relations, target):
         return VariationReport(variation, target, False, None)
-    coeffs = linalg.solve_combination(relation_vectors + [target_vector], variation_vector)
+    coeffs = linalg.solve_combination(relations + [target], variation)
     if coeffs is None:
         return VariationReport(variation, target, False, None)
     constant = coeffs[-1]

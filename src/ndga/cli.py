@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: cs-lagrangian, flatness, riemann, knflat, depth-forms,
-ncomplex.  Exit codes: 0 success, 1 input error, 2 usage error.  Output is
-deterministic for fixed inputs and seed.
+ncomplex.  Exit codes: 0 success, 1 input error or standard output closed
+early, 2 usage error.  Output is deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import re
 import sys
 
@@ -249,7 +250,14 @@ def main(argv=None, out=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: devnull takes the flush at exit (Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

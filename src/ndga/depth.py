@@ -28,7 +28,7 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Dict, Iterable, Mapping, Tuple
 
 from . import forms, linalg, ncomplex, scalar, textfile
@@ -288,20 +288,20 @@ def minimal_nilpotency(profile) -> int:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """x -> A x + b with A an invertible rational matrix."""
+    """x -> A x + b with A an invertible rational matrix, held dense."""
 
     matrix: tuple
     offset: tuple
 
     def __post_init__(self):
-        matrix = linalg.to_matrix(self.matrix)
+        matrix = tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
         k = len(matrix)
         if any(len(row) != k for row in matrix):
             raise DepthFormError("affine matrix must be square")
         offset = tuple(Fraction(b) for b in self.offset)
         if len(offset) != k:
             raise DepthFormError("offset length must match the matrix")
-        if linalg.rank(matrix) < k:
+        if linalg.rank(linalg.to_rows(matrix)) < k:
             raise DepthFormError("affine map must be invertible")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "offset", offset)
@@ -321,7 +321,9 @@ class AffineMap:
         """The map x -> self(inner(x))."""
         if self.dim != inner.dim:
             raise DepthFormError("dimension mismatch in composition")
-        matrix = linalg.mat_mul(self.matrix, inner.matrix)
+        columns = tuple(zip(*inner.matrix))
+        matrix = tuple(tuple(sum(x * y for x, y in zip(row, column)) for column in columns)
+                       for row in self.matrix)
         offset = tuple(
             sum((self.matrix[i][j] * inner.offset[j] for j in range(self.dim)), Fraction(0))
             + self.offset[i]
@@ -331,7 +333,7 @@ class AffineMap:
 
 
 def identity_map(k: int) -> AffineMap:
-    return AffineMap(linalg.identity(k), tuple(Fraction(0) for _ in range(k)))
+    return AffineMap(tuple(tuple(int(i == j) for j in range(k)) for i in range(k)), (0,) * k)
 
 
 def affine_pullback(f: AffineMap, a: DepthForm) -> DepthForm:
@@ -405,23 +407,29 @@ def _split_top_level(text: str, separators: str) -> list:
 def parse_form(text: str, profile) -> DepthForm:
     """Parse sums of monomials like '-dx1*d2x2 + 2*x1^2*dx2', each factor
     with an optional leading sign; factors matching d<j>x<i> are
-    generators, everything else goes through the scalar grammar."""
+    generators, everything else goes through the scalar grammar.  The
+    terms are summed in one dict, by index."""
     profile = check_profile(profile)
-    result = zero(profile)
+    terms: Dict[DepthIndex, list] = {}
     sign = 1
     for chunk, separator in _split_top_level(text, "+-"):
         chunk = chunk.strip()
         if not chunk:
             raise DepthFormError("empty term")
-        result = result + _parse_monomial(chunk, profile).scale(sign)
+        index, coefficient = _parse_monomial(chunk, profile, sign)
+        if index is not None:
+            terms.setdefault(index, []).append(coefficient)
         sign = -1 if separator == "-" else 1
-    return result
+    return DepthForm(profile, {index: TrigPoly.sum(c) for index, c in terms.items()})
 
 
-def _parse_monomial(text: str, profile: Profile) -> DepthForm:
+def _parse_monomial(text: str, profile: Profile, sign: int):
+    """(index, signed coefficient) of one monomial, or (None, None) when two
+    of its generators share a variable, so that it is zero.  Each generator
+    is validated, in order, after the coefficient is read.  The Koszul sign
+    is -1 to the number of inverted pairs of odd-depth generators."""
     scalar_parts = []
     generators = []
-    sign = 1
     for piece, _ in _split_top_level(text, "*"):
         piece = piece.strip()
         if piece.startswith(("+", "-")):
@@ -444,10 +452,14 @@ def _parse_monomial(text: str, profile: Profile) -> DepthForm:
             coefficient = scalar.expand("*".join(scalar_parts))
         except scalar.ScalarError as err:
             raise DepthFormError(f"bad coefficient in {textfile.quote(text)}: {err}")
-    form = function(profile, coefficient.scale(sign))
-    for position, depth in generators:
-        form = multiply(form, generator(profile, position, depth))
-    return form
+    for generator_index in generators:
+        validate_index((generator_index,), profile)
+    if len({position for position, _ in generators}) < len(generators):
+        return None, None
+    odd = [position for position, depth in generators if depth % 2]
+    if sum(a > b for a, b in combinations(odd, 2)) % 2:
+        sign = -sign
+    return tuple(sorted(generators)), coefficient.scale(sign)
 
 
 def render_index(index: DepthIndex) -> str:

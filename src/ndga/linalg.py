@@ -1,23 +1,32 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on sparse rows.
 
-Matrices are tuples of tuples of exact rationals; vectors are tuples of
-them.  An integral entry is held as an int and only a true fraction as a
-Fraction, so the many all-integer matrices multiply at int speed.  Rank and
-solving use one fraction-free elimination over the integers, never floats.
-Inside scalar.work_budget() each entry product and entry update is charged
-as one term product.
+A matrix is held as its nonzero rows, {row: {col: value}}, the shape of
+forms' row index; its shape is its caller's to know, and {} is the zero
+matrix of any shape.  Entries are ints where the input is integral, so the
+many all-integer matrices multiply at int speed.
+
+A product is formed from the nonzero entries alone (Gustavson, ACM TOMS
+4(3), 1978).  Rank and solving share one fraction-free elimination over the
+integers: rows are cleared of denominators, each step pivots on the row
+with the fewest entries (Markowitz, Management Sci. 3, 1957) at its least
+column, and only the rows holding that column are updated, each as
+(p row - f top) // gcd, so that every row stays primitive.
+
+Inside scalar.work_budget() a product is charged one term product per pair
+of nonzero entries it multiplies, before it forms any, and each pivot the
+entries its updates write, before it makes them: for each updated row, the
+union of its support and the pivot row's.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import scalar
 
-FracMatrix = tuple
-FracVector = tuple
+Rows = dict  # {row: {col: value}}, the nonzero entries of a matrix by row
 
 
 def _exact(value):
@@ -26,96 +35,97 @@ def _exact(value):
     return value.numerator if value.denominator == 1 else value
 
 
-def to_matrix(rows: Iterable[Iterable]) -> FracMatrix:
-    return tuple(tuple(_exact(entry) for entry in row) for row in rows)
+def to_rows(matrix: Iterable[Iterable]) -> Rows:
+    """The nonzero entries of a dense matrix, each an exact rational."""
+    rows = {r: {c: x for c, x in enumerate(map(_exact, row)) if x} for r, row in enumerate(matrix)}
+    return {r: cells for r, cells in rows.items() if cells}
 
 
-def identity(n: int) -> FracMatrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+def mat_mul(a: Rows, b: Rows) -> Rows:
+    """The product a b."""
+    scalar.charge(sum(len(b[k]) for row in a.values() for k in row if k in b))
+    product = {}
+    for r, row in a.items():
+        cells = {}
+        for k, x in row.items():
+            if k in b:
+                for c, y in b[k].items():
+                    cells[c] = cells.get(c, 0) + x * y
+        if not all(cells.values()):
+            cells = {c: value for c, value in cells.items() if value}
+        if cells:
+            product[r] = cells
+    return product
 
 
-def zero_matrix(rows: int, cols: int) -> FracMatrix:
-    return tuple((0,) * cols for _ in range(rows))
+def _primitive(row: dict) -> dict:
+    """An integer row divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return row if g == 1 else {c: x // g for c, x in row.items()}
 
 
-def mat_mul(a: FracMatrix, b: FracMatrix, cols: int | None = None) -> FracMatrix:
-    """a b.  A matrix with no rows does not record its width, so when b has
-    none its width must be given as cols."""
-    if b:
-        cols = len(b[0])
-    elif cols is None:
-        raise ValueError("b has no rows: pass its width as cols")
-    if a and len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} @ {len(b)}x{cols}")
-    scalar.charge(len(a) * len(b) * cols)
-    columns = tuple(zip(*b)) or ((),) * cols
-    return tuple(tuple(sum(x * y for x, y in zip(row, column)) for column in columns)
-                 for row in a)
-
-
-def kronecker(a: FracMatrix, b: FracMatrix) -> FracMatrix:
-    """The Kronecker product."""
-    rows = []
-    for ra in a:
-        for rb in b:
-            rows.append(tuple(x * y for x in ra for y in rb))
-    return tuple(rows)
-
-
-def _eliminate(rows: list) -> list:
-    """Fraction-free Gauss-Jordan elimination in place; returns the pivot
-    columns.  Each row is first cleared of denominators, which changes
-    neither the rank nor the span.  Each update (p*x - f*y) // prev divides
-    exactly, since every entry stays a minor of the cleared matrix (Bareiss,
-    Math. Comp. 22, 1968).  Row r ends nonzero at the r-th pivot column
-    and zero at every other pivot column."""
-    for i, row in enumerate(rows):
-        den = math.lcm(*(x.denominator for x in row))
-        rows[i] = [x.numerator * (den // x.denominator) for x in row]
+def _eliminate(rows: Iterable[Mapping]) -> list:
+    """The pivots of a row echelon form of the given rows, in order, as
+    (pivot column, primitive integer row) pairs; the rows are not changed.
+    A pivot row holds no column of an earlier pivot, and the rank of the
+    rows is the number of pivots."""
+    active = []
+    for row in rows:
+        if not all(type(x) is int for x in row.values()):
+            den = math.lcm(*(x.denominator for x in row.values()))
+            row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+        active.append(_primitive(row))
     pivots = []
-    prev = 1
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        scalar.charge((len(rows) - 1) * cols)
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        top = rows[r]
+    while active:
+        top = min(active, key=len)
+        c = min(top)
         p = top[c]
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[c]
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-        prev = p
-        pivots.append(c)
-        if len(pivots) == len(rows):
-            break
+        held = [row for row in active if c in row and row is not top]
+        active = [row for row in active if c not in row]
+        extra = [top.keys() - row.keys() for row in held]
+        scalar.charge(sum(map(len, held)) + sum(map(len, extra)))
+        for row, more in zip(held, extra):
+            g = math.gcd(p, row[c])
+            a, f = p // g, row[c] // g
+            cells = {col: a * x - f * top.get(col, 0) for col, x in row.items()}
+            for col in more:
+                cells[col] = -f * top[col]
+            if not all(cells.values()):
+                cells = {col: x for col, x in cells.items() if x}
+            if cells:
+                active.append(_primitive(cells))
+        pivots.append((c, top))
     return pivots
 
 
-def rank(a: FracMatrix) -> int:
-    return len(_eliminate([list(row) for row in a]))
+def rank(a: Rows) -> int:
+    return len(_eliminate(a.values()))
 
 
-def solve_combination(columns: Sequence[FracVector], target: FracVector):
+def solve_combination(vectors: Sequence[Mapping], target: Mapping):
     """Coefficients expressing target as a linear combination of the given
-    column vectors, or None when target is outside their span.  Free
-    coefficients are set to zero."""
-    m = len(target)
-    if any(len(col) != m for col in columns):
-        raise ValueError("vector length mismatch")
-    rows = [[col[i] for col in columns] + [target[i]] for i in range(m)]
-    n = len(columns)
-    pivots = _eliminate(rows)
-    if n in pivots:
+    vectors, or None when target is outside their span.  A vector is held
+    as its nonzero entries {index: value}, indices of any hashable kind.
+    Free coefficients are set to zero."""
+    n = len(vectors)
+    equations = {}
+    for j, vector in enumerate([*vectors, target]):
+        for index, value in vector.items():
+            if value:
+                equations.setdefault(index, {})[j] = _exact(value)
+    pivots = _eliminate(equations.values())
+    # a pivot is its row's least column, so column n is one only in a row
+    # that reads 0 = (nonzero)
+    if any(c == n for c, _ in pivots):
         return None
+    # a pivot row holds no earlier pivot's column: solve from the last
     coeffs = [Fraction(0)] * n
-    for row, c in zip(rows, pivots):
-        coeffs[c] = Fraction(row[n], row[c])
+    for c, row in reversed(pivots):
+        scalar.charge(len(row))
+        rest = row.get(n, 0) - sum(x * coeffs[j] for j, x in row.items() if j not in (c, n))
+        coeffs[c] = Fraction(rest, row[c])
     return coeffs
 
 
-def in_span(columns: Sequence[FracVector], target: FracVector) -> bool:
-    return solve_combination(columns, target) is not None
+def in_span(vectors: Sequence[Mapping], target: Mapping) -> bool:
+    return solve_combination(vectors, target) is not None

@@ -1,15 +1,17 @@
 """Finite-dimensional N-complexes over exact rationals.
 
 A complex is a finite sequence of rational matrices d_i: V^i -> V^(i+1)
-whose every N-fold composition vanishes.  Entries are held as linalg holds
-them: an int when integral, else a Fraction.  Generalized cohomology in the
-window 1 <= p <= N-1:
+whose every N-fold composition vanishes.  Each map is held as linalg holds
+a matrix, as its nonzero rows {row: {col: value}}, each entry an int when
+integral, else a Fraction; its shape comes from the complex's dims.
+Generalized cohomology in the window 1 <= p <= N-1:
 
     H(p, i) = Ker(d^p : V^i -> V^(i+p)) / Im(d^(N-p) : V^(i-N+p) -> V^i)
 
 with out-of-range degrees read as zero spaces.  Every answer here is read
 from one rank table per complex, r(i, j) = rank(d^(j-i): V^i -> V^j) for
-0 < j - i <= N, built once by linalg's fraction-free elimination:
+0 < j - i <= N, built once from linalg's sparse products and its
+fraction-free elimination:
 
     valid            no entry of length N
     dim H(p, i)      dim V^i - r(i, i+p) - r(i-N+p, i)
@@ -19,22 +21,27 @@ The tensor product with the Koszul sign of factors of nilpotency a and b
 has nilpotency exactly a + b - 1, or a + b - 2 when a and b are both even;
 so N + M - 1 bounds it for factors of orders N and M, and N + M - 2 when
 N and M are both even.
+
+Inside scalar.work_budget() the table is charged what linalg charges: the
+nonzero pairs each product multiplies and the entries each elimination step
+writes, so a sparse complex of large dimension costs only the work it holds.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Tuple
 
 from . import linalg, scalar, textfile
-from .linalg import FracMatrix
 
 
-# largest order or dimension a complex file may declare, and largest total
-# dimension of a tensor product
+# Largest order or dimension a complex file may declare, largest total
+# dimension of a tensor product, and most lines of a cohomology table.  The
+# budget bounds the work on the maps, charging nonzero entries alone, but a
+# file still writes n^2 cells for a map of dimension n.
 MAX_SIZE = 4096
 
 
@@ -45,12 +52,14 @@ class ComplexError(Exception):
 @dataclass(frozen=True)
 class FiniteNComplex:
     """order: the nilpotency exponent N; degrees lo..lo+len(dims)-1 with
-    maps[t] sending degree lo+t to lo+t+1 (so len(maps) = len(dims) - 1)."""
+    maps[t] sending degree lo+t to lo+t+1 (so len(maps) = len(dims) - 1),
+    each as its nonzero rows: rows below dims[t+1], columns below
+    dims[t]."""
 
     order: int
     lo: int
     dims: tuple
-    maps: tuple
+    maps: tuple = field(hash=False)  # dicts, so the hash reads the other fields
 
     def __post_init__(self):
         if self.order < 2:
@@ -59,15 +68,13 @@ class FiniteNComplex:
             raise ComplexError("a complex needs at least one degree")
         if len(self.maps) != len(self.dims) - 1:
             raise ComplexError("need exactly one map per consecutive degree pair")
-        for t, matrix in enumerate(self.maps):
-            rows, cols = len(matrix), len(matrix[0]) if matrix else 0
-            if not matrix and 0 in (self.dims[t], self.dims[t + 1]):
-                continue  # () stands for any map out of or into a zero space
-            if rows != self.dims[t + 1] or any(len(r) != self.dims[t] for r in matrix):
-                raise ComplexError(
-                    f"dimension mismatch between consecutive matrices at degree {self.lo + t}: "
-                    f"got {rows}x{cols}, expected {self.dims[t + 1]}x{self.dims[t]}"
-                )
+        for t, rows in enumerate(self.maps):
+            height, width = self.dims[t + 1], self.dims[t]
+            if rows and not (0 <= min(rows) <= max(rows) < height and all(
+                    row and all(row.values()) and 0 <= min(row) <= max(row) < width
+                    for row in rows.values())):
+                raise ComplexError(f"the map out of degree {self.lo + t} holds a zero entry "
+                                   f"or a cell outside its {height}x{width} shape")
 
     @property
     def hi(self) -> int:
@@ -78,51 +85,44 @@ class FiniteNComplex:
             return self.dims[degree - self.lo]
         return 0
 
-    def map_at(self, degree: int) -> FracMatrix:
+    def map_at(self, degree: int) -> linalg.Rows:
         """d: V^degree -> V^(degree+1), zero outside the stored range."""
         t = degree - self.lo
-        if 0 <= t < len(self.maps):
-            return self.maps[t]
-        return linalg.zero_matrix(self.dim(degree + 1), self.dim(degree))
-
-    def power_at(self, degree: int, p: int) -> FracMatrix:
-        """d^p: V^degree -> V^(degree+p) as one exact matrix, for p >= 1;
-        zero, of that shape, when either end lies outside the stored
-        degrees or any degree on the way is zero-dimensional."""
-        if degree < self.lo or degree + p > self.hi or not all(
-                self.dim(degree + step) for step in range(p + 1)):
-            return linalg.zero_matrix(self.dim(degree + p), self.dim(degree))
-        result = self.map_at(degree)
-        for step in range(1, p):
-            result = linalg.mat_mul(self.map_at(degree + step), result)
-        return result
+        return self.maps[t] if 0 <= t < len(self.maps) else {}
 
     @functools.cached_property
     def ranks(self) -> dict:
         """The rank table {(i, j): rank of d^(j-i): V^i -> V^j} over stored
         degrees with 0 < j - i <= order, nonzero ranks only, at one product
         and one rank per entry.  A row stops at its first zero composition,
-        since every longer one is zero too, so no product passes through a
-        zero-dimensional degree."""
+        since every longer one is zero too; a map into a zero-dimensional
+        degree is zero."""
         table = {}
         for i in range(self.lo, self.hi + 1):
             power = None
             for j in range(i + 1, min(i + self.order, self.hi) + 1):
                 step = self.maps[j - 1 - self.lo]
                 power = step if power is None else linalg.mat_mul(step, power)
-                if not any(any(row) for row in power):
+                if not power:
                     break
                 table[(i, j)] = linalg.rank(power)
         return table
 
 
 def complex_from(order: int, lo: int, dims, maps) -> FiniteNComplex:
-    return FiniteNComplex(
-        order,
-        lo,
-        tuple(int(n) for n in dims),
-        tuple(linalg.to_matrix(m) for m in maps),
-    )
+    """The complex of the given dense matrices, one per consecutive degree
+    pair; a matrix with no rows stands for any map out of or into a zero
+    space."""
+    dims = tuple(int(n) for n in dims)
+    for t, (matrix, width, height) in enumerate(zip(maps, dims, dims[1:])):
+        if not matrix and 0 in (width, height):
+            continue
+        if len(matrix) != height or any(len(row) != width for row in matrix):
+            raise ComplexError(
+                f"dimension mismatch between consecutive matrices at degree {lo + t}: "
+                f"got {len(matrix)}x{len(matrix[0]) if matrix else 0}, expected {height}x{width}"
+            )
+    return FiniteNComplex(order, lo, dims, tuple(linalg.to_rows(m) for m in maps))
 
 
 def validate(c: FiniteNComplex) -> bool:
@@ -177,48 +177,40 @@ def tensor_complex(c1: FiniteNComplex, c2: FiniteNComplex) -> FiniteNComplex:
     """Tensor product with differential d1 (x) Id + (-1)^deg1 Id (x) d2
     (Koszul sign on the second summand), of order N + M - 1 for factors of
     orders N and M: the bound of koszul_nilpotency.  Blocks within each
-    total degree are ordered by the first factor's degree."""
+    total degree are ordered by the first factor's degree.  Each nonzero
+    cell of either Koszul term is placed once: the two terms of a block
+    land in different blocks."""
     lo = c1.lo + c2.lo
     hi = c1.hi + c2.hi
-    order = c1.order + c2.order - 1
-
-    def blocks(total: int) -> List[Tuple[int, int]]:
-        return [
-            (i, total - i)
-            for i in range(c1.lo, c1.hi + 1)
-            if c2.lo <= total - i <= c2.hi and c1.dim(i) * c2.dim(total - i) > 0
-        ]
-
-    dims = []
-    maps = []
-    for total in range(lo, hi + 1):
-        dims.append(sum(c1.dim(i) * c2.dim(j) for i, j in blocks(total)))
-    for total in range(lo, hi):
-        source = blocks(total)
-        target = blocks(total + 1)
-        target_offsets = {}
-        offset = 0
-        for i, j in target:
-            target_offsets[(i, j)] = offset
-            offset += c1.dim(i) * c2.dim(j)
-        rows = offset
-        cols = sum(c1.dim(i) * c2.dim(j) for i, j in source)
-        matrix = [[0] * cols for _ in range(rows)]
-        col_offset = 0
-        for i, j in source:
-            # the two Koszul terms: d1 (x) Id lands in block (i+1, j) and
-            # (-1)^i Id (x) d2 in block (i, j+1)
-            koszul = (((i + 1, j), 1, c1.map_at(i), linalg.identity(c2.dim(j))),
-                      ((i, j + 1), -1 if i % 2 else 1, linalg.identity(c1.dim(i)), c2.map_at(j)))
-            for block, sign, left, right in koszul:
-                if block in target_offsets:
-                    r0 = target_offsets[block]
-                    for r, row in enumerate(linalg.kronecker(left, right)):
-                        for s, value in enumerate(row):
-                            matrix[r0 + r][col_offset + s] += sign * value
-            col_offset += c1.dim(i) * c2.dim(j)
-        maps.append(tuple(tuple(row) for row in matrix))
-    return FiniteNComplex(order, lo, tuple(dims), tuple(maps))
+    offsets = {}  # (i, j): the first index of V1^i (x) V2^j in degree i + j
+    dims = [0] * (hi - lo + 1)
+    for i in range(c1.lo, c1.hi + 1):
+        for j in range(c2.lo, c2.hi + 1):
+            if c1.dim(i) * c2.dim(j):
+                offsets[(i, j)] = dims[i + j - lo]
+                dims[i + j - lo] += c1.dim(i) * c2.dim(j)
+    maps = [{} for _ in range(hi - lo)]
+    for (i, j), col_offset in offsets.items():
+        if i + j == hi:
+            continue
+        rows = maps[i + j - lo]
+        n1, n2 = c1.dim(i), c2.dim(j)
+        # the two Koszul terms, left (x) right with right of the given height
+        # and n2 wide: d1 (x) Id lands in block (i+1, j) and (-1)^i Id (x) d2
+        # in block (i, j+1)
+        koszul = (((i + 1, j), 1, c1.map_at(i), {k: {k: 1} for k in range(n2)}, n2),
+                  ((i, j + 1), -1 if i % 2 else 1, {k: {k: 1} for k in range(n1)},
+                   c2.map_at(j), c2.dim(j + 1)))
+        for block, sign, left, right, height in koszul:
+            if block in offsets:
+                r0 = offsets[block]
+                for ra, left_row in left.items():
+                    for ca, x in left_row.items():
+                        for rb, right_row in right.items():
+                            cells = rows.setdefault(r0 + ra * height + rb, {})
+                            for cb, y in right_row.items():
+                                cells[col_offset + ca * n2 + cb] = sign * x * y
+    return FiniteNComplex(c1.order + c2.order - 1, lo, tuple(dims), tuple(maps))
 
 
 def measured_nilpotency(c: FiniteNComplex) -> int:
@@ -298,7 +290,7 @@ def parse_complex(text: str) -> FiniteNComplex:
     lines = textfile.Lines(text)
     order = None
     headers: List[Tuple[int, int, int]] = []  # (degree, dim, line)
-    row_groups: List[List[Tuple[List[Fraction], int]]] = []
+    row_groups: List[List[Tuple[dict, int, int]]] = []  # (nonzero cells, width, line)
     for content in lines:
         keyword = content.split()[0]
         if keyword == "N":
@@ -326,44 +318,39 @@ def parse_complex(text: str) -> FiniteNComplex:
         else:
             if not row_groups:
                 raise lines.error("matrix rows before any degree header")
-            row = []
-            for cell in content.split():
-                value = _rational(cell)
+            cells = content.split()
+            row = {}
+            for c, cell in enumerate(cells):
+                value = 0 if cell == "0" else _rational(cell)  # the common zero, no regex
                 if value is None:
                     raise lines.error(f"bad rational entry in {textfile.quote(content)}: "
                                       f"{textfile.quote(cell)}")
-                row.append(value)
-            row_groups[-1].append((row, lines.line))
+                if value:
+                    row[c] = value
+            row_groups[-1].append((row, len(cells), lines.line))
     if order is None:
         raise ComplexFileError("missing 'N <order>' header", 1)
     if not headers:
         raise ComplexFileError("no degrees declared", 1)
     if row_groups[-1]:
-        raise ComplexFileError(
-            "rows after the final degree header", row_groups[-1][0][1]
-        )
+        raise ComplexFileError("rows after the final degree header", row_groups[-1][0][2])
     maps = []
     for t in range(len(headers) - 1):
         degree, source_dim, _ = headers[t]
         _, target_dim, next_header = headers[t + 1]
         rows = row_groups[t]
-        if len(rows) != target_dim:
+        # a map out of a zero-dimensional degree has rows of no entries,
+        # which a file cannot hold, so it is given by no rows
+        if len(rows) != target_dim and (rows or source_dim):
             raise ComplexFileError(
                 f"map out of degree {degree} needs {target_dim} rows, got {len(rows)}",
-                rows[0][1] if rows else next_header,
+                rows[0][2] if rows else next_header,
             )
-        for row, line_no in rows:
-            if len(row) != source_dim:
-                raise ComplexFileError(
-                    f"expected {source_dim} entries per row", line_no
-                )
-        maps.append(tuple(tuple(row) for row, _ in rows))
-    return FiniteNComplex(
-        order,
-        headers[0][0],
-        tuple(dim for _, dim, _ in headers),
-        tuple(maps),
-    )
+        for _, width, line_no in rows:
+            if width != source_dim:
+                raise ComplexFileError(f"expected {source_dim} entries per row", line_no)
+        maps.append({r: row for r, (row, _, _) in enumerate(rows) if row})
+    return FiniteNComplex(order, headers[0][0], tuple(dim for _, dim, _ in headers), tuple(maps))
 
 
 def load_complex(path) -> FiniteNComplex:

@@ -297,7 +297,7 @@ def test_c11_depth_algebra_laws():
             matrix = tuple(
                 tuple(Fr(rng.randint(-2, 2)) for _ in range(k)) for _ in range(k)
             )
-            if linalg.rank(matrix) == k:
+            if linalg.rank(linalg.to_rows(matrix)) == k:
                 return matrix
 
     def random_monomial_matrix(k):

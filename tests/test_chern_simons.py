@@ -42,6 +42,13 @@ def test_sharp_inverse_divides_by_letter_count():
     assert cs.sharp_inverse(element) == {("a", "da", "da"): Fr(1, 3), ("a",) * 5: Fr(1, 5)}
 
 
+def test_sharp_inverse_of_an_int_coefficient_is_exact():
+    # coeff / len(word) made the float 0.3333333333333333 of an int
+    inverted = cs.sharp_inverse({("a", "a", "a"): 1})
+    assert inverted == {("a", "a", "a"): Fr(1, 3)}
+    assert type(inverted[("a", "a", "a")]) is Fr
+
+
 def test_sharp_inverse_rejects_empty_word():
     with pytest.raises(cs.FreeAlgebraError):
         cs.sharp_inverse({(): Fr(1)})

@@ -297,6 +297,57 @@ def test_ncomplex_tensor(data_path):
     assert text.strip() == "tensor nilpotency 5 (bound 5, koszul sign on)"
 
 
+# (file, validate output, cohomology table): a map out of a zero-dimensional
+# degree has rows of no entries, which a file cannot hold, so it is given
+# by no rows
+ZERO_DIMENSIONAL_SOURCES = {
+    "first": ("N 2\ndeg 0 dim 0\ndeg 1 dim 1\n", "valid 2-complex, degrees 0..1",
+              ["H[p=1, i=0] = 0", "H[p=1, i=1] = 1", "total[m=-1] = 0", "total[m=1] = 1"]),
+    "middle": ("N 3\ndeg 0 dim 1\ndeg 1 dim 0\ndeg 2 dim 1\n", "valid 3-complex, degrees 0..2",
+               ["H[p=1, i=0] = 1", "H[p=2, i=0] = 1", "H[p=1, i=1] = 0", "H[p=2, i=1] = 0",
+                "H[p=1, i=2] = 1", "H[p=2, i=2] = 1", "total[m=-2] = 1", "total[m=-1] = 1",
+                "total[m=0] = 0", "total[m=1] = 0", "total[m=2] = 1", "total[m=3] = 1"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_DIMENSIONAL_SOURCES))
+def test_a_map_out_of_a_zero_dimensional_degree_needs_no_rows(tmp_path, name):
+    text, valid, table = ZERO_DIMENSIONAL_SOURCES[name]
+    path = tmp_path / f"{name}.ncx"
+    path.write_text(text)
+    assert run(["ncomplex", "validate", str(path)]) == (0, valid + "\n")
+    assert run(["ncomplex", "cohomology", str(path)]) == (0, "\n".join(table) + "\n")
+
+
+def identity_chain(n):
+    """N 4, degrees 0..3 of dimension n and identity maps: 3n nonzero
+    entries, and every cohomology value 0."""
+    lines = ["N 4"]
+    for degree in range(4):
+        lines.append(f"deg {degree} dim {n}")
+        if degree < 3:
+            lines += [" ".join("1" if i == j else "0" for j in range(n)) for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [40, 100, 300])
+def test_a_sparse_identity_chain_is_answered(tmp_path, n):
+    # refused for work above the budget while linalg charged every entry of
+    # a dense product and every row at every pivot, zeros included
+    path = tmp_path / f"chain{n}.ncx"
+    path.write_text(identity_chain(n))
+    outputs = {}
+    for command in ("validate", "cohomology"):
+        start = time.perf_counter()
+        proc = run_module("ncomplex", command, str(path))
+        assert time.perf_counter() - start < 1
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs[command] = proc.stdout.splitlines()
+    assert outputs["validate"] == ["valid 4-complex, degrees 0..3"]
+    assert len(outputs["cohomology"]) == 12 + 9
+    assert all(line.endswith("] = 0") for line in outputs["cohomology"])
+
+
 # ------------------------------------------------------------------
 # determinism
 # ------------------------------------------------------------------
@@ -315,14 +366,32 @@ def test_output_is_reproducible(data_path):
 # running the module
 # ------------------------------------------------------------------
 
-def run_module(*args):
+def module_env():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_module(*args):
     return subprocess.run(
         [sys.executable, "-m", "ndga.cli", *args],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+        env=module_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("args", [["knflat", "expand", "--N", "16", "--K", "2"],
+                                  ["cs-lagrangian", "1"]], ids=["long", "short"])
+def test_a_closed_stdout_ends_without_a_traceback(args):
+    # as `ndga ... | head -c 100` closes it: the reader is gone before the
+    # first write, which a long output makes inside main and a short one at
+    # the flush after it
+    proc = subprocess.Popen([sys.executable, "-m", "ndga.cli", *args], env=module_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_module_without_arguments_is_a_usage_error():

@@ -280,7 +280,7 @@ def _random_invertible(rng, k):
         matrix = tuple(
             tuple(Fraction(rng.randint(-2, 2)) for _ in range(k)) for _ in range(k)
         )
-        if linalg.rank(matrix) == k:
+        if linalg.rank(linalg.to_rows(matrix)) == k:
             return matrix
 
 
@@ -477,6 +477,43 @@ def test_a_depth_outside_the_profile_names_the_admissible_range(text, message):
     with pytest.raises(DepthFormError) as refused:
         parse_form(text, (3, 2))
     assert str(refused.value) == message
+
+
+@st.composite
+def monomial_sums(draw):
+    """(profile, text, form): a sum of signed monomials whose factors, a
+    coefficient and generators of any depth, come in any order, variables
+    repeated or not, and the form built as the product of each monomial's
+    factors in that order, summed."""
+    profile = draw(st.sampled_from([(2, 2), (3, 2), (3, 3, 2), (4, 4, 4)]))
+    generators = [(p, d) for p, n in enumerate(profile, start=1) for d in range(1, n)]
+    terms, form = [], zero(profile)
+    for _ in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from([1, -1]))
+        coefficient = draw(st.sampled_from(["1", "2", "x1", "1/2*x2", "(x1 - x2)", "sin(x1)"]))
+        factors = draw(st.permutations(
+            [coefficient] + draw(st.lists(st.sampled_from(generators), max_size=3))))
+        term = function(profile, scalar.expand(coefficient))
+        for factor in factors:
+            if factor != coefficient:
+                term = multiply(term, generator(profile, *factor))
+        form = form + term.scale(sign)
+        texts = [f if f == coefficient else f"d{f[1]}x{f[0]}" for f in factors]
+        terms.append(("- " if sign < 0 else "+ ") + "*".join(texts))
+    return profile, " ".join(terms), form
+
+
+@given(monomial_sums())
+def test_parse_sums_the_products_of_the_factors(case):
+    profile, text, form = case
+    assert parse_form(text, profile) == form
+
+
+def test_parse_reports_a_bad_coefficient_before_a_bad_generator():
+    with pytest.raises(DepthFormError, match="bad coefficient in 'd9x1\\*x1\\^\\^2'"):
+        parse_form("d9x1*x1^^2", (3, 2))
+    with pytest.raises(DepthFormError, match="depth '9' at position 1"):
+        parse_form("x1 + d9x1*d7x2", (3, 2))
 
 
 def test_render_writes_subtractions():

@@ -1,12 +1,15 @@
-"""Independent oracles for the exact linear algebra: sympy's rank, and a
-Fraction Gauss-Jordan elimination that normalises each pivot to one."""
+"""Independent oracles for the exact linear algebra: sympy's rank, a
+Fraction Gauss-Jordan elimination that normalises each pivot to one, and
+the dense Bareiss elimination that linalg ran before its matrices went
+sparse."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ndga import linalg, ncomplex
+from ndga import linalg, ncomplex, scalar
 
 entries = st.one_of(
     st.just(0),
@@ -16,7 +19,7 @@ entries = st.one_of(
 
 
 @st.composite
-def matrices(draw, max_side=6):
+def dense_matrices(draw, max_side=6):
     """Empty, wide, tall and square matrices, some of them products through
     a narrow middle (so rank deficient), some with a zero row or column."""
     m = draw(st.integers(min_value=0, max_value=max_side))
@@ -33,7 +36,26 @@ def matrices(draw, max_side=6):
         column = draw(st.integers(min_value=0, max_value=n - 1))
         for row in rows:
             row[column] = 0
-    return linalg.to_matrix(rows)
+    return rows
+
+
+@st.composite
+def sparse_matrices(draw, max_side=12):
+    """Matrices of up to max_side rows and columns with about two nonzero
+    entries per row, as dense lists."""
+    m = draw(st.integers(min_value=1, max_value=max_side))
+    n = draw(st.integers(min_value=1, max_value=max_side))
+    cells = draw(st.dictionaries(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+                                 entries, max_size=2 * m))
+    return [[cells.get((i, j), 0) for j in range(n)] for i in range(m)]
+
+
+matrices = st.one_of(dense_matrices(), sparse_matrices())
+
+
+def vector(values):
+    """A dense vector as linalg reads one: its nonzero entries by index."""
+    return {i: x for i, x in enumerate(values) if x}
 
 
 def fraction_echelon(rows):
@@ -60,93 +82,188 @@ def fraction_rank(matrix):
     return len(fraction_echelon([[Fraction(x) for x in row] for row in matrix]))
 
 
+def bareiss(rows: list) -> list:
+    """Fraction-free Gauss-Jordan elimination in place; returns the pivot
+    columns.  Each row is first cleared of denominators, which changes
+    neither the rank nor the span.  Each update (p*x - f*y) // prev divides
+    exactly, since every entry stays a minor of the cleared matrix (Bareiss,
+    Math. Comp. 22, 1968).  Row r ends nonzero at the r-th pivot column
+    and zero at every other pivot column."""
+    for i, row in enumerate(rows):
+        row = [Fraction(x) for x in row]
+        den = math.lcm(*(x.denominator for x in row))
+        rows[i] = [x.numerator * (den // x.denominator) for x in row]
+    pivots = []
+    prev = 1
+    cols = len(rows[0]) if rows else 0
+    for c in range(cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return pivots
+
+
+def bareiss_rank(matrix):
+    return len(bareiss([list(row) for row in matrix]))
+
+
+def bareiss_solve(columns, target):
+    """The coefficients of target in the dense columns, free ones zero, or
+    None when target is outside their span."""
+    rows = [[col[i] for col in columns] + [target[i]] for i in range(len(target))]
+    n = len(columns)
+    pivots = bareiss(rows)
+    if n in pivots:
+        return None
+    coeffs = [Fraction(0)] * n
+    for row, c in zip(rows, pivots):
+        coeffs[c] = Fraction(row[n], row[c])
+    return coeffs
+
+
+def combination(coeffs, columns, length):
+    return tuple(sum((c * col[i] for c, col in zip(coeffs, columns)), 0) for i in range(length))
+
+
 def is_exact(value):
     return type(value) is int or type(value) is Fraction
 
 
-@given(matrices())
+@given(matrices)
 def test_rank_matches_sympy(matrix):
     sympy = pytest.importorskip("sympy")
     cols = len(matrix[0]) if matrix else 0
     flat = [sympy.Rational(x.numerator, x.denominator) for row in matrix for x in row]
-    assert linalg.rank(matrix) == sympy.Matrix(len(matrix), cols, flat).rank()
+    assert linalg.rank(linalg.to_rows(matrix)) == sympy.Matrix(len(matrix), cols, flat).rank()
 
 
-@given(matrices())
+@given(matrices)
 def test_rank_matches_fraction_elimination(matrix):
-    assert linalg.rank(matrix) == fraction_rank(matrix)
+    assert linalg.rank(linalg.to_rows(matrix)) == fraction_rank(matrix)
+
+
+@given(matrices, st.data())
+def test_rank_and_solving_match_the_bareiss_oracle(matrix, data):
+    assert linalg.rank(linalg.to_rows(matrix)) == bareiss_rank(matrix)
+    columns = matrix  # the rows of matrix, read as column vectors
+    length = len(columns[0]) if columns else 0
+    if data.draw(st.booleans()):
+        target = combination([data.draw(entries) for _ in columns], columns, length)
+    else:
+        target = tuple(data.draw(entries) for _ in range(length))
+    expected = bareiss_solve(columns, target)
+    coeffs = linalg.solve_combination([vector(col) for col in columns], vector(target))
+    assert linalg.in_span([vector(col) for col in columns], vector(target)) == (
+        expected is not None)
+    assert (coeffs is None) == (expected is None)
+    if coeffs is not None:
+        assert combination(coeffs, columns, length) == target
+        if bareiss_rank(columns) == len(columns):
+            assert coeffs == expected  # independent columns: one solution
+
+
+@given(matrices)
+def test_elimination_is_charged_no_more_than_the_dense_one(matrix):
+    # the dense elimination charged (rows - 1) * cols at each pivot
+    spent = []
+    with scalar.work_budget():
+        before = scalar._work_left
+        rank = linalg.rank(linalg.to_rows(matrix))
+        spent.append(before - scalar._work_left)
+    cols = len(matrix[0]) if matrix else 0
+    assert spent[0] <= rank * max(len(matrix) - 1, 0) * cols
 
 
 def test_rank_of_small_cases():
-    assert linalg.rank(()) == 0
-    assert linalg.rank(((), ())) == 0
-    assert linalg.rank(linalg.zero_matrix(3, 4)) == 0
-    assert linalg.rank(linalg.identity(4)) == 4
-    assert linalg.rank(linalg.to_matrix([[Fraction(1, 2), Fraction(1, 3)], [3, 2]])) == 1
-    assert linalg.rank(linalg.to_matrix([[0, 0, 1], [0, 0, 2]])) == 1
+    assert linalg.rank({}) == 0
+    assert linalg.to_rows(((), ())) == {} == linalg.to_rows([[0] * 4] * 3)
+    assert linalg.rank({k: {k: 1} for k in range(4)}) == 4
+    assert linalg.rank(linalg.to_rows([[Fraction(1, 2), Fraction(1, 3)], [3, 2]])) == 1
+    assert linalg.rank(linalg.to_rows([[0, 0, 1], [0, 0, 2]])) == 1
 
 
-@given(matrices(), st.data())
+@given(matrices, st.data())
 def test_solve_combination_rebuilds_its_target(matrix, data):
-    columns = list(matrix)  # the rows of matrix, read as column vectors
+    columns = matrix  # the rows of matrix, read as column vectors
     length = len(columns[0]) if columns else data.draw(st.integers(min_value=0, max_value=3))
-    weights = [data.draw(entries) for _ in columns]
-    target = tuple(sum((w * col[i] for w, col in zip(weights, columns)), 0)
-                   for i in range(length))
-    coeffs = linalg.solve_combination(columns, target)
+    target = combination([data.draw(entries) for _ in columns], columns, length)
+    coeffs = linalg.solve_combination([vector(col) for col in columns], vector(target))
     assert coeffs is not None
     assert all(is_exact(c) for c in coeffs)
-    assert tuple(sum((c * col[i] for c, col in zip(coeffs, columns)), 0)
-                 for i in range(length)) == target
+    assert combination(coeffs, columns, length) == target
 
 
-@given(matrices(), st.data())
+@given(matrices, st.data())
 def test_solve_combination_refuses_a_target_outside_the_span(matrix, data):
-    columns = list(matrix)
+    columns = matrix
     length = len(columns[0]) if columns else 0
     target = tuple(data.draw(entries) for _ in range(length))
     spanned = fraction_rank(columns + [target]) == fraction_rank(columns)
-    assert (linalg.solve_combination(columns, target) is not None) == spanned
-    assert linalg.in_span(columns, target) == spanned
+    sparse_columns = [vector(col) for col in columns]
+    assert (linalg.solve_combination(sparse_columns, vector(target)) is not None) == spanned
+    assert linalg.in_span(sparse_columns, vector(target)) == spanned
 
 
 def test_solve_combination_of_a_known_system():
-    columns = [(1, 0, 1), (0, 2, 2)]
-    assert linalg.solve_combination(columns, (Fraction(1, 2), 3, Fraction(7, 2))) == [
+    columns = [{0: 1, 2: 1}, {1: 2, 2: 2}]
+    assert linalg.solve_combination(columns, {0: Fraction(1, 2), 1: 3, 2: Fraction(7, 2)}) == [
         Fraction(1, 2), Fraction(3, 2)]
-    assert linalg.solve_combination(columns, (1, 0, 0)) is None
-    assert linalg.solve_combination([], ()) == []
-    assert linalg.solve_combination([(0, 0)], (0, 0)) == [0]
+    assert linalg.solve_combination(columns, {0: 1}) is None
+    assert linalg.solve_combination([], {}) == []
+    assert linalg.solve_combination([{}], {}) == [0]
+    # indices of any hashable kind, such as the words of chern_simons
+    assert linalg.solve_combination([{("a",): 2}, {("b",): 1}], {("a",): 1}) == [Fraction(1, 2), 0]
 
 
-@given(matrices(), st.data())
+@given(matrices, st.data())
 def test_products_hold_ints_and_fractions(a, data):
     inner = len(a[0]) if a else 0
     cols = data.draw(st.integers(min_value=0, max_value=4))
-    b = linalg.to_matrix([[data.draw(entries) for _ in range(cols)] for _ in range(inner)])
-    product = linalg.mat_mul(a, b, cols=cols)
-    assert product == tuple(
-        tuple(sum((Fraction(row[k]) * b[k][j] for k in range(inner)), Fraction(0))
-              for j in range(cols))
-        for row in a)
-    assert all(is_exact(x) for row in product for x in row)
+    b = [[data.draw(entries) for _ in range(cols)] for _ in range(inner)]
+    product = linalg.mat_mul(linalg.to_rows(a), linalg.to_rows(b))
+    assert product == linalg.to_rows(
+        [[sum((Fraction(row[k]) * b[k][j] for k in range(inner)), Fraction(0))
+          for j in range(cols)] for row in a])
+    assert all(is_exact(x) for row in product.values() for x in row.values())
+
+
+def test_products_are_charged_by_their_nonzero_pairs():
+    spent = []
+    with scalar.work_budget():
+        before = scalar._work_left
+        # rows 0 and 2 of a meet row 1 of b, which holds two entries
+        linalg.mat_mul({0: {1: 2}, 2: {1: 1, 3: 5}}, {1: {0: 1, 4: 1}, 2: {0: 7}})
+        spent.append(before - scalar._work_left)
+    assert spent == [4]
 
 
 def test_integral_entries_are_ints():
-    matrix = linalg.to_matrix([[Fraction(4, 2), "3", 0.5, Fraction(1, 3)]])
-    assert [type(x) for x in matrix[0]] == [int, int, Fraction, Fraction]
-    assert matrix == ((2, 3, Fraction(1, 2), Fraction(1, 3)),)
-    assert {type(x) for row in linalg.identity(3) + linalg.zero_matrix(2, 3) for x in row} == {int}
+    matrix = linalg.to_rows([[Fraction(4, 2), "3", 0.5, Fraction(1, 3), 0]])
+    assert [type(x) for x in matrix[0].values()] == [int, int, Fraction, Fraction]
+    assert matrix == {0: {0: 2, 1: 3, 2: Fraction(1, 2), 3: Fraction(1, 3)}}
 
 
 def test_rank_table_products_hold_ints_and_fractions(monkeypatch):
     text = ("N 3\ndeg 0 dim 2\n1 0\n2/4 0\ndeg 1 dim 2\n0 1\n0 3\n"
             "deg 2 dim 2\n1 -1/3\n0 0\ndeg 3 dim 2\n")
     c = ncomplex.parse_complex(text)
-    assert [type(x) for x in c.maps[0][1]] == [Fraction, int]
+    assert c.maps[0] == {0: {0: 1}, 1: {0: Fraction(1, 2)}}
+    assert [type(row[0]) for row in c.maps[0].values()] == [int, Fraction]
     seen = []
     rank = linalg.rank
     monkeypatch.setattr(linalg, "rank", lambda m: (seen.append(m), rank(m))[1])
     assert c.ranks
     assert len(seen) > len(c.maps)
-    assert all(is_exact(x) for m in seen for row in m for x in row)
+    assert all(is_exact(x) for m in seen for row in m.values() for x in row.values())

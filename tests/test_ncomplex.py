@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ndga import linalg, ncomplex
+from test_linalg import bareiss_rank
 from ndga.ncomplex import (
     ComplexError, ComplexFileError, FiniteNComplex, complex_from,
     measured_nilpotency, p_cohomology_dim, parse_complex, tensor_complex,
@@ -64,6 +65,11 @@ def test_dimension_mismatch_raises():
     with pytest.raises(ComplexError, match="at degree 1: got 1x1, expected 1x0"):
         complex_from(3, 0, (1, 0, 1), [(), ((7,),)])
     complex_from(3, 0, (1, 0, 1), [(), ()])
+    # sparse maps are checked against the dims
+    with pytest.raises(ComplexError, match="degree 0 holds .* outside its 1x1 shape"):
+        FiniteNComplex(2, 0, (1, 1), ({0: {1: 5}},))
+    with pytest.raises(ComplexError, match="a zero entry"):
+        FiniteNComplex(2, 0, (1, 1), ({0: {0: 0}},))
 
 
 # ------------------------------------------------------------------
@@ -125,9 +131,8 @@ def test_well_definedness_bound():
         assert validate(c)
         for i in range(c.lo, c.hi + 1):
             for p in range(1, c.order):
-                outgoing = c.power_at(i, p)
-                incoming = c.power_at(i - (c.order - p), c.order - p)
-                from ndga import linalg
+                outgoing = linalg.to_rows(oracle_power(c, i, p))
+                incoming = linalg.to_rows(oracle_power(c, i - (c.order - p), c.order - p))
                 assert linalg.rank(incoming) <= c.dim(i) - linalg.rank(outgoing)
 
 
@@ -135,7 +140,7 @@ def test_appending_a_zero_degree_changes_nothing():
     rng = random.Random(7)
     c = random_valid_complex(rng, 3)
     extended = FiniteNComplex(
-        c.order, c.lo, c.dims + (0,), c.maps + (tuple(),),
+        c.order, c.lo, c.dims + (0,), c.maps + ({},),
     )
     for i in range(c.lo, c.hi + 1):
         for p in range(1, c.order):
@@ -145,7 +150,6 @@ def test_appending_a_zero_degree_changes_nothing():
 def test_classical_case_matches_direct_computation():
     # order 2 reduces to ordinary kernel/image dimensions
     rng = random.Random(15)
-    from ndga import linalg
     for _ in range(8):
         dims = [rng.randint(1, 3) for _ in range(2)]
         maps = [tuple(
@@ -154,7 +158,7 @@ def test_classical_case_matches_direct_computation():
         )]
         c = complex_from(2, 0, dims, maps)
         assert validate(c)
-        expected = dims[0] - linalg.rank(maps[0])
+        expected = dims[0] - linalg.rank(linalg.to_rows(maps[0]))
         assert p_cohomology_dim(c, 1, 0) == expected
 
 
@@ -199,23 +203,40 @@ def test_invalid_factor_is_refused():
 # the rank table against the per-(p, i) route
 # ------------------------------------------------------------------
 #
-# The oracle composes d^p with power_at and takes ranks degree by degree.
-# power_at stores a zero matrix with no rows as (), which loses its column
-# count, so the oracle reads d^p as zero (None) whenever a degree on its
-# way is zero-dimensional, and only multiplies matrices of honest shape.
+# The oracle composes d^p densely from the identity and takes ranks degree
+# by degree with the dense Bareiss elimination of tests/test_linalg.py.
+
+def dense_product(a, b, cols):
+    """a b, for b with cols columns: a matrix with no rows does not record
+    its width."""
+    return [[sum(x * row_b[j] for x, row_b in zip(row, b)) for j in range(cols)] for row in a]
+
+
+def dense_identity(n):
+    return [[int(r == s) for s in range(n)] for r in range(n)]
+
+
+def dense_map(c, degree):
+    """d: V^degree -> V^(degree+1) as a dense matrix."""
+    rows = c.map_at(degree)
+    return [[rows.get(r, {}).get(s, 0) for s in range(c.dim(degree))]
+            for r in range(c.dim(degree + 1))]
+
 
 def oracle_power(c, degree, p):
-    if any(c.dim(t) == 0 for t in range(degree, degree + p + 1)):
-        return None
-    return c.power_at(degree, p)
+    """d^p: V^degree -> V^(degree+p) as a dense matrix, for p >= 1."""
+    result = dense_identity(c.dim(degree))
+    for step in range(p):
+        result = dense_product(dense_map(c, degree + step), result, c.dim(degree))
+    return result
 
 
 def oracle_rank(m):
-    return 0 if m is None else linalg.rank(m)
+    return bareiss_rank(m)
 
 
 def oracle_is_zero(m):
-    return m is None or all(entry == 0 for row in m for entry in row)
+    return not any(any(row) for row in m)
 
 
 def oracle_validate(c):
@@ -226,8 +247,7 @@ def oracle_cohomology(c, p, degree):
     """dim H(p, degree), or None when the image is not in the kernel."""
     outgoing = oracle_power(c, degree, p)
     incoming = oracle_power(c, degree - (c.order - p), c.order - p)
-    if not (outgoing is None or incoming is None
-            or oracle_is_zero(linalg.mat_mul(outgoing, incoming))):
+    if not oracle_is_zero(dense_product(outgoing, incoming, c.dim(degree - (c.order - p)))):
         return None
     return c.dim(degree) - oracle_rank(outgoing) - oracle_rank(incoming)
 
@@ -307,9 +327,8 @@ def segment_complex(rng, order, degrees, count):
             if a <= t < b:
                 shift[slot[(s, t + 1)]][slot[(s, t)]] = 1
         if dims[t] and dims[t + 1]:
-            shift = linalg.mat_mul(linalg.to_matrix(changes[t + 1][0]),
-                                   linalg.mat_mul(linalg.to_matrix(shift),
-                                                  linalg.to_matrix(changes[t][1])))
+            shift = dense_product(changes[t + 1][0],
+                                  dense_product(shift, changes[t][1], dims[t]), dims[t])
         maps.append(shift)
     lo = rng.randint(-1, 1)
     c = complex_from(order, lo, dims, maps)
@@ -358,6 +377,47 @@ def test_tensor_formula_matches_the_tensor_complex(n1, n2, rng):
     assert tensor_nilpotency(c1, c2) == measured_nilpotency(tensor_complex(c1, c2))
 
 
+def dense_tensor_maps(c1, c2):
+    """The maps of tensor_complex(c1, c2) as dense matrices, each Koszul
+    term a Kronecker product added into its block."""
+    def blocks(total):
+        return [(i, total - i) for i in range(c1.lo, c1.hi + 1) if c1.dim(i) * c2.dim(total - i)]
+
+    def kronecker(a, b):
+        return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+    maps = []
+    for total in range(c1.lo + c2.lo, c1.hi + c2.hi):
+        starts, height = {}, 0
+        for i, j in blocks(total + 1):
+            starts[(i, j)] = height
+            height += c1.dim(i) * c2.dim(j)
+        width = sum(c1.dim(i) * c2.dim(j) for i, j in blocks(total))
+        matrix = [[0] * width for _ in range(height)]
+        col = 0
+        for i, j in blocks(total):
+            terms = (((i + 1, j), 1, dense_map(c1, i), dense_identity(c2.dim(j))),
+                     ((i, j + 1), -1 if i % 2 else 1, dense_identity(c1.dim(i)), dense_map(c2, j)))
+            for block, sign, left, right in terms:
+                if block in starts:
+                    for r, row in enumerate(kronecker(left, right)):
+                        for s, value in enumerate(row):
+                            matrix[starts[block] + r][col + s] += sign * value
+            col += c1.dim(i) * c2.dim(j)
+        maps.append(matrix)
+    return maps
+
+
+@given(st.integers(2, 4), st.integers(2, 4), st.randoms(use_true_random=False))
+def test_tensor_cells_match_the_dense_kronecker_blocks(n1, n2, rng):
+    c1, _ = segment_complex(rng, n1, rng.randint(1, 4), rng.randint(0, 3))
+    c2, _ = segment_complex(rng, n2, rng.randint(1, 4), rng.randint(0, 3))
+    t = tensor_complex(c1, c2)
+    assert [linalg.to_rows(m) for m in dense_tensor_maps(c1, c2)] == list(t.maps)
+    assert t.dims == tuple(sum(c1.dim(i) * c2.dim(d - i) for i in range(c1.lo, c1.hi + 1))
+                           for d in range(t.lo, t.hi + 1))
+
+
 def test_tensor_formula_on_even_and_empty_factors():
     def segment(length, order):
         return complex_from(order, 0, [1] * length, [((1,),)] * (length - 1))
@@ -387,7 +447,6 @@ def test_queries_read_one_rank_table(monkeypatch):
     c, _ = segment_complex(random.Random(4), 4, 9, 8)
     monkeypatch.setattr(linalg, "rank", counted("rank", linalg.rank))
     monkeypatch.setattr(linalg, "mat_mul", counted("mat_mul", linalg.mat_mul))
-    monkeypatch.setattr(FiniteNComplex, "power_at", refuse)
     monkeypatch.setattr(ncomplex, "tensor_complex", refuse)
     # the queries of `ndga ncomplex cohomology`
     assert validate(c)
@@ -408,12 +467,13 @@ def test_queries_read_one_rank_table(monkeypatch):
 def test_parse_round_trip(data_path):
     c = ncomplex.load_complex(data_path("chain_identity.ncx"))
     assert c == chain_of_identities(3)
+    assert hash(c) == hash(chain_of_identities(3))
 
 
 def test_parse_fraction_entries():
     text = "N 2\ndeg 0 dim 2\n1/2 -3\ndeg 1 dim 1\n"
     c = parse_complex(text)
-    assert c.maps[0] == ((Fraction(1, 2), Fraction(-3)),)
+    assert c.maps[0] == {0: {0: Fraction(1, 2), 1: -3}}
 
 
 def test_declared_sizes_are_bounded():
@@ -425,7 +485,7 @@ def test_declared_sizes_are_bounded():
     assert (c.order, c.dims) == (4096, (4096, 0))
 
 
-def test_power_at_matches_the_composition_from_the_identity():
+def test_sparse_powers_match_the_composition_from_the_identity():
     rng = random.Random(5)
     for _ in range(20):
         dims = [rng.randint(0, 2) for _ in range(rng.randint(1, 4))]
@@ -437,37 +497,20 @@ def test_power_at_matches_the_composition_from_the_identity():
         c = complex_from(2, rng.randint(-1, 1), dims, maps)
         for degree in range(c.lo - 3, c.hi + 2):
             for p in range(1, 5):
-                expected = linalg.identity(c.dim(degree))
-                for step in range(p):
-                    # the product with explicit sizes, since a matrix with
-                    # no rows is () and does not carry its column count
-                    rows, inner, cols = (c.dim(degree + step + 1), c.dim(degree + step),
-                                         c.dim(degree))
-                    step_map = c.map_at(degree + step)
-                    expected = tuple(
-                        tuple(sum((step_map[i][k] * expected[k][j] for k in range(inner)),
-                                  Fraction(0)) for j in range(cols))
-                        for i in range(rows))
-                assert c.power_at(degree, p) == expected
+                power = c.map_at(degree)
+                for step in range(1, p):
+                    power = linalg.mat_mul(c.map_at(degree + step), power)
+                assert power == linalg.to_rows(oracle_power(c, degree, p))
 
 
-def test_power_at_keeps_its_shape_through_a_zero_dimensional_degree():
+def test_a_product_through_a_zero_dimensional_space_is_zero():
+    # sparse rows hold no shape, so a 1x0 map times a 0x1 map is {}, the
+    # zero map, with no width to pass
     c = complex_from(3, 0, [1, 0, 1], [(), ((),)])
-    assert c.power_at(0, 2) == linalg.zero_matrix(1, 1)
-    assert c.power_at(0, 1) == linalg.zero_matrix(0, 1)
-    assert c.power_at(1, 1) == ((),)
-
-
-def test_mat_mul_through_a_zero_dimensional_space_keeps_the_width():
-    # a 1x0 times a 0x1 matrix is the 1x1 zero; a matrix with no rows does
-    # not record its width, so it is passed as cols
-    assert linalg.mat_mul(((),), (), cols=1) == linalg.zero_matrix(1, 1)
-    assert linalg.mat_mul(((), ()), (), cols=3) == linalg.zero_matrix(2, 3)
-    assert linalg.mat_mul((), (), cols=2) == ()
-    with pytest.raises(ValueError, match="cols"):
-        linalg.mat_mul(((),), ())
-    with pytest.raises(ValueError, match="shape mismatch"):
-        linalg.mat_mul(((1,),), (), cols=1)
+    assert c.maps == ({}, {})
+    assert linalg.mat_mul(c.maps[1], c.maps[0]) == {}
+    assert linalg.mat_mul({0: {0: 1}}, {}) == {}
+    assert linalg.mat_mul({}, {0: {0: 1}}) == {}
 
 
 def test_parse_errors_carry_line_numbers():
