@@ -503,14 +503,26 @@ def test_sparse_powers_match_the_composition_from_the_identity():
                 assert power == linalg.to_rows(oracle_power(c, degree, p))
 
 
-def test_a_product_through_a_zero_dimensional_space_is_zero():
-    # sparse rows hold no shape, so a 1x0 map times a 0x1 map is {}, the
-    # zero map, with no width to pass
+def test_power_at_keeps_its_shape_through_a_zero_dimensional_degree():
+    # d^2: V^0 -> V^2 through the zero-dimensional V^1 is the zero map, {}
+    # as sparse rows and the 1x1 zero matrix in the dense oracle
     c = complex_from(3, 0, [1, 0, 1], [(), ((),)])
     assert c.maps == ({}, {})
-    assert linalg.mat_mul(c.maps[1], c.maps[0]) == {}
+    assert linalg.mat_mul(c.map_at(1), c.map_at(0)) == {}
+    assert oracle_power(c, 0, 2) == [[0]]
+    assert linalg.to_rows(oracle_power(c, 0, 2)) == {}
+    assert linalg.to_rows(oracle_power(c, 0, 1)) == {}
+    assert c.ranks == {}
+
+
+def test_mat_mul_through_a_zero_dimensional_space_keeps_the_width():
+    # sparse rows hold no shape, so a product through a zero-dimensional
+    # space needs no width passed: a 1x0 map times a 0x1 map is {}, the
+    # zero map, and so is any product with a zero factor
+    assert linalg.mat_mul({}, {}) == {}
     assert linalg.mat_mul({0: {0: 1}}, {}) == {}
     assert linalg.mat_mul({}, {0: {0: 1}}) == {}
+    assert linalg.to_rows([[0, 0, 0], [0, 0, 0]]) == {}
 
 
 def test_parse_errors_carry_line_numbers():
