@@ -13,6 +13,7 @@ import functools
 import os
 import re
 import sys
+from fractions import Fraction
 
 from . import chern_simons, depth, forms, knflat, ncomplex, riemann, scalar, textfile
 
@@ -117,7 +118,7 @@ def _riemann_report(metric, max_n) -> list:
                 if value is not None:
                     text = scalar.render(value)
                 else:
-                    num, den = gamma.entry(i, j, k).as_pair()
+                    num, den = num.scale(Fraction(1, gamma.content)), gamma.det.power(gamma.power)
                     text = f"({scalar.render(num)}) / ({scalar.render(den)})"
                 lines.append(f"Gamma^{i}_{j}{k} = {text}")
     try:

@@ -20,6 +20,7 @@ union of its support and the pivot row's.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -68,20 +69,33 @@ def _eliminate(rows: Iterable[Mapping]) -> list:
     """The pivots of a row echelon form of the given rows, in order, as
     (pivot column, primitive integer row) pairs; the rows are not changed.
     A pivot row holds no column of an earlier pivot, and the rank of the
-    rows is the number of pivots."""
-    active = []
-    for row in rows:
+    rows is the number of pivots.  Rows are numbered as they enter; a heap
+    of (length, number) picks the pivot row, ties going to the oldest, and
+    a list of the numbers of the rows holding each column, read once when
+    the column is pivoted, finds the rows to update, so a pivot costs its
+    updates and not a scan of every row."""
+    active = {}
+    for key, row in enumerate(rows):
         if not all(type(x) is int for x in row.values()):
             den = math.lcm(*(x.denominator for x in row.values()))
             row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
-        active.append(_primitive(row))
+        active[key] = _primitive(row)
+    holders = {}
+    for key, row in active.items():
+        for col in row:
+            holders.setdefault(col, []).append(key)
+    queue = [(len(row), key) for key, row in active.items()]
+    heapq.heapify(queue)
+    fresh = len(active)
     pivots = []
-    while active:
-        top = min(active, key=len)
+    while queue:
+        top = active.pop(heapq.heappop(queue)[1], None)
+        if top is None:
+            continue  # a row updated away; its entry stayed in the heap
         c = min(top)
         p = top[c]
-        held = [row for row in active if c in row and row is not top]
-        active = [row for row in active if c not in row]
+        # a pivoted column is in no later row; rows that left stay listed
+        held = [active.pop(key) for key in holders.pop(c) if key in active]
         extra = [top.keys() - row.keys() for row in held]
         scalar.charge(sum(map(len, held)) + sum(map(len, extra)))
         for row, more in zip(held, extra):
@@ -93,7 +107,11 @@ def _eliminate(rows: Iterable[Mapping]) -> list:
             if not all(cells.values()):
                 cells = {col: x for col, x in cells.items() if x}
             if cells:
-                active.append(_primitive(cells))
+                cells = active[fresh] = _primitive(cells)
+                for col in cells:
+                    holders[col].append(fresh)
+                heapq.heappush(queue, (len(cells), fresh))
+                fresh += 1
         pivots.append((c, top))
     return pivots
 

@@ -9,14 +9,15 @@ ring cannot hold, so this module keeps integral numerators over det(g')^p
 (the supplied rows with p = 0, or the adjugate with p = 1) and the
 brackets unhalved: every Christoffel symbol is tau / q and every
 curvature entry S / q^2, for q = c det(g)^p with one integer content c,
-and no sum lifts a term to a common denominator.  A quotient is divided out,
-with one scalar.Divisor prepared per Christoffel object, only where it is
-printed.  det and the cofactors are minors of g', read from one memoized
-Laplace expansion.  Flatness certificates run on tau and S, which leaves
-every verdict unchanged because q vanishes nowhere on the metric's
-domain.  S is the curvature d tau + tau ^ tau of the forms module under
-the quotient rule for q, so the package computes curvature with one
-kernel.
+and no sum lifts a term to a common denominator.  Christoffel.quotient
+is the one exact division by q, with one scalar.Divisor prepared per
+Christoffel object, and runs only where a value is printed; a symbol that
+is not polynomial is printed as its numerator over det^p.  det and the
+cofactors are minors of g', read from one memoized Laplace expansion.
+Flatness certificates run on tau and S, which leaves every verdict
+unchanged because q vanishes nowhere on the metric's domain.  S is the
+curvature d tau + tau ^ tau of the forms module under the quotient rule
+for q, so the package computes curvature with one kernel.
 
 Each derived object is computed once and kept in one shape on the object
 it derives from: a Metric, immutable once built, keeps tau, the
@@ -32,7 +33,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
 from . import forms, scalar, textfile
 from .forms import MatrixForm
@@ -45,31 +46,6 @@ class MetricError(Exception):
 
 class GrammarError(MetricError):
     """A requested value has no representation in the scalar grammar."""
-
-
-# ------------------------------------------------------------------
-# quotients over powers of the metric determinant
-# ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DetFraction:
-    """num / det^power with a shared determinant polynomial."""
-
-    num: TrigPoly
-    power: int
-    det: TrigPoly
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def as_poly(self) -> Optional[TrigPoly]:
-        """The exact quotient num / det^power, or None when it is not
-        polynomial."""
-        return scalar.exact_divide(self.num, self.det.power(self.power))
-
-    def as_pair(self) -> Tuple[TrigPoly, TrigPoly]:
-        """(numerator, denominator) as polynomials."""
-        return self.num, self.det.power(self.power)
 
 
 # ------------------------------------------------------------------
@@ -104,7 +80,8 @@ class Metric:
     and the cofactors come from one table of minors (_minors) that lives
     only while the metric is built.  One certificate checks g' N =
     det(g')^p I, or lambda u I, with the zero test; for the adjugate it is
-    exact.  entry, det_poly and inverse_fraction read g as given."""
+    exact.  g and det_poly() are the metric and its determinant as
+    given."""
 
     def __init__(self, entries, inverse=None):
         rows = [list(r) for r in entries]
@@ -152,17 +129,6 @@ class Metric:
         self._numerators = tuple(map(tuple, numerators))
         self._u, self._content = u, 2 * lam * u  # Gamma = tau / (content det^p)
 
-    @functools.cached_property
-    def inverse_numerators(self) -> tuple:
-        """The numerators of g^-1 over det(g)^p."""
-        return tuple(tuple(e.scale(Fraction(1, self._u)) for e in row) for row in self._numerators)
-
-    def entry(self, i: int, j: int) -> TrigPoly:
-        return self.g[i - 1][j - 1]
-
-    def inverse_fraction(self, i: int, j: int) -> DetFraction:
-        return DetFraction(self.inverse_numerators[i - 1][j - 1], self.inverse_power, self._det)
-
     def det_poly(self) -> TrigPoly:
         return self._det
 
@@ -180,25 +146,17 @@ class Christoffel:
     """The integral connection form tau of Gamma = tau / q, q = content
     det^power: component dx^k carries the matrix (num Gamma^i_jk)_ij, and
     entry (i, j) of component k and entry (i, k) of component j hold one
-    object.  tau keeps the curvature S, and q as a scalar.Divisor."""
+    object.  numerator reads one symbol's cell of tau, and quotient divides
+    by q; tau keeps the curvature S, and q as a scalar.Divisor."""
 
     form: MatrixForm
     det: TrigPoly
     power: int
     content: int
 
-    @functools.cached_property
-    def _matrices(self) -> tuple:
-        """The dense view of each component of tau, dx^k at k - 1."""
-        return tuple(self.form.component((k,)) for k in range(1, self.form.base_dim + 1))
-
     def numerator(self, i: int, j: int, k: int) -> TrigPoly:
         """tau's entry for Gamma^i_jk: the symbol times q."""
-        return self._matrices[k - 1][i - 1][j - 1]
-
-    def entry(self, i: int, j: int, k: int) -> DetFraction:
-        num = self.numerator(i, j, k)
-        return DetFraction(num.scale(Fraction(1, self.content)), self.power, self.det)
+        return self.form._components.get((k,), {}).get((i - 1, j - 1)) or TrigPoly.zero()
 
     def quotient(self, num: TrigPoly, k: int = 1) -> Optional[TrigPoly]:
         """num / q^k, or None when it is not polynomial."""
@@ -285,23 +243,17 @@ def riemann_form(metric: Metric) -> MatrixForm:
         for (k, l), entries in S.components()})
 
 
-def _cleared_forms(metric: Metric) -> Tuple[MatrixForm, MatrixForm]:
-    """Denominator-cleared curvature and connection forms S and tau: the
-    numerators of R over q^2 and of Gamma over q are polynomial and vanish
-    where R and Gamma do."""
-    return riemann_components(metric), christoffel(metric).form
-
-
 def levi_civita_n_flat(metric: Metric, n: int) -> bool:
     """Order-n flatness of the Levi-Civita connection, decided on the
-    denominator-cleared curvature and connection forms."""
-    S, tau = _cleared_forms(metric)
-    return forms.n_flat_from_curvature(S, tau, n)
+    denominator-cleared curvature and connection forms S and tau: the
+    numerators of R over q^2 and of Gamma over q are polynomial and vanish
+    where R and Gamma do."""
+    return forms.n_flat_from_curvature(riemann_components(metric), christoffel(metric).form, n)
 
 
 def minimal_lc_flatness_order(metric: Metric, max_n: int = 8):
-    S, tau = _cleared_forms(metric)
-    return forms.minimal_order_from_curvature(S, tau, max_n)
+    return forms.minimal_order_from_curvature(riemann_components(metric),
+                                              christoffel(metric).form, max_n)
 
 
 # ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Every module of src/ndga references each name it imports at top level,
-and every private function and class of src/ndga is referenced in it."""
+and every private function, class, method and cached property of src/ndga
+is referenced in it."""
 
 import ast
 import os
@@ -32,20 +33,37 @@ def test_unused_import_is_found():
     assert unused_imports("import os\nfrom typing import List, Dict\nx: List = os.sep\n") == ["Dict"]
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def unreferenced_private_names(sources):
-    """Private module-level functions and classes, as module.name, that no
-    code outside their own definition refers to, over {module: source}."""
-    defined, used = {}, set()
+    """Private module-level functions and classes, as module.name, and
+    private methods and cached properties of classes, as
+    module.Class.name, that no code outside their own definition refers to,
+    over {module: source}."""
+    defined, used = [], set()
+
+    def visit(node, prefix, own):
+        name = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        if name and _private(name):
+            defined.append((name, prefix + name))
+        own = own | {name}
+        if isinstance(node, ast.ClassDef):
+            for part in node.bases + node.keywords + node.decorator_list:
+                visit(part, prefix, own)
+            for child in node.body:
+                visit(child, f"{prefix}{name}.", own)
+            return
+        for sub in ast.walk(node):
+            ref = getattr(sub, "id", None) or getattr(sub, "attr", None)
+            if isinstance(sub, (ast.Name, ast.Attribute)) and ref not in own:
+                used.add(ref)
+
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            own = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
-            if own and own.startswith("_") and not own.startswith("__"):
-                defined[own] = module
-            for sub in ast.walk(node):
-                name = getattr(sub, "id", None) or getattr(sub, "attr", None)
-                if isinstance(sub, (ast.Name, ast.Attribute)) and name != own:
-                    used.add(name)
-    return sorted(f"{module}.{name}" for name, module in defined.items() if name not in used)
+            visit(node, f"{module}.", set())
+    return sorted(label for name, label in defined if name not in used)
 
 
 def test_every_private_function_and_class_is_used():
@@ -60,6 +78,19 @@ def test_unreferenced_private_name_is_found():
     sources = {"a": "def _loop(n):\n    return _loop(n)\n\nclass _Used:\n    pass\n",
                "b": "import a\nx = a._Used()\n"}
     assert unreferenced_private_names(sources) == ["a._loop"]
+
+
+def test_unreferenced_private_method_is_found():
+    # a method that only calls itself, or that only its own class names,
+    # is dead; one read as an attribute anywhere is not
+    sources = {"a": "import functools\n\nclass C:\n"
+                    "    def _walk(self, n):\n        return self._walk(n - 1) + C._read\n\n"
+                    "    @functools.cached_property\n    def _read(self):\n        return 1\n\n"
+                    "    @functools.cached_property\n    def _cache(self):\n        return 2\n\n"
+                    "    def _helper(self):\n        return 3\n\n"
+                    "    def __len__(self):\n        return 0\n",
+               "b": "import a\nx = a.C()._helper()\n"}
+    assert unreferenced_private_names(sources) == ["a.C._cache", "a.C._walk"]
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

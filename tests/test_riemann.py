@@ -11,7 +11,7 @@ import pytest
 
 from ndga import cli, forms, riemann, scalar
 from ndga.riemann import (
-    DetFraction, GrammarError, Metric, MetricError, MetricFileError, TrigPoly,
+    GrammarError, Metric, MetricError, MetricFileError, TrigPoly,
     christoffel, levi_civita_n_flat, minimal_lc_flatness_order,
     parse_metric, riemann_components, riemann_form,
 )
@@ -37,6 +37,34 @@ def sphere_torus_metric():
 # reference formula: the n^4 Christoffel and Riemann sums, each term an
 # exact DetFraction lifted to a common power of det(g) before it is added
 # ------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class DetFraction:
+    """num / det^power over one shared determinant polynomial."""
+
+    num: TrigPoly
+    power: int
+    det: TrigPoly
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def as_poly(self):
+        """The exact quotient num / det^power, or None when it is not
+        polynomial."""
+        return exact_divide(self.num, self.det.power(self.power))
+
+
+def inverse_numerators(metric):
+    """The numerators of g^-1 over det(g)^p: the metric's integral
+    numerators divided by their scale u."""
+    return [[e.scale(Fraction(1, metric._u)) for e in row] for row in metric._numerators]
+
+
+def inverse_fraction(metric, i, j):
+    """g^ij (0-based) as a DetFraction."""
+    return DetFraction(inverse_numerators(metric)[i][j], metric.inverse_power, metric.det_poly())
+
 
 def _align(a, b):
     power = max(a.power, b.power)
@@ -77,7 +105,7 @@ def _reference_christoffel(metric):
                 for l in range(n):
                     bracket = _sub(_add(_diff(g[l][j], k + 1), _diff(g[l][k], j + 1)),
                                    _diff(g[j][k], l + 1))
-                    total = _add(total, _mul(metric.inverse_fraction(i + 1, l + 1), bracket))
+                    total = _add(total, _mul(inverse_fraction(metric, i, l), bracket))
                 G[i][j][k] = DetFraction(total.num.scale(Fraction(1, 2)), total.power, det)
     return G
 
@@ -264,8 +292,8 @@ def test_oracle_covers_every_family():
     assert {m.dim for m in metrics} == {2, 3, 4}
     assert {m.inverse_power for m in metrics} == {0, 1}
     assert any(m.det_poly().atoms() - {(scalar.VAR, i) for i in range(1, 5)} for m in metrics)
-    assert any(any(m.entry(i, j) != ZERO for i in range(1, m.dim + 1)
-                   for j in range(1, m.dim + 1) if i != j) for m in metrics)
+    assert any(any(m.g[i][j] != ZERO for i in range(m.dim)
+                   for j in range(m.dim) if i != j) for m in metrics)
 
 
 # the Levi-Civita connection of lam g is that of g: a homothety changes no
@@ -279,7 +307,7 @@ def _homothetic(metric, lam):
     g = [[e.scale(lam) for e in row] for row in metric.g]
     if metric.inverse_power:
         return Metric(g)
-    return Metric(g, [[e.scale(1 / lam) for e in row] for row in metric.inverse_numerators])
+    return Metric(g, [[e.scale(1 / lam) for e in row] for row in inverse_numerators(metric)])
 
 
 def _curvature_or_refusal(metric):
@@ -387,7 +415,7 @@ def test_kernel_agrees_with_sympy(index):
         difference = sympy.together(to_sympy(num) / to_sympy(den) - expected)
         assert sympy_reduced(sympy.numer(difference)) == 0
 
-    g = sympy.Matrix(n, n, lambda i, j: to_sympy(metric.entry(i + 1, j + 1)))
+    g = sympy.Matrix(n, n, lambda i, j: to_sympy(metric.g[i][j]))
     g_inv = g.inv()
     G = [[[sympy.together(sum(
         g_inv[i, l] * (g[l, j].diff(x[k]) + g[l, k].diff(x[j]) - g[j, k].diff(x[l]))
@@ -471,7 +499,7 @@ def test_det_and_adjugate_agree_with_sympy(dim, seed):
         for j in range(dim):
             rest = [[k for k in range(dim) if k != skip] for skip in (j, i)]
             cofactor = g.extract(*rest).det() * (-1) ** (i + j)
-            assert (_in_ring(ring, metric.inverse_numerators[i][j]) - cofactor) % pythagoras == 0
+            assert (_in_ring(ring, inverse_numerators(metric)[i][j]) - cofactor) % pythagoras == 0
 
 
 def test_minor_cases_have_zero_and_trig_entries():
@@ -682,17 +710,17 @@ def test_supplied_inverse_is_certified_on_polynomials(monkeypatch):
 
 def test_cofactor_inverse_of_sphere_metric():
     g = sphere_torus_metric()
-    assert g.inverse_fraction(1, 1).as_poly() is None  # 1/sin^2 is outside the ring
-    num, den = g.inverse_fraction(1, 1).as_pair()
-    assert scalar.is_zero(num - ONE)
-    assert scalar.is_zero(den - SIN2)
-    assert scalar.is_zero(g.inverse_fraction(2, 2).as_poly() - ONE)
+    fraction = inverse_fraction(g, 0, 0)
+    assert fraction.as_poly() is None  # 1/sin^2 is outside the ring
+    assert scalar.is_zero(fraction.num - ONE)
+    assert scalar.is_zero(fraction.det.power(fraction.power) - SIN2)
+    assert scalar.is_zero(inverse_fraction(g, 1, 1).as_poly() - ONE)
 
 
 def test_rational_inverse_is_polynomial():
     g = Metric([[2, 1], [1, 1]])
-    assert scalar.is_zero(g.inverse_fraction(1, 1).as_poly() - ONE)
-    assert scalar.is_zero(g.inverse_fraction(1, 2).as_poly() - TrigPoly.const(-1))
+    assert scalar.is_zero(inverse_fraction(g, 0, 0).as_poly() - ONE)
+    assert scalar.is_zero(inverse_fraction(g, 0, 1).as_poly() - TrigPoly.const(-1))
 
 
 # ------------------------------------------------------------------
@@ -702,7 +730,7 @@ def test_rational_inverse_is_polynomial():
 def test_identity_metric_has_zero_symbols():
     gamma = christoffel(Metric([[1, 0], [0, 1]]))
     assert all(
-        gamma.entry(i, j, k).is_zero()
+        gamma.numerator(i, j, k) == ZERO
         for i in (1, 2) for j in (1, 2) for k in (1, 2)
     )
 
@@ -710,7 +738,7 @@ def test_identity_metric_has_zero_symbols():
 def test_constant_metric_has_zero_symbols():
     gamma = christoffel(Metric([[3, 1], [1, 2]]))
     assert all(
-        gamma.entry(i, j, k).is_zero()
+        gamma.numerator(i, j, k) == ZERO
         for i in (1, 2) for j in (1, 2) for k in (1, 2)
     )
 
@@ -718,21 +746,20 @@ def test_constant_metric_has_zero_symbols():
 def test_sphere_torus_symbols():
     gamma = christoffel(sphere_torus_metric())
     # Gamma^2_11 = -sin x2 cos x2, in the grammar
-    value = gamma.entry(2, 1, 1).as_poly()
+    value = gamma.quotient(gamma.numerator(2, 1, 1))
     assert value is not None
     assert scalar.is_zero(value + SIN * COS)
     # Gamma^1_12 = cos/sin: quotient only
-    fraction = gamma.entry(1, 1, 2)
-    assert fraction.as_poly() is None
-    num, den = fraction.as_pair()
-    assert scalar.is_zero(num * SIN2 - den * SIN * COS)
-    # symmetry in the lower pair
-    assert _sub(gamma.entry(1, 1, 2), gamma.entry(1, 2, 1)).is_zero()
+    num = gamma.numerator(1, 1, 2)
+    assert gamma.quotient(num) is None
+    assert scalar.is_zero(num * SIN2 - gamma.q * SIN * COS)
+    # symmetry in the lower pair: one object in both components
+    assert gamma.numerator(1, 2, 1) is num
     # everything else vanishes
     nonzero = {
         (i, j, k)
         for i in range(1, 5) for j in range(1, 5) for k in range(1, 5)
-        if not gamma.entry(i, j, k).is_zero()
+        if gamma.numerator(i, j, k).terms
     }
     assert nonzero == {(1, 1, 2), (1, 2, 1), (2, 1, 1)}
 
@@ -800,7 +827,7 @@ def test_flatness_scan_matches_the_order_oracle_on_cleared_forms(data_path):
     metrics += [riemann.load_metric(data_path(name))
                 for name in ("sphere_torus.metric", "round_sphere3.metric")]
     for metric in metrics:
-        S, tau = riemann._cleared_forms(metric)
+        S, tau = riemann_components(metric), christoffel(metric).form
         assert forms.minimal_order_from_curvature(S, tau, 8) == \
             least_accepted_order(S, tau, 8)
 
@@ -827,13 +854,46 @@ def test_block_metric_split():
 
 
 # ------------------------------------------------------------------
+# the printed Christoffel symbols
+# ------------------------------------------------------------------
+
+SYMBOL_LINE = re.compile(r"Gamma\^(\d)_(\d)(\d) = (.*)")
+QUOTIENT_TEXT = re.compile(r"\((.*)\) / \((.*)\)")
+
+
+def test_printed_symbols_are_the_quotients_of_tau():
+    # a symbol printed as (A) / (B) is tau / q with the content moved into
+    # A, and any other is what Christoffel.quotient gives
+    forms_seen = set()
+    for name in SHIPPED_METRICS:
+        path = os.path.join(DATA_DIR, name)
+        out = io.StringIO()
+        assert cli.main(["riemann", path], out=out) == 0, name
+        gamma = christoffel(riemann.load_metric(path))
+        for line in out.getvalue().splitlines():
+            symbol = SYMBOL_LINE.fullmatch(line)
+            if not symbol:
+                continue
+            i, j, k, text = symbol.groups()
+            num = gamma.numerator(int(i), int(j), int(k))
+            pair = QUOTIENT_TEXT.fullmatch(text)
+            if pair:
+                a, b = map(scalar.expand, pair.groups())
+                assert a * gamma.q == b * num, (name, line)
+            else:
+                assert scalar.expand(text) == gamma.quotient(num), (name, line)
+            forms_seen.add(bool(pair))
+    assert forms_seen == {True, False}
+
+
+# ------------------------------------------------------------------
 # metric files
 # ------------------------------------------------------------------
 
 def test_parse_metric_file(data_path):
     g = riemann.load_metric(data_path("sphere_torus.metric"))
     assert g.dim == 4
-    assert scalar.is_zero(g.entry(1, 1) - SIN2)
+    assert scalar.is_zero(g.g[0][0] - SIN2)
 
 
 def test_unexpanded_entries_give_the_report_of_their_expansion(tmp_path):

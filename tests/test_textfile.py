@@ -4,10 +4,7 @@ from ndga import forms, ncomplex, riemann, textfile
 
 
 def metric_key(metric):
-    n = metric.dim
-    inverse = tuple(metric.inverse_fraction(i, j).as_poly()
-                    for i in range(1, n + 1) for j in range(1, n + 1))
-    return metric.g, metric.inverse_power, inverse
+    return metric.g, metric.inverse_power, metric._numerators, metric._u
 
 
 # (format, parser, key of the parsed object, plain file, a bad line and the
