@@ -222,7 +222,7 @@ def main(argv=None, out=None) -> int:
     with scalar.work_budget():
         parser = _build_parser()
         args = parser.parse_args(argv)
-        scalar.set_zero_seed(args.seed)
+        found = scalar.set_zero_seed(args.seed)
         try:
             if args.command == "cs-lagrangian":
                 if not 1 <= args.K <= 6:
@@ -247,6 +247,8 @@ def main(argv=None, out=None) -> int:
                 ncomplex.ComplexError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 1
+        finally:
+            scalar.set_zero_seed(found)
     return 2
 
 

@@ -7,6 +7,14 @@ exterior derivative, connections d + omega, curvature, N-flatness
 certificates via ordered-pairing expansions of curvature powers, and
 tensor products of connections.
 
+Flatness orders are decided three ways: from curvature powers
+(minimal_flatness_order), through the pairing certificates, and by brute
+force, iterating nabla = d + omega on probe columns until they vanish.
+nabla raises form degree by one, so on an n-dimensional base a k-form is
+zero after n + 1 - k steps whatever the connection, and every connection
+is (n + 1)-flat; the brute force skips a probe block once that bound
+cannot raise the order it has found.
+
 These forms and the depth forms of ndga.depth share one Koszul sign,
 _shuffle_sign.  tests/test_depth.py checks the all-twos depth forms
 against wedge and exterior_d.
@@ -425,15 +433,18 @@ def minimal_flatness_order(conn: Connection, max_n: int = 8):
 
 def probe_forms(conn: Connection):
     """The vector-valued probes that measure flatness by direct iteration,
-    as the columns of two forms: f e_j for f in {1, x_1, ..., x_n}, the
-    0-form [1 I | x_1 I | ... | x_n I], and dx_i e_j, the 1-form with
-    dx_i I at column block i.  The coordinate functions make every
-    F^K ^ dx_i direction visible through F^K ^ df."""
+    as the columns of three forms, cheapest first: the constants e_j, the
+    0-form [I]; the coordinate functions x_i e_j, the 0-form
+    [x_1 I | ... | x_n I]; and dx_i e_j, the 1-form with dx_i I at column
+    block i.  The coordinate functions make every F^K ^ dx_i direction
+    visible through F^K ^ df.  nabla raises form degree by one, so on an
+    n-dimensional base a k-form probe is zero after n + 1 - k steps,
+    whatever the connection."""
     n, m = conn.base_dim, conn.fiber_dim
-    fs = [_ONE] + [TrigPoly.var(i) for i in range(1, n + 1)]
-    functions = {(r, f * m + r): e for f, e in enumerate(fs) for r in range(m)}
+    functions = {(r, (i - 1) * m + r): TrigPoly.var(i) for i in range(1, n + 1) for r in range(m)}
     one_forms = {(i,): {(r, (i - 1) * m + r): _ONE for r in range(m)} for i in range(1, n + 1)}
-    return [_form(n, (m, (n + 1) * m), {(): functions}), _form(n, (m, n * m), one_forms)]
+    return [_form(n, (m, m), {(): _identity(m)}), _form(n, (m, n * m), {(): functions}),
+            _form(n, (m, n * m), one_forms)]
 
 
 def _nonzero_columns(a: MatrixForm) -> MatrixForm:
@@ -453,18 +464,28 @@ def _nonzero_columns(a: MatrixForm) -> MatrixForm:
 
 def brute_force_flatness_order(conn: Connection, max_n: int = 8):
     """Least n <= max_n with nabla^n annihilating every probe, measured by
-    actually iterating the covariant derivative on the probe columns.
-    nabla acts column by column, and a column that has become the zero
-    function stays zero under nabla, so after each step the columns that
-    the zero test reads as zero drop out."""
-    current = probe_forms(conn)
-    for n in range(1, max_n + 1):
-        current = [_nonzero_columns(nabla_apply(conn, a)) for a in current]
-        current = [a for a in current if a.shape[1]]
-        if not current:
-            # orders below 2 are not meaningful flatness orders
-            return max(n, 2)
-    return None
+    actually iterating the covariant derivative on the probe columns; no
+    curvature is read.  nabla acts column by column, and a column that has
+    become the zero function stays zero under nabla, so after each step the
+    columns that the zero test reads as zero drop out, and each block of
+    probe_forms dies at its own order.  The answer is the largest of those
+    orders, and at least 2.  A k-form block is zero after base_dim + 1 - k
+    steps (nabla raises degree by one), so a block whose bound is no more
+    than the order found so far cannot raise it and is skipped; a generic
+    connection reaches base_dim + 1 on the constants alone.  None as soon
+    as a block outlives max_n steps, and for max_n below 2."""
+    order = 2  # orders below 2 are not meaningful flatness orders
+    for block in probe_forms(conn):
+        if order >= conn.base_dim + 1 - min(map(len, block._components)):
+            continue
+        steps = 0
+        while block.shape[1]:
+            if steps == max_n:
+                return None
+            block = _nonzero_columns(nabla_apply(conn, block))
+            steps += 1
+        order = max(order, steps)
+    return order if order <= max_n else None
 
 
 # ------------------------------------------------------------------

@@ -38,10 +38,11 @@ from typing import List, Tuple
 from . import linalg, scalar, textfile
 
 
-# Largest order or dimension a complex file may declare, largest total
-# dimension of a tensor product, and most lines of a cohomology table.  The
-# budget bounds the work on the maps, charging nonzero entries alone, but a
-# file still writes n^2 cells for a map of dimension n.
+# Largest order or dimension a complex file may declare, and most lines of
+# a cohomology table.  The budget bounds the work on the maps, charging
+# nonzero entries alone, but a file still writes n^2 cells for a map of
+# dimension n.  A tensor product is not capped: its nilpotency is read from
+# the factors, and it is never built.
 MAX_SIZE = 4096
 
 
@@ -238,14 +239,11 @@ def tensor_nilpotency(c1: FiniteNComplex, c2: FiniteNComplex) -> int:
     nilpotencies without building it (koszul_nilpotency).  A factor of
     total dimension 0 makes the zero space, of nilpotency 1.  Both factors
     must be valid."""
-    total_dim = sum(c1.dims) * sum(c2.dims)
-    if total_dim > MAX_SIZE:
-        raise ComplexError("tensor size budget exceeded")
     for k, c in enumerate((c1, c2), 1):
         if not validate(c):
             raise ComplexError(f"factor {k}: d^{c.order} is not zero; "
                                f"not a valid {c.order}-complex")
-    if total_dim == 0:
+    if not sum(c1.dims) * sum(c2.dims):
         return 1
     return koszul_nilpotency(measured_nilpotency(c1), measured_nilpotency(c2))
 

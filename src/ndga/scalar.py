@@ -55,9 +55,11 @@ _UNDERFLOW_SIZE = 1e-300
 _zero_seed = DEFAULT_ZERO_SEED
 
 
-def set_zero_seed(seed: int) -> None:
+def set_zero_seed(seed: int) -> int:
+    """Seed the sampled zero test; returns the seed it replaces."""
     global _zero_seed
-    _zero_seed = seed
+    previous, _zero_seed = _zero_seed, seed
+    return previous
 
 
 class ScalarError(Exception):
@@ -327,7 +329,7 @@ def _add_product(terms: dict, mono: Mono, coeff) -> None:
 # One term product costs 0.25-2.2 us in process on a 2-vCPU x86-64 machine,
 # so a refusal comes after 0.1-0.9 s: integer products of polynomials are
 # the cheapest, and Fraction coefficients and sin^2 rewrites the dearest.
-# Outside the scope work is unbounded.
+# Outside every scope work is unbounded.
 
 WORK_BUDGET = 400_000
 _work_left = math.inf
@@ -348,17 +350,21 @@ def charge(work: int) -> None:
 
 @contextlib.contextmanager
 def work_budget():
-    """Hold the ring's work inside the block to WORK_BUDGET term products.
-    expand's and normalize's caches are cleared on entry, so a cached
-    expansion is never free and a refusal does not depend on earlier calls."""
+    """Hold the ring's work inside the block to WORK_BUDGET term products,
+    or to what an enclosing scope has left if that is less.  On exit the
+    enclosing scope resumes, less what the block spent, so nesting can only
+    tighten a bound.  expand's and normalize's caches are cleared on entry,
+    so a cached expansion is never free and a refusal does not depend on
+    earlier calls."""
     global _work_left
     normalize.cache_clear()
     expand.cache_clear()
-    _work_left = WORK_BUDGET
+    outer = _work_left
+    start = _work_left = min(WORK_BUDGET, outer)
     try:
         yield
     finally:
-        _work_left = math.inf
+        _work_left = outer - (start - _work_left)
 
 
 def _mul_into(terms: dict, a: dict, b: dict) -> None:

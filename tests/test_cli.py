@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import random
 import subprocess
@@ -412,6 +413,30 @@ def test_seed_does_not_leak_into_the_next_call(data_path):
     assert scalar._zero_seed == scalar.DEFAULT_ZERO_SEED
 
 
+def test_a_call_restores_the_seed_it_found(data_path):
+    run(["--seed", "5", "flatness", data_path("rotation.conn")])
+    assert scalar._zero_seed == scalar.DEFAULT_ZERO_SEED
+    scalar.set_zero_seed(9)
+    try:
+        run(["flatness", data_path("trig_pair.conn")])
+        assert scalar._zero_seed == 9
+    finally:
+        scalar.set_zero_seed(scalar.DEFAULT_ZERO_SEED)
+
+
+def test_a_call_inside_a_budget_charges_the_enclosing_scope(data_path, monkeypatch):
+    argv = ["flatness", data_path("generic_c08.conn")]
+    charges = []
+    with monkeypatch.context() as patch:
+        patch.setattr(scalar, "_charge", charges.append)
+        assert run(argv) == (0, "5-flat\n")
+    assert sum(charges) > 0
+    with scalar.work_budget():
+        assert run(argv) == (0, "5-flat\n")
+        assert scalar._work_left == scalar.WORK_BUDGET - sum(charges)
+    assert scalar._work_left == math.inf
+
+
 def test_usage_error_leaves_no_state_for_the_next_call(data_path, capsys):
     bad = ["knflat", "expand", "--N", "0", "--K", "4"]
     good = ["riemann", data_path("sphere_torus.metric")]
@@ -810,11 +835,20 @@ def test_tensor_refusal_names_the_factor_file(tmp_path, capsys, dense_first):
 
 
 def test_tensor_over_budget_is_an_input_error(tmp_path, capsys):
+    # the tensor is never built, so its size, 70 x 70, is not capped
     path = tmp_path / "wide.ncx"
     path.write_text("N 2\ndeg 0 dim 70\n")
-    code, _ = run(["ncomplex", "tensor", str(path), str(path)])
-    assert code == 1
-    assert capsys.readouterr().err == "error: tensor size budget exceeded\n"
+    assert run(["ncomplex", "tensor", str(path), str(path)]) == (
+        0, "tensor nilpotency 1 (bound 3, koszul sign on)\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_tensor_of_two_identity_chains_is_answered(tmp_path):
+    # refused while sum(dims1) * sum(dims2) = 160 * 160 was capped at 4096
+    path = tmp_path / "chain40.ncx"
+    path.write_text(identity_chain(40))
+    assert run(["ncomplex", "tensor", str(path), str(path)]) == (
+        0, "tensor nilpotency 6 (bound 7, koszul sign on)\n")
 
 
 # (command, file name and text or None, exit code, the one error line

@@ -356,6 +356,7 @@ def per_vector_flatness_order(conn, max_n):
 
 
 def test_brute_force_matches_the_per_vector_loop(data_path):
+    # at max_n = base_dim too, one below the order of a generic connection
     connections = [forms.load_connection(data_path(name)) for name in SHIPPED_CONNECTIONS]
     rng = random.Random(3301)
     for k in range(30):
@@ -364,14 +365,28 @@ def test_brute_force_matches_the_per_vector_loop(data_path):
     for conn in connections:
         orders.append(brute_force_flatness_order(conn, 6))
         assert orders[-1] == per_vector_flatness_order(conn, 6)
+        assert (brute_force_flatness_order(conn, conn.base_dim)
+                == per_vector_flatness_order(conn, conn.base_dim))
     assert orders[:4] == [5, 4, 4, 3]
     assert set(orders[4:]) == {2, 3, 4, 5, 6}
 
 
+def test_brute_force_gives_none_below_the_order(data_path):
+    # a base-1 connection is 2-flat by the degree bound alone, so every
+    # probe block is skipped
+    cases = [(forms.load_connection(data_path("generic_c08.conn")), (3, 4)),
+             (connection_from_coefficients(1, {1: ((1,),)}), (0, 1))]
+    for conn, limits in cases:
+        for max_n in limits:
+            assert brute_force_flatness_order(conn, max_n) is None
+            assert per_vector_flatness_order(conn, max_n) is None
+
+
 def test_brute_force_applies_nabla_to_nonzero_columns_only(data_path, monkeypatch):
-    # at most two nabla calls per step, on the probe columns that are still
-    # nonzero: as many columns as the per-vector loop applies nabla to.  On
-    # generic_c08.conn the per-vector loop makes 18 calls in its first step.
+    # nabla gets only probe columns that are still nonzero, one block at a
+    # time, and a block whose degree bound base_dim + 1 - k cannot raise the
+    # order is skipped: the constants of generic_c08.conn alone reach its
+    # order 5.  The per-vector loop applies nabla to more columns.
     live = []
     original = forms.nabla_apply
 
@@ -381,14 +396,16 @@ def test_brute_force_applies_nabla_to_nonzero_columns_only(data_path, monkeypatc
         return original(connection, alpha)
 
     monkeypatch.setattr(forms, "nabla_apply", counting)
-    for name, order in zip(SHIPPED_CONNECTIONS, (5, 4, 4, 3)):
+    for name, order, columns, per_vector in zip(SHIPPED_CONNECTIONS, (5, 4, 4, 3),
+                                                (10, 17, 27, 6), (82, 27, 43, 25)):
         conn = forms.load_connection(data_path(name))
         live[:] = []
         assert per_vector_flatness_order(conn, 8) == order
-        probes, live[:] = sum(live), []
+        assert sum(live) == per_vector
+        live[:] = []
         assert brute_force_flatness_order(conn, 8) == order
-        assert len(live) <= 2 * order
-        assert sum(live) == probes
+        assert len(live) <= 3 * order
+        assert sum(live) == columns
 
 
 def _scan_connections():

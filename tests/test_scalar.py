@@ -150,6 +150,18 @@ def test_work_budget_refuses_before_the_work_and_ends_with_its_scope():
     scalar._charge(10 * scalar.WORK_BUDGET)
 
 
+def test_an_inner_budget_holds_what_the_outer_one_has_left():
+    with scalar.work_budget():
+        scalar._charge(scalar.WORK_BUDGET - 10)
+        with scalar.work_budget():
+            assert scalar._work_left == 10
+            scalar._charge(4)
+            with pytest.raises(ScalarError):
+                scalar._charge(7)
+        assert scalar._work_left == 6
+    assert scalar._work_left == math.inf
+
+
 @given(expressions)
 @example(Power(Sin(Var(1)), 2))
 @example(Product((Sin(Var(1)), Sin(Var(1)))))
@@ -649,25 +661,21 @@ def test_expansion_holds_integral_coefficients_as_ints(text):
         assert type(coeff) is int or coeff.denominator > 1
 
 
-def test_brute_force_on_integer_data_keeps_integer_coefficients(data_path, monkeypatch):
+def test_brute_force_on_integer_data_keeps_integer_coefficients(data_path):
     from ndga import forms
 
     conn = forms.load_connection(data_path("generic_c08.conn"))
-    reached = [conn.form] + forms.probe_forms(conn)
-    original = forms.nabla_apply
-
-    def recording(connection, alpha):
-        result = original(connection, alpha)
-        reached.append(result)
-        return result
-
-    monkeypatch.setattr(forms, "nabla_apply", recording)
     assert forms.brute_force_flatness_order(conn, 8) is not None
+    # the nonzero entries of the connection, the probes and every nabla
+    # step of each probe until it is zero: every entry the brute force can
+    # reach, with no column dropped
+    reached = [conn.form]
+    for probe in forms.probe_forms(conn):
+        while not probe.is_zero():
+            reached.append(probe)
+            probe = forms.nabla_apply(conn, probe)
     entries = [e for form in reached for _, m in form.components()
                for row in m for e in row if e.terms]
-    # the nonzero entries of the connection, the probes and every nabla
-    # step; the probes are batched as columns, so this is the count that
-    # the per-probe loop reached too
     assert len(entries) >= 438
     types = {type(c) for e in entries for c in e.terms.values()}
     assert types == {int}
