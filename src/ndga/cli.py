@@ -219,10 +219,9 @@ def _run_ncomplex(args, out) -> int:
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    with scalar.work_budget():
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        found = scalar.set_zero_seed(args.seed)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    with scalar.work_budget(args.seed):
         try:
             if args.command == "cs-lagrangian":
                 if not 1 <= args.K <= 6:
@@ -247,8 +246,6 @@ def main(argv=None, out=None) -> int:
                 ncomplex.ComplexError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 1
-        finally:
-            scalar.set_zero_seed(found)
     return 2
 
 

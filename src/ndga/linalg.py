@@ -12,10 +12,10 @@ with the fewest entries (Markowitz, Management Sci. 3, 1957) at its least
 column, and only the rows holding that column are updated, each as
 (p row - f top) // gcd, so that every row stays primitive.
 
-Inside scalar.work_budget() a product is charged one term product per pair
-of nonzero entries it multiplies, before it forms any, and each pivot the
-entries its updates write, before it makes them: for each updated row, the
-union of its support and the pivot row's.
+A product charges the current scalar.work_budget() scope one term product
+per pair of nonzero entries it multiplies, before it forms any, and each
+pivot the entries its updates write, before it makes them: for each
+updated row, the union of its support and the pivot row's.
 """
 
 from __future__ import annotations

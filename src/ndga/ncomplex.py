@@ -22,9 +22,9 @@ has nilpotency exactly a + b - 1, or a + b - 2 when a and b are both even;
 so N + M - 1 bounds it for factors of orders N and M, and N + M - 2 when
 N and M are both even.
 
-Inside scalar.work_budget() the table is charged what linalg charges: the
-nonzero pairs each product multiplies and the entries each elimination step
-writes, so a sparse complex of large dimension costs only the work it holds.
+The table charges the current scalar.work_budget() scope what linalg does:
+the nonzero pairs each product multiplies and the entries each elimination
+step writes, so a sparse complex of large dimension costs only its work.
 """
 
 from __future__ import annotations

@@ -28,8 +28,8 @@ dict, and lowers a derivative into it without building it.
 The monomial format is private to this module: other modules compute
 through TrigPoly's methods and the functions here.  Values are immutable,
 and every function here is pure, except that the atom table grows, and
-that inside work_budget() the ring counts its term products and refuses
-work past WORK_BUDGET.
+that inside work_budget() the ring charges its term products to a Scope,
+which refuses work past its limit and holds the zero test's seed.
 """
 
 from __future__ import annotations
@@ -43,24 +43,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-# Seed for the randomized zero test on trigonometric expressions.  Exposed
-# so the CLI can override it (--seed); identical seeds give identical runs.
+# Seed for the randomized zero test outside every work_budget(seed) block
+# (the CLI's --seed); identical seeds give identical runs.
 DEFAULT_ZERO_SEED = 271828182845
 ZERO_TOLERANCE = 1e-9
 ZERO_SAMPLES = 8
 # a sample point whose term sizes sum below this is summed again in a
 # float mantissa and an int binary exponent per term (see is_zero)
 _UNDERFLOW_SIZE = 1e-300
-
-_zero_seed = DEFAULT_ZERO_SEED
-
-
-def set_zero_seed(seed: int) -> int:
-    """Seed the sampled zero test; returns the seed it replaces."""
-    global _zero_seed
-    previous, _zero_seed = _zero_seed, seed
-    return previous
-
 
 class ScalarError(Exception):
     pass
@@ -323,24 +313,35 @@ def _add_product(terms: dict, mono: Mono, coeff) -> None:
 # Input bounds hold each cell, not the arithmetic on the cells.  Inside
 # work_budget() the ring counts term products, len(a) * len(b) per _mul_into
 # call and one per remainder term exact_divide scans, and refuses with
-# ScalarError, before the work, a call that would pass WORK_BUDGET.  linalg
-# charges one per entry product or entry update through charge, so that the
-# ring's own loops call no public, and so traced, name.
-# One term product costs 0.25-2.2 us in process on a 2-vCPU x86-64 machine,
-# so a refusal comes after 0.1-0.9 s: integer products of polynomials are
-# the cheapest, and Fraction coefficients and sin^2 rewrites the dearest.
-# Outside every scope work is unbounded.
+# ScalarError, before the work, a call that would pass its scope's limit.
+# linalg charges one per entry product or entry update through charge, so
+# that the ring's own loops call no public, and so traced, name.
+# The budget counts term products, not time.  A product of word-sized
+# coefficients costs 0.25-2.2 us on a 2-vCPU x86-64 machine, so a refusal
+# comes within 1 s; long ones are the known escape (ROADMAP item 12: a
+# dim-8 metric with 1000-digit denominators took 19 s for 5,140 products).
 
 WORK_BUDGET = 400_000
-_work_left = math.inf
+
+
+@dataclass(slots=True)
+class Scope:
+    """A work_budget() block: its limit in term products, what is left of
+    it, and the sampled zero test's seed."""
+    limit: float
+    left: float
+    seed: int
+
+
+_scope = Scope(math.inf, math.inf, DEFAULT_ZERO_SEED)  # outside every block
 
 
 def _charge(work: int) -> None:
-    """Spend work term products of the budget, or refuse them."""
-    global _work_left
-    if work > _work_left:
-        raise ScalarError(f"work above the budget of {WORK_BUDGET} term products")
-    _work_left -= work
+    """Spend work term products of the current scope, or refuse them."""
+    scope = _scope
+    if work > scope.left:
+        raise ScalarError(f"work above the budget of {scope.limit} term products")
+    scope.left -= work
 
 
 def charge(work: int) -> None:
@@ -349,22 +350,24 @@ def charge(work: int) -> None:
 
 
 @contextlib.contextmanager
-def work_budget():
-    """Hold the ring's work inside the block to WORK_BUDGET term products,
-    or to what an enclosing scope has left if that is less.  On exit the
-    enclosing scope resumes, less what the block spent, so nesting can only
-    tighten a bound.  expand's and normalize's caches are cleared on entry,
-    so a cached expansion is never free and a refusal does not depend on
-    earlier calls."""
-    global _work_left
+def work_budget(seed: int | None = None):
+    """Yield a Scope that holds the ring's work in the block to WORK_BUDGET
+    term products, or to what the enclosing scope has left if less, and
+    seeds is_zero with seed, or else the enclosing seed.  On exit the
+    enclosing scope is current again, less what the block spent.  expand's
+    and normalize's caches are cleared on entry, so a cached expansion is
+    never free and a refusal does not depend on earlier calls."""
+    global _scope
     normalize.cache_clear()
     expand.cache_clear()
-    outer = _work_left
-    start = _work_left = min(WORK_BUDGET, outer)
+    outer = _scope
+    limit = min(WORK_BUDGET, outer.left)
+    _scope = scope = Scope(limit, limit, outer.seed if seed is None else seed)
     try:
-        yield
+        yield scope
     finally:
-        _work_left = outer - (start - _work_left)
+        _scope = outer
+        outer.left -= scope.limit - scope.left
 
 
 def _mul_into(terms: dict, a: dict, b: dict) -> None:
@@ -949,7 +952,7 @@ def evaluate(p: TrigPoly, point: Mapping[int, object]):
 def is_zero(p: TrigPoly) -> bool:
     """True iff p is identically zero.  Exact for polynomials and for trig
     polynomials that reduce to zero; otherwise probabilistic, sampled from
-    the seed of set_zero_seed."""
+    the seed of the current work_budget() scope."""
     if not p.terms:
         return True
     if not (_TRIG and _support(p.terms) & _TRIG):
@@ -961,7 +964,7 @@ def is_zero(p: TrigPoly) -> bool:
     largest = max(abs(c) for c in p.terms.values())
     weighted = [([(position[atom], exp) for atom, exp in _factors(mono)],
                  float(Fraction(c) / largest), c) for mono, c in p.terms.items()]
-    rng = random.Random(_zero_seed)
+    rng = random.Random(_scope.seed)
     names = sorted(p.variables())
     for _ in range(ZERO_SAMPLES):
         point = {i: rng.uniform(-1.0, 1.0) for i in names}

@@ -1,5 +1,4 @@
 import io
-import math
 import os
 import random
 import subprocess
@@ -407,21 +406,24 @@ def test_module_runs_a_subcommand(data_path):
     assert proc.stdout == "4-flat\n"
 
 
+def current_seed():
+    """The zero-test seed of the current scope, which a nested one inherits."""
+    with scalar.work_budget() as scope:
+        return scope.seed
+
+
 def test_seed_does_not_leak_into_the_next_call(data_path):
     run(["--seed", "5", "flatness", data_path("rotation.conn")])
     run(["flatness", data_path("rotation.conn")])
-    assert scalar._zero_seed == scalar.DEFAULT_ZERO_SEED
+    assert current_seed() == scalar.DEFAULT_ZERO_SEED
 
 
 def test_a_call_restores_the_seed_it_found(data_path):
     run(["--seed", "5", "flatness", data_path("rotation.conn")])
-    assert scalar._zero_seed == scalar.DEFAULT_ZERO_SEED
-    scalar.set_zero_seed(9)
-    try:
+    assert current_seed() == scalar.DEFAULT_ZERO_SEED
+    with scalar.work_budget(9):
         run(["flatness", data_path("trig_pair.conn")])
-        assert scalar._zero_seed == 9
-    finally:
-        scalar.set_zero_seed(scalar.DEFAULT_ZERO_SEED)
+        assert current_seed() == 9
 
 
 def test_a_call_inside_a_budget_charges_the_enclosing_scope(data_path, monkeypatch):
@@ -431,10 +433,11 @@ def test_a_call_inside_a_budget_charges_the_enclosing_scope(data_path, monkeypat
         patch.setattr(scalar, "_charge", charges.append)
         assert run(argv) == (0, "5-flat\n")
     assert sum(charges) > 0
-    with scalar.work_budget():
+    with scalar.work_budget() as scope:
         assert run(argv) == (0, "5-flat\n")
-        assert scalar._work_left == scalar.WORK_BUDGET - sum(charges)
-    assert scalar._work_left == math.inf
+        assert scope.left == scalar.WORK_BUDGET - sum(charges)
+    # outside every scope work is unbounded again
+    scalar.charge(10 * scalar.WORK_BUDGET)
 
 
 def test_usage_error_leaves_no_state_for_the_next_call(data_path, capsys):
@@ -470,7 +473,7 @@ def test_one_parser_serves_every_call(data_path, capsys):
         assert (codes[-1], out.getvalue(), capsys.readouterr().err) == (
             fresh.returncode, fresh.stdout, fresh.stderr)
     assert codes == [2, 2, 0, 0, 0]
-    assert scalar._zero_seed == scalar.DEFAULT_ZERO_SEED
+    assert current_seed() == scalar.DEFAULT_ZERO_SEED
     assert cli._build_parser.cache_info().misses == 1
 
 

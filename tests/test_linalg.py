@@ -211,10 +211,9 @@ def test_pivots_and_charges_match_the_scanning_elimination(matrix):
     # the heap and the column index change the time a pivot takes, and
     # nothing it picks, writes or is charged
     rows = linalg.to_rows(matrix)
-    with scalar.work_budget():
-        before = scalar._work_left
+    with scalar.work_budget() as scope:
         pivots = linalg._eliminate(rows.values())
-        spent = before - scalar._work_left
+        spent = scope.limit - scope.left
     assert (pivots, spent) == scanning_pivots(rows.values())
 
 
@@ -225,12 +224,11 @@ def test_an_identity_chain_rank_table_costs_its_products():
     n = 2000
     identity = {k: {k: 1} for k in range(n)}
     chain = ncomplex.FiniteNComplex(4, 0, (n,) * 4, (identity,) * 3)
-    with scalar.work_budget():
-        before = scalar._work_left
+    with scalar.work_budget() as scope:
         start = time.perf_counter()
         table = chain.ranks
         elapsed = time.perf_counter() - start
-        spent = before - scalar._work_left
+        spent = scope.limit - scope.left
     assert table == {(i, j): n for i in range(4) for j in range(i + 1, 4)}
     assert spent == 3 * n
     assert elapsed < 0.5
@@ -240,10 +238,9 @@ def test_an_identity_chain_rank_table_costs_its_products():
 def test_elimination_is_charged_no_more_than_the_dense_one(matrix):
     # the dense elimination charged (rows - 1) * cols at each pivot
     spent = []
-    with scalar.work_budget():
-        before = scalar._work_left
+    with scalar.work_budget() as scope:
         rank = linalg.rank(linalg.to_rows(matrix))
-        spent.append(before - scalar._work_left)
+        spent.append(scope.limit - scope.left)
     cols = len(matrix[0]) if matrix else 0
     assert spent[0] <= rank * max(len(matrix) - 1, 0) * cols
 
@@ -303,11 +300,10 @@ def test_products_hold_ints_and_fractions(a, data):
 
 def test_products_are_charged_by_their_nonzero_pairs():
     spent = []
-    with scalar.work_budget():
-        before = scalar._work_left
+    with scalar.work_budget() as scope:
         # rows 0 and 2 of a meet row 1 of b, which holds two entries
         linalg.mat_mul({0: {1: 2}, 2: {1: 1, 3: 5}}, {1: {0: 1, 4: 1}, 2: {0: 7}})
-        spent.append(before - scalar._work_left)
+        spent.append(scope.limit - scope.left)
     assert spent == [4]
 
 

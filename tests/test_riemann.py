@@ -512,9 +512,9 @@ def test_minor_cases_have_zero_and_trig_entries():
 
 def _work(build):
     """Term products charged to the work budget by build()."""
-    with scalar.work_budget():
+    with scalar.work_budget() as scope:
         build()
-        return scalar.WORK_BUDGET - scalar._work_left
+        return scope.limit - scope.left
 
 
 def test_minors_skip_zero_entries():

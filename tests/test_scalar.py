@@ -151,15 +151,73 @@ def test_work_budget_refuses_before_the_work_and_ends_with_its_scope():
 
 
 def test_an_inner_budget_holds_what_the_outer_one_has_left():
-    with scalar.work_budget():
-        scalar._charge(scalar.WORK_BUDGET - 10)
-        with scalar.work_budget():
-            assert scalar._work_left == 10
-            scalar._charge(4)
+    with scalar.work_budget() as outer:
+        scalar.charge(scalar.WORK_BUDGET - 10)
+        with scalar.work_budget() as inner:
+            assert inner.left == 10
+            scalar.charge(4)
             with pytest.raises(ScalarError):
-                scalar._charge(7)
-        assert scalar._work_left == 6
-    assert scalar._work_left == math.inf
+                scalar.charge(7)
+        assert outer.left == 6
+    # outside every scope work is unbounded again
+    scalar.charge(10 * scalar.WORK_BUDGET)
+
+
+def test_a_refusal_names_the_limit_that_refused():
+    with scalar.work_budget():
+        scalar.charge(scalar.WORK_BUDGET - 10)
+        with scalar.work_budget():
+            with pytest.raises(ScalarError, match="^work above the budget of 10 term products$"):
+                scalar.charge(11)
+
+
+# a nesting step: open a scope (with a seed or none), charge some products,
+# charge what the innermost scope has left plus 0 or 1, or close
+scope_steps = st.lists(st.one_of(
+    st.tuples(st.just("open"), st.none() | st.integers(0, 9)),
+    st.tuples(st.just("charge"), st.integers(0, scalar.WORK_BUDGET // 2)),
+    st.tuples(st.just("rest"), st.integers(0, 1)),
+    st.tuples(st.just("close"), st.none())), max_size=24)
+
+
+@given(scope_steps)
+def test_nested_scopes_hold_their_limits_spend_and_seeds(steps):
+    # the model: what each open scope has left and its seed, outermost the
+    # unbounded scope outside every block
+    lefts, seeds, opened = [math.inf], [scalar.DEFAULT_ZERO_SEED], []
+    try:
+        for step, value in steps:
+            if step == "open":
+                block = scalar.work_budget(value)
+                scope = block.__enter__()
+                opened.append((block, scope))
+                assert scope.limit == scope.left == min(scalar.WORK_BUDGET, lefts[-1])
+                assert scope.seed == (seeds[-1] if value is None else value)
+                lefts.append(scope.limit)
+                seeds.append(scope.seed)
+            elif step in ("charge", "rest"):
+                if step == "rest":
+                    value += lefts[-1] if opened else scalar.WORK_BUDGET
+                if value > lefts[-1]:
+                    with pytest.raises(ScalarError):
+                        scalar.charge(value)
+                else:
+                    scalar.charge(value)
+                    lefts[-1] -= value
+            elif opened:
+                block, scope = opened.pop()
+                block.__exit__(None, None, None)
+                spent = scope.limit - lefts.pop()
+                seeds.pop()
+                lefts[-1] -= spent
+            if opened:
+                assert opened[-1][1].left == lefts[-1]
+            # the current scope is the model's innermost one
+            with scalar.work_budget() as probe:
+                assert (probe.limit, probe.seed) == (min(scalar.WORK_BUDGET, lefts[-1]), seeds[-1])
+    finally:
+        while opened:
+            opened.pop()[0].__exit__(None, None, None)
 
 
 @given(expressions)
