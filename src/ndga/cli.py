@@ -13,7 +13,6 @@ import functools
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import chern_simons, depth, forms, knflat, ncomplex, riemann, scalar, textfile
 
@@ -111,15 +110,10 @@ def _riemann_report(metric, max_n) -> list:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(j, n + 1):
-                num = gamma.numerator(i, j, k)
-                if not num.terms:
+                if not gamma.numerator(i, j, k).terms:
                     continue
-                value = gamma.quotient(num)
-                if value is not None:
-                    text = scalar.render(value)
-                else:
-                    num, den = num.scale(Fraction(1, gamma.content)), gamma.det.power(gamma.power)
-                    text = f"({scalar.render(num)}) / ({scalar.render(den)})"
+                num, den = gamma.symbol(i, j, k)
+                text = scalar.render(num) if den is None else scalar.render_quotient(num, den)
                 lines.append(f"Gamma^{i}_{j}{k} = {text}")
     try:
         form = riemann.riemann_form(metric)

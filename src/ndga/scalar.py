@@ -21,7 +21,9 @@ the polynomial of an input text, normalize, sort_key, the key that orders
 monomials in rendered text and trig atoms by their arguments, and
 _factors, a monomial's atoms in that order.  render writes a TrigPoly
 back in the grammar, and exact_divide divides one TrigPoly by another, or
-by a Divisor prepared from one, when the quotient is again a TrigPoly.
+by a Divisor prepared from one, when the quotient is again a TrigPoly;
+cancel takes a quotient of two toward lowest terms, and render_quotient
+writes it.
 TrigPoly.matrix_sum is the kernel of every matrix sum in ndga.forms: it
 builds each cell of a product, exterior derivative or sum in one term
 dict, and lowers a derivative into it without building it.
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import operator
 import random
@@ -267,7 +270,8 @@ def _coeff(value):
     """An exact rational as an int when it is integral, else as a Fraction."""
     if type(value) is int:
         return value
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
 
@@ -463,6 +467,8 @@ class TrigPoly:
         value = _coeff(value)
         if not value:
             return TrigPoly.zero()
+        if value == 1:
+            return self
         return _poly({m: _coeff(value * c) for m, c in self.terms.items()})
 
     def __neg__(self) -> "TrigPoly":
@@ -497,13 +503,17 @@ class TrigPoly:
         return _poly(terms)
 
     @staticmethod
-    def dot(pairs) -> "TrigPoly":
-        """The sum of a * b over the (a, b) pairs, accumulated in one dict.
-        A pair with a zero factor is skipped, and so costs no term product."""
+    def dot(pairs, addends=()) -> "TrigPoly":
+        """The sum of a * b over the (a, b) pairs and of the addends,
+        accumulated in one dict.  A pair with a zero factor is skipped, and
+        so costs no term product."""
         terms: dict = {}
         for a, b in pairs:
             if a.terms and b.terms:
                 _mul_into(terms, a.terms, b.terms)
+        for p in addends:
+            for mono, coeff in p.terms.items():
+                _add_term(terms, mono, coeff)
         return _poly(terms)
 
     @staticmethod
@@ -752,6 +762,91 @@ def exact_divide(num: TrigPoly, den: TrigPoly | Divisor) -> TrigPoly | None:
     return _poly({m: c * d // n if not c * d % n else Fraction(c * d, n) for m, c in quotient.items()})
 
 
+def _common_monomial(terms) -> Mono:
+    """The greatest monomial that divides every monomial of terms."""
+    common = None
+    for mono in terms:
+        if not mono:
+            return 0
+        fields = dict(_fields(mono))
+        common = fields if common is None else {
+            slot: min(exp, fields[slot]) for slot, exp in common.items() if slot in fields}
+        if not common:
+            return 0
+    return sum(exp << slot * W for slot, exp in common.items())
+
+
+def _sine_quotient(p: TrigPoly, atom) -> TrigPoly | None:
+    """p / sin(u) when it is a polynomial, else None, for the atom sin(u).
+    p = A + sin(u) B with A and B free of sin(u); sin(u) divides p exactly
+    when 1 - cos(u)^2 divides A, and then p / sin(u) = B + sin(u) A /
+    (1 - cos(u)^2).  A is divided per monomial of its other atoms, as a
+    polynomial in cos(u), from the top: each coefficient d_k of the
+    quotient is a_(k+2) + d_(k+2), and a_1 = d_1, a_0 = d_0 must hold."""
+    _charge(len(p.terms))
+    sine, cosine = _SLOTS[atom] * W, _SLOTS[(COS, atom[1])] * W
+    quotient, columns = {}, {}
+    for mono, coeff in p.terms.items():
+        if mono >> sine & _FIELD:
+            quotient[mono - (1 << sine)] = coeff
+        else:
+            exp = mono >> cosine & _FIELD
+            columns.setdefault(mono - (exp << cosine), {})[exp] = coeff
+    for rest, column in columns.items():
+        d = {}
+        for k in range(max(column), 1, -1):
+            value = d.get(k, 0) - column.get(k, 0)
+            if value:
+                d[k - 2] = value
+        if column.get(1, 0) != d.get(1, 0) or column.get(0, 0) != d.get(0, 0):
+            return None
+        for k, coeff in d.items():
+            quotient[rest + (k << cosine) + (1 << sine)] = coeff
+    return _poly(quotient)
+
+
+def cancel(num: TrigPoly, den: TrigPoly) -> tuple:
+    """(a, b) with a / b = num / den for a nonzero den: the monomial common
+    to every term of both, and each sin(u) of a trig argument u of den that
+    divides both exactly, divided out of both until none is left, and den's
+    content moved into a, so that b is a primitive integral polynomial whose
+    first rendered term is positive.  No general gcd: what is left may
+    still share a factor."""
+    trig = _TRIG and _support(den.terms) & _TRIG
+    sines = sorted({(SIN, arg) for tag, arg in den.atoms() if tag != VAR}) if trig else []
+    while True:
+        # a constant term, which renders first, leaves no common monomial
+        common = 0 if 0 in den.terms else _common_monomial(itertools.chain(den.terms, num.terms))
+        if common:
+            num = _poly({m - common: c for m, c in num.terms.items()})
+            den = _poly({m - common: c for m, c in den.terms.items()})
+        for sine in sines:
+            a = _sine_quotient(num, sine)
+            b = _sine_quotient(den, sine) if a is not None else None
+            if b is not None:
+                num, den = a, b
+                break
+        else:
+            break
+    lcm = den.denominator()
+    gcd = math.gcd(*(c if lcm == 1 else int(c * lcm) for c in den.terms.values()))
+    if den.terms[0 if 0 in den.terms else min(den.terms, key=sort_key)] < 0:
+        gcd = -gcd
+    if gcd == lcm:
+        return num, den
+    content = Fraction(gcd, lcm)
+    return _divided(num, content), _divided(den, content)
+
+
+def _divided(p: TrigPoly, value: Fraction) -> TrigPoly:
+    """p / value, exact, with an int coefficient divided by an int value
+    kept an int where it divides."""
+    if value.denominator == 1 and all(type(c) is int for c in p.terms.values()):
+        d = value.numerator
+        return _poly({m: c // d if not c % d else Fraction(c, d) for m, c in p.terms.items()})
+    return p.scale(1 / value)
+
+
 # ------------------------------------------------------------------
 # expansion of parse trees
 # ------------------------------------------------------------------
@@ -905,6 +1000,25 @@ def render(p: TrigPoly) -> str:
             coeff = abs(coeff)
         pieces.append(_render_term(mono, coeff))
     return "".join(pieces) or "0"
+
+
+def _operand(p: TrigPoly, numerator: bool) -> str:
+    """p's text on its side of a slash, in parentheses unless it reads as
+    one operand there."""
+    (mono, coeff), = p.terms.items() if len(p.terms) == 1 else [(None, None)]
+    if numerator:
+        bare = coeff in (1, -1) or mono == 0 and type(coeff) is int
+    else:
+        bare = coeff == 1 and len(_factors(mono)) == 1
+    return render(p) if bare else f"({render(p)})"
+
+
+def render_quotient(num: TrigPoly, den: TrigPoly) -> str:
+    """num/den, each side in parentheses unless it reads as one operand
+    there: num an integer or a term with coefficient 1 or -1, den one
+    factor with coefficient 1.  So a slash between the sides is followed
+    by a parenthesis or a letter, and one inside a rational by a digit."""
+    return f"{_operand(num, True)}/{_operand(den, False)}"
 
 
 # ------------------------------------------------------------------

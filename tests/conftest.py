@@ -96,6 +96,19 @@ def sympy_reduced(e):
         }))
 
 
+def split_quotient(text):
+    """(A, B) for a Christoffel symbol printed as A/B, else None.  The
+    slash between the sides is the one at parenthesis depth 0 followed by
+    a parenthesis or a letter; one inside a rational is followed by a
+    digit."""
+    depth = 0
+    for position, char in enumerate(text):
+        depth += (char == "(") - (char == ")")
+        if char == "/" and depth == 0 and not text[position + 1].isdigit():
+            return text[:position], text[position + 1:]
+    return None
+
+
 # ------------------------------------------------------------------
 # flatness-scan oracle
 # ------------------------------------------------------------------

@@ -699,12 +699,13 @@ def test_hostile_argument_is_a_quick_error(name):
 
 # constants past the interpreter's 4300-digit print limit: a power of one,
 # refused when the file is read, and products of 1000-digit literals, which
-# fail when they are rendered
+# fail when they are rendered; the metric's product is a factor of
+# Gamma^1_22, which is printed as a polynomial
 LONG = "7" * 1000
 PRODUCT = "*".join([LONG] * 5)
 OVERSIZED_CONSTANTS = {
     "power_metric": (["riemann"], "dim 2\n" + LONG + "^5*x1^2;0\n0;1\n"),
-    "product_metric": (["riemann"], "dim 2\n" + PRODUCT + "*x1^2;0\n0;1\n"),
+    "product_metric": (["riemann"], "dim 2\n1;0\n0;" + PRODUCT + "*x1^2\n"),
     "merged_exponent_form": (["depth-forms", "--profile", "2,2", "diff", "(x1^300)^2*dx2"], None),
     "product_form": (["depth-forms", "--profile", "2,2", "diff", PRODUCT + "*x1*dx2"], None),
 }

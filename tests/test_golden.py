@@ -14,14 +14,15 @@ paths are relative; the inputs are in tests/data/bad.
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from ndga import cli
+from ndga import cli, scalar
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, split_quotient, sympy_reduced
 
 GOLDEN_DIR = os.path.join(DATA_DIR, "golden")
 
@@ -158,21 +159,22 @@ ZERO_PAIR_CHARGES = {
 }
 
 # term products charged to each flatness and riemann golden once a product
-# with a zero factor is charged nothing; no golden may be charged more
+# with a zero factor is charged nothing, and each block of a metric holds
+# its own denominator; no golden may be charged more
 GOLDEN_CHARGES = {
     "flatness_rotation": 3,
     "flatness_triangular_pair": 1,
     "flatness_generic_c08": 1529,
     "flatness_trig_pair": 11,
-    "riemann_sphere_torus": 97,
-    "riemann_round_sphere3": 2438,
-    "riemann_supplied_inverse": 50,
-    "riemann_quotient": 83,
-    "riemann_diag_trig": 38321,
-    "riemann_warped_sphere3": 2442,
-    "riemann_product8": 843,
-    "riemann_mixed_denominators": 85,
-    "riemann_rational_inverse": 53,
+    "riemann_sphere_torus": 52,
+    "riemann_round_sphere3": 658,
+    "riemann_supplied_inverse": 45,
+    "riemann_quotient": 40,
+    "riemann_diag_trig": 844,
+    "riemann_warped_sphere3": 636,
+    "riemann_product8": 132,
+    "riemann_mixed_denominators": 54,
+    "riemann_rational_inverse": 48,
 }
 
 
@@ -196,3 +198,52 @@ def test_goldens_do_not_depend_on_atom_order():
     for name, _ in cases:
         with open(os.path.join(GOLDEN_DIR, f"{name}.out"), "rb") as handle:
             assert reverse["outputs"][name].encode("utf-8") == handle.read()
+
+
+# The Gamma lines of the riemann goldens re-recorded when each block of
+# the metric took its own denominator, as they were printed before: tau
+# over the whole det(g)^p as (A) / (B).  Every other line of every golden
+# is unchanged.
+with open(os.path.join(GOLDEN_DIR, "riemann_gamma_before_blocks.json"), encoding="utf-8") as _handle:
+    BEFORE_BLOCKS = json.load(_handle)
+OLD_QUOTIENT = re.compile(r"\((.*)\) / \((.*)\)")
+
+
+def _golden_symbols(name):
+    with open(os.path.join(GOLDEN_DIR, f"{name}.out"), encoding="utf-8") as handle:
+        return dict(line.split(" = ", 1) for line in handle.read().splitlines()
+                    if line.startswith("Gamma^"))
+
+
+@pytest.mark.parametrize("name", sorted(BEFORE_BLOCKS))
+def test_rerecorded_symbols_equal_their_old_lines(name):
+    symbols = _golden_symbols(name)
+    assert BEFORE_BLOCKS[name] and set(BEFORE_BLOCKS[name]) <= set(symbols)
+    for label, old in BEFORE_BLOCKS[name].items():
+        new = symbols[label]
+        a, b = map(scalar.expand, OLD_QUOTIENT.fullmatch(old).groups())
+        c, d = map(scalar.expand, split_quotient(new) or (new, "1"))
+        assert a * d == c * b, (name, label)  # a / b == c / d
+
+
+@pytest.mark.parametrize("name", sorted(BEFORE_BLOCKS))
+def test_rerecorded_symbols_equal_their_old_lines_in_sympy(name):
+    sympy = pytest.importorskip("sympy")
+
+    def read(text):
+        return sympy.sympify(text.replace("^", "**"))
+
+    symbols = _golden_symbols(name)
+    for label, old in BEFORE_BLOCKS[name].items():
+        a, b = OLD_QUOTIENT.fullmatch(old).groups()
+        new = split_quotient(symbols[label])
+        difference = sympy.cancel(read(a) / read(b) - (read(new[0]) / read(new[1]) if new
+                                                       else read(symbols[label])))
+        assert sympy_reduced(sympy.numer(sympy.together(difference))) == 0, (name, label)
+
+
+def test_product8_prints_its_symbols_in_lowest_terms():
+    symbols = _golden_symbols("riemann_product8")
+    assert symbols["Gamma^6_56"] == "1/x5"
+    assert symbols["Gamma^4_34"] == "x3/(1 + x3^2)"
+    assert symbols["Gamma^2_12"] == "cos(x1)/sin(x1)"

@@ -653,6 +653,53 @@ def test_exact_divide_with_fraction_coefficients_on_both_sides(quotient, divisor
     assert [scalar.exact_divide(q * d, prepared), scalar.exact_divide(d, prepared)] == [q, TrigPoly.one()]
 
 
+# ------------------------------------------------------------------
+# quotients in lowest terms, as far as common monomials and sines go
+# ------------------------------------------------------------------
+
+@pytest.mark.parametrize("num, den, expected", [
+    ("sin(x1)*cos(x1)", "sin(x1)^2", ("cos(x1)", "sin(x1)")),
+    ("2*x1", "4 + 2*x1^2", ("x1", "2 + x1^2")),
+    ("2*x5", "2*x5^2", ("1", "x5")),
+    ("x1", "-2*x1^2 - 6", ("-1/2*x1", "3 + x1^2")),
+    ("3*sin(x1)*cos(x1)*sin(x3)^2", "3/2*sin(x1)^2*sin(x3)^2", ("2*cos(x1)", "sin(x1)")),
+    ("cos(x2)", "1/2 + x1", ("2*cos(x2)", "1 + 2*x1")),
+])
+def test_cancel_takes_out_monomials_sines_and_content(num, den, expected):
+    assert scalar.cancel(poly(num), poly(den)) == tuple(map(poly, expected))
+
+
+@given(expressions, st.sampled_from(DIVISORS + ["sin(x1)*x2", "x1^2*cos(x2)"]),
+       st.sampled_from(["1", "x1", "sin(x1)", "sin(x2)^2*x1", "2/3*cos(x1)*sin(x1)"]))
+def test_cancel_keeps_the_quotient(e, divisor, factor):
+    num, den = normalize(e) * poly(factor), poly(divisor) * poly(factor)
+    a, b = scalar.cancel(num, den)
+    assert a * den == num * b
+    assert b.denominator() == 1 and math.gcd(*b.terms.values()) == 1
+
+
+def test_sine_division_inverts_multiplication():
+    s1 = TrigPoly.atom((scalar.SIN, scalar.Arg(x1)))
+    for text in ["1", "cos(x1)^3 - x2", "sin(x1)*x2 + cos(x1)", "1 - cos(x1)^2"]:
+        p = poly(text)
+        assert scalar._sine_quotient(p * s1, (scalar.SIN, scalar.Arg(x1))) == p
+    assert scalar._sine_quotient(poly("cos(x1)"), (scalar.SIN, scalar.Arg(x1))) is None
+    assert scalar._sine_quotient(poly("1 + sin(x1)"), (scalar.SIN, scalar.Arg(x1))) is None
+
+
+@pytest.mark.parametrize("num, den, text", [
+    ("1", "x5", "1/x5"),
+    ("x3", "1 + x3^2", "x3/(1 + x3^2)"),
+    ("cos(x1)", "sin(x1)", "cos(x1)/sin(x1)"),
+    ("-cos(x1)", "x1^2", "-cos(x1)/x1^2"),
+    ("1/2*cos(x1)", "2 + sin(x1)", "(1/2*cos(x1))/(2 + sin(x1))"),
+    ("1/2", "x1", "(1/2)/x1"),
+    ("x1 + 1", "x1*x2", "(1 + x1)/(x1*x2)"),
+])
+def test_render_quotient_parenthesizes_what_would_not_read_as_one_operand(num, den, text):
+    assert scalar.render_quotient(poly(num), poly(den)) == text
+
+
 @given(polynomial_expressions, polynomial_expressions, st.booleans())
 def test_exact_divide_agrees_with_sympy_div(a, b, multiply):
     sympy = pytest.importorskip("sympy")

@@ -4,7 +4,7 @@ from ndga import forms, ncomplex, riemann, textfile
 
 
 def metric_key(metric):
-    return metric.g, metric.inverse_power, metric._numerators, metric._u
+    return metric.g, metric.inverse_power, metric.blocks
 
 
 # (format, parser, key of the parsed object, plain file, a bad line and the
